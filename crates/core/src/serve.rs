@@ -98,22 +98,26 @@
 //! # }
 //! ```
 
+mod adaptive;
 pub mod admission;
+mod engine;
+mod registry;
 pub mod shard;
 pub mod timer;
 
-use crate::detector::{Detector, DetectorInfo, OnlineDetector, Verdict};
-use crate::regeneration::{DriftMonitor, DriftMonitorConfig};
+pub(crate) use adaptive::LaneCheckpoint;
+pub use adaptive::{AdaptiveConfig, AdaptiveLane, AdaptiveStats};
+pub use engine::{LanePoll, ServeEngine, ServeStats};
+pub use registry::DetectorRegistry;
+
+#[cfg(doc)]
+use crate::detector::{Detector, DetectorInfo, OnlineDetector};
 use crate::CyberHdError;
-use eval::timing::LatencyHistogram;
-use hdc::rng::HdcRng;
-use hdc::BatchBuffer;
-use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Errors produced by the serving layer.
 #[derive(Debug)]
@@ -310,2431 +314,26 @@ impl Ticket {
     }
 }
 
-// ---------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------
-
-/// One registered artifact: its per-tenant `version` (the human-facing
-/// sequence: register → 1, each swap +1) and its registry-unique
-/// `generation` (what the engine pins batches against — generations are
-/// drawn from one monotonic counter, so a remove + re-register under the
-/// same id can never alias an older artifact the way a reset version
-/// counter would).
-#[derive(Debug, Clone)]
-struct TenantEntry {
-    detector: Detector,
-    version: u64,
-    generation: u64,
-}
-
-/// Tenant/stream id → sealed [`Detector`] artifact, with atomic hot-swap.
-///
-/// Reads are one `RwLock` read plus an `Arc` bump (detectors are
-/// Arc-shared), so routing stays off the scoring hot path's critical
-/// section; a swap is one write-lock pointer replacement — **atomic** in
-/// the sense that every micro-batch scores against exactly one artifact
-/// version, never a half-swapped mixture.
-#[derive(Debug, Default)]
-pub struct DetectorRegistry {
-    tenants: RwLock<HashMap<Arc<str>, TenantEntry>>,
-    /// Source of registry-unique artifact generations.
-    generations: std::sync::atomic::AtomicU64,
-}
-
-impl DetectorRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The next registry-unique artifact generation.
-    fn next_generation(&self) -> u64 {
-        self.generations.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1
-    }
-
-    /// Registers a new tenant at version 1.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::DuplicateTenant`] if the id is taken.
-    pub fn register(&self, tenant: &str, detector: Detector) -> ServeResult<()> {
-        let generation = self.next_generation();
-        let mut tenants = self.tenants.write().expect("registry lock");
-        if tenants.contains_key(tenant) {
-            return Err(ServeError::DuplicateTenant(tenant.into()));
-        }
-        tenants.insert(tenant.into(), TenantEntry { detector, version: 1, generation });
-        Ok(())
-    }
-
-    /// Atomically replaces a tenant's artifact, returning the new version.
-    ///
-    /// Before the swap the candidate must pass the **admission check**:
-    /// same raw-record schema (name and arity), same preprocessed input
-    /// width and same class count as the live artifact — the properties
-    /// in-flight traffic and downstream verdict consumers depend on.
-    /// Encoder family, dimensionality, bitwidth and thresholds may all
-    /// change freely (that is what hot-swapping is for).
-    ///
-    /// Micro-batches already admitted under the old artifact finish on it
-    /// (they hold their own `Arc`); submissions routed after the swap see
-    /// the new one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::UnknownTenant`] for an unregistered id and
-    /// [`ServeError::IncompatibleSwap`] when the admission check fails.
-    pub fn swap(&self, tenant: &str, detector: Detector) -> ServeResult<u64> {
-        let generation = self.next_generation();
-        let mut tenants = self.tenants.write().expect("registry lock");
-        let entry =
-            tenants.get_mut(tenant).ok_or_else(|| ServeError::UnknownTenant(tenant.into()))?;
-        check_admission(&entry.detector.info(), &detector.info())?;
-        entry.detector = detector;
-        entry.version += 1;
-        entry.generation = generation;
-        Ok(entry.version)
-    }
-
-    /// [`DetectorRegistry::swap`] from persisted artifact bytes
-    /// ([`Detector::to_bytes`] / [`hdc::codec`]) — the deployment path
-    /// where new versions arrive over the wire or from disk.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Rejected`] for malformed bytes, plus the
-    /// [`DetectorRegistry::swap`] errors.
-    pub fn swap_from_bytes(&self, tenant: &str, bytes: &[u8]) -> ServeResult<u64> {
-        self.swap(tenant, Detector::from_bytes(bytes)?)
-    }
-
-    /// Removes a tenant, returning its artifact.
-    pub fn remove(&self, tenant: &str) -> Option<Detector> {
-        self.tenants.write().expect("registry lock").remove(tenant).map(|e| e.detector)
-    }
-
-    /// The tenant's current artifact and version (an `Arc` bump, no copy).
-    pub fn current(&self, tenant: &str) -> Option<(Detector, u64)> {
-        self.tenants
-            .read()
-            .expect("registry lock")
-            .get(tenant)
-            .map(|e| (e.detector.clone(), e.version))
-    }
-
-    /// The tenant's current version without touching the artifact.
-    pub fn version(&self, tenant: &str) -> Option<u64> {
-        self.tenants.read().expect("registry lock").get(tenant).map(|e| e.version)
-    }
-
-    /// The tenant's current generation — the cheap (no `Arc` clone) read
-    /// the engine's per-submit pin check runs.
-    fn generation(&self, tenant: &str) -> Option<u64> {
-        self.tenants.read().expect("registry lock").get(tenant).map(|e| e.generation)
-    }
-
-    /// The tenant's current artifact and generation, for pinning a new
-    /// micro-batch.
-    fn pin(&self, tenant: &str) -> Option<(Detector, u64)> {
-        self.tenants
-            .read()
-            .expect("registry lock")
-            .get(tenant)
-            .map(|e| (e.detector.clone(), e.generation))
-    }
-
-    /// Artifact metadata of a tenant's current version.
-    pub fn info(&self, tenant: &str) -> Option<DetectorInfo> {
-        self.tenants.read().expect("registry lock").get(tenant).map(|e| e.detector.info())
-    }
-
-    /// Registered tenant ids, sorted.
-    pub fn tenants(&self) -> Vec<String> {
-        let mut ids: Vec<String> = self
-            .tenants
-            .read()
-            .expect("registry lock")
-            .keys()
-            .map(|k| k.as_ref().to_string())
-            .collect();
-        ids.sort();
-        ids
-    }
-
-    /// Number of registered tenants.
-    pub fn len(&self) -> usize {
-        self.tenants.read().expect("registry lock").len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// The swap admission rule (see [`DetectorRegistry::swap`]).
-fn check_admission(live: &DetectorInfo, candidate: &DetectorInfo) -> ServeResult<()> {
-    if candidate.schema != live.schema || candidate.record_arity != live.record_arity {
-        return Err(ServeError::IncompatibleSwap(format!(
-            "schema {} ({} raw features) cannot replace {} ({} raw features)",
-            candidate.schema, candidate.record_arity, live.schema, live.record_arity
-        )));
-    }
-    if candidate.input_width != live.input_width {
-        return Err(ServeError::IncompatibleSwap(format!(
-            "preprocessed width {} cannot replace {}",
-            candidate.input_width, live.input_width
-        )));
-    }
-    if candidate.classes != live.classes {
-        return Err(ServeError::IncompatibleSwap(format!(
-            "{} classes cannot replace {} (verdict consumers assume a fixed label space)",
-            candidate.classes, live.classes
-        )));
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// Engine
-// ---------------------------------------------------------------------
-
-/// One queued flow: its ticket sequence number and submit timestamp.
-#[derive(Debug, Clone, Copy)]
-struct PendingFlow {
-    seq: u64,
-    submitted: Instant,
-}
-
-/// A tenant's micro-batch lane: the reusable preprocessed-row buffer, the
-/// pending tickets riding it, the artifact generation the rows were
-/// admitted under, completed verdicts awaiting collection, and stats.
-#[derive(Debug)]
-struct Lane {
-    /// Engine-unique lane id, stamped into every [`Ticket`] this lane
-    /// issues.
-    id: u64,
-    /// Set (under the lane mutex) when the lane is removed from the
-    /// engine's map: a submitter that raced the eviction and still holds
-    /// the orphaned `Arc` re-resolves instead of enqueueing into a lane
-    /// nothing will ever flush.
-    evicted: bool,
-    /// The lanes-map key, shared into every [`Ticket`] this lane issues
-    /// (a refcount bump, not a fresh allocation per flow).
-    tenant: Arc<str>,
-    /// Artifact the pending rows were preprocessed by and will score on,
-    /// plus its registry **generation**; `None` while the lane is empty.
-    /// Pinning per batch is what makes a registry swap atomic from the
-    /// lane's point of view, and generations (registry-unique, never
-    /// reused) make the pin check immune to a remove + re-register under
-    /// the same tenant id.
-    pinned: Option<(Detector, u64)>,
-    /// Preprocessed pending rows (reused across flushes — after warm-up
-    /// the accumulate→flush cycle allocates nothing).
-    buffer: BatchBuffer,
-    pending: Vec<PendingFlow>,
-    completed: HashMap<u64, Verdict>,
-    next_seq: u64,
-    stats: LaneStats,
-}
-
-/// Mutable per-tenant counters behind [`ServeStats`].
-#[derive(Debug)]
-struct LaneStats {
-    flows_submitted: u64,
-    flows_served: u64,
-    rejected: u64,
-    batches: u64,
-    /// `batch_sizes[n]` counts flushes of exactly `n` flows
-    /// (index 0 unused; sized `max_batch + 1`).
-    batch_sizes: Vec<u64>,
-    latency: LatencyHistogram,
-}
-
-impl LaneStats {
-    fn new(max_batch: usize) -> Self {
-        Self {
-            flows_submitted: 0,
-            flows_served: 0,
-            rejected: 0,
-            batches: 0,
-            batch_sizes: vec![0; max_batch + 1],
-            latency: LatencyHistogram::new(),
-        }
-    }
-}
-
-/// A point-in-time snapshot of one tenant's serving counters.
-#[derive(Debug, Clone)]
-pub struct ServeStats {
-    /// Tenant id.
-    pub tenant: String,
-    /// Version of the artifact new submissions are routed to.
-    pub detector_version: u64,
-    /// Flows accepted by [`ServeEngine::submit`].
-    pub flows_submitted: u64,
-    /// Flows scored through flushed micro-batches.
-    pub flows_served: u64,
-    /// Submissions rejected by backpressure.
-    pub rejected: u64,
-    /// Pending flows waiting for the next flush.
-    pub queue_depth: usize,
-    /// Completed verdicts not yet collected through their tickets.
-    pub uncollected: usize,
-    /// Micro-batches flushed.
-    pub batches: u64,
-    /// `(batch size, flush count)` pairs, non-zero entries only.
-    pub batch_size_histogram: Vec<(usize, u64)>,
-    /// Mean submit→verdict latency.
-    pub mean_latency: Duration,
-    /// Median submit→verdict latency.
-    pub p50_latency: Duration,
-    /// 99th-percentile submit→verdict latency.
-    pub p99_latency: Duration,
-    /// Worst observed submit→verdict latency.
-    pub max_latency: Duration,
-    /// The full submit→verdict latency histogram the percentiles above
-    /// were read from — carried in the snapshot so stats from different
-    /// lanes (or shards) can be folded together without losing percentile
-    /// fidelity ([`ServeStats::merge`], [`LatencyHistogram::merge`]).
-    pub latency: LatencyHistogram,
-}
-
-impl ServeStats {
-    /// Mean flows per flushed micro-batch (`0.0` before the first flush).
-    pub fn mean_batch_size(&self) -> f64 {
-        if self.batches == 0 {
-            return 0.0;
-        }
-        self.flows_served as f64 / self.batches as f64
-    }
-
-    /// Folds `other` into this snapshot — the cross-lane / cross-shard
-    /// aggregation behind [`shard::ShardedServeEngine::fleet_stats`].
-    ///
-    /// Counters add, the batch-size and latency histograms merge
-    /// bucket-wise, and the latency summary fields (mean/p50/p99/max) are
-    /// recomputed from the merged histogram, so aggregated percentiles
-    /// are exactly what a single lane observing the union of both latency
-    /// streams would have reported.  `detector_version` is kept only when
-    /// both sides agree (a fleet of mixed versions reports `0`).
-    pub fn merge(&mut self, other: &ServeStats) {
-        self.flows_submitted += other.flows_submitted;
-        self.flows_served += other.flows_served;
-        self.rejected += other.rejected;
-        self.queue_depth += other.queue_depth;
-        self.uncollected += other.uncollected;
-        self.batches += other.batches;
-        if self.detector_version != other.detector_version {
-            self.detector_version = 0;
-        }
-        for &(size, count) in &other.batch_size_histogram {
-            match self.batch_size_histogram.iter_mut().find(|(s, _)| *s == size) {
-                Some((_, own)) => *own += count,
-                None => self.batch_size_histogram.push((size, count)),
-            }
-        }
-        self.batch_size_histogram.sort_unstable_by_key(|&(size, _)| size);
-        self.latency.merge(&other.latency);
-        self.mean_latency = self.latency.mean();
-        self.p50_latency = self.latency.percentile(0.50);
-        self.p99_latency = self.latency.percentile(0.99);
-        self.max_latency = self.latency.max();
-    }
-}
-
-impl fmt::Display for ServeStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: v{}, {} served / {} submitted ({} rejected), depth {} (+{} uncollected), {} \
-             batches (mean {:.1}), latency mean {:?} p50 {:?} p99 {:?} max {:?}",
-            self.tenant,
-            self.detector_version,
-            self.flows_served,
-            self.flows_submitted,
-            self.rejected,
-            self.queue_depth,
-            self.uncollected,
-            self.batches,
-            self.mean_batch_size(),
-            self.mean_latency,
-            self.p50_latency,
-            self.p99_latency,
-            self.max_latency,
-        )
-    }
-}
-
-/// The micro-batching serving engine (see the [module docs](self)).
-///
-/// All methods take `&self`: lanes sit behind per-tenant mutexes, so
-/// concurrent sources can submit to different tenants fully in parallel
-/// (and to the same tenant under one short critical section per flow).
-#[derive(Debug)]
-pub struct ServeEngine {
-    registry: Arc<DetectorRegistry>,
-    config: ServeConfig,
-    lanes: RwLock<HashMap<Arc<str>, Arc<Mutex<Lane>>>>,
-    /// Queued work across every lane: pending flows plus uncollected
-    /// verdicts.  Maintained as a lock-free counter so admission control
-    /// ([`admission::AdmissionController`]) can read a shard's occupancy
-    /// without touching the lane map.
-    outstanding: std::sync::atomic::AtomicUsize,
-}
-
-/// What [`ServeEngine::poll_tenant`] found — the deadline wheel's
-/// per-lane verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LanePoll {
-    /// The lane's oldest pending flow had waited at least `max_delay`;
-    /// the batch was flushed and this many flows were scored.
-    Flushed(usize),
-    /// The lane has pending flows but the oldest is younger than
-    /// `max_delay`; it becomes due after this long (reschedule hint).
-    Due(Duration),
-    /// Nothing pending (no lane, an evicted lane, or an empty one).
-    Idle,
-}
-
-impl ServeEngine {
-    /// Creates an engine routing through `registry`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::InvalidConfig`] for inconsistent watermarks.
-    pub fn new(registry: Arc<DetectorRegistry>, config: ServeConfig) -> ServeResult<Self> {
-        config.validate()?;
-        Ok(Self {
-            registry,
-            config,
-            lanes: RwLock::new(HashMap::new()),
-            outstanding: std::sync::atomic::AtomicUsize::new(0),
-        })
-    }
-
-    /// Queued work across every lane of this engine: pending flows plus
-    /// completed-but-uncollected verdicts.  The overload signal admission
-    /// control reads per submission — a relaxed atomic load, no locks.
-    pub fn outstanding(&self) -> usize {
-        self.outstanding.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// The registry this engine routes through.
-    pub fn registry(&self) -> &Arc<DetectorRegistry> {
-        &self.registry
-    }
-
-    /// The engine's watermark configuration.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
-    }
-
-    /// The tenant's lane, created on first use.
-    fn lane(&self, tenant: &str) -> ServeResult<Arc<Mutex<Lane>>> {
-        if let Some(lane) = self.lanes.read().expect("lanes lock").get(tenant) {
-            return Ok(Arc::clone(lane));
-        }
-        // Creating a lane requires the tenant to be registered; racing
-        // creators converge on whichever entry lands first.
-        let (detector, _) =
-            self.registry.pin(tenant).ok_or_else(|| ServeError::UnknownTenant(tenant.into()))?;
-        let width = detector.preprocessor().output_width();
-        let mut lanes = self.lanes.write().expect("lanes lock");
-        let key: Arc<str> = tenant.into();
-        let lane = lanes.entry(Arc::clone(&key)).or_insert_with(|| {
-            Arc::new(Mutex::new(Lane {
-                id: next_lane_id(),
-                evicted: false,
-                tenant: key,
-                pinned: None,
-                buffer: BatchBuffer::with_width(width).expect("output width is non-zero"),
-                pending: Vec::new(),
-                completed: HashMap::new(),
-                next_seq: 0,
-                stats: LaneStats::new(self.config.max_batch),
-            }))
-        });
-        Ok(Arc::clone(lane))
-    }
-
-    /// Submits one raw flow record for `tenant`, returning a [`Ticket`]
-    /// for its verdict.
-    ///
-    /// The record is preprocessed immediately (allocation-free, into the
-    /// lane's reusable row buffer) against the artifact the current
-    /// micro-batch is pinned to; if the registry swapped since the batch
-    /// started, the old batch is first flushed **on its old artifact** and
-    /// this flow starts a new batch on the new one.  Reaching `max_batch`
-    /// pending flows flushes inline.
-    ///
-    /// # Errors
-    ///
-    /// * [`ServeError::UnknownTenant`] — tenant not registered,
-    /// * [`ServeError::Backpressure`] — bounded queue full (flow dropped),
-    /// * [`ServeError::Rejected`] — record failed schema validation (flow
-    ///   dropped, queue intact).
-    pub fn submit(&self, tenant: &str, record: &[f32]) -> ServeResult<Ticket> {
-        self.submit_counted(tenant, record).map(|(ticket, _)| ticket)
-    }
-
-    /// [`ServeEngine::submit`], additionally reporting how many flows are
-    /// pending in the tenant's lane **after** this submission (`0` when
-    /// the submission itself filled and flushed the batch).  A sharded
-    /// engine uses the count to schedule exactly one deadline-wheel entry
-    /// per in-flight batch: the flow that takes a lane from empty to
-    /// non-empty (count 1) starts the batch's `max_delay` clock.
-    ///
-    /// # Errors
-    ///
-    /// As [`ServeEngine::submit`].
-    pub fn submit_counted(&self, tenant: &str, record: &[f32]) -> ServeResult<(Ticket, usize)> {
-        // Re-resolve if an eviction raced between looking the lane up and
-        // locking it — enqueueing into an orphaned lane would strand the
-        // flow (nothing ever flushes an evicted lane).
-        loop {
-            let lane = self.lane(tenant)?;
-            let mut lane = lane.lock().expect("lane lock");
-            if lane.evicted {
-                continue;
-            }
-            let ticket = self.submit_locked(&mut lane, tenant, record)?;
-            return Ok((ticket, lane.pending.len()));
-        }
-    }
-
-    /// [`ServeEngine::submit`] against an already locked, live lane.
-    fn submit_locked(&self, lane: &mut Lane, tenant: &str, record: &[f32]) -> ServeResult<Ticket> {
-        // Route: a generation change (swap, or remove + re-register) seals
-        // the in-flight batch on its pinned (old) artifact.  The steady
-        // state reads only the generation — no artifact `Arc` is cloned
-        // and nothing allocates until the lane needs a new pin.
-        let generation = self
-            .registry
-            .generation(tenant)
-            .ok_or_else(|| ServeError::UnknownTenant(tenant.into()))?;
-        if lane.pinned.as_ref().is_some_and(|(_, pinned)| *pinned != generation) {
-            flush_lane(lane);
-        }
-
-        let depth = lane.pending.len() + lane.completed.len();
-        if depth >= self.config.queue_capacity {
-            lane.stats.rejected += 1;
-            return Err(ServeError::Backpressure {
-                tenant: tenant.into(),
-                capacity: self.config.queue_capacity,
-                depth,
-                retry_hint: self.config.max_delay,
-            });
-        }
-
-        if lane.pinned.is_none() {
-            // Re-read atomically with the artifact: a swap racing between
-            // the generation read above and here just means this batch pins
-            // the newer generation, which is equally consistent.
-            let (current, generation) = self
-                .registry
-                .pin(tenant)
-                .ok_or_else(|| ServeError::UnknownTenant(tenant.into()))?;
-            let width = current.preprocessor().output_width();
-            if lane.buffer.width() != width {
-                // The admission check pins the width across swaps, but a
-                // remove + re-register legally changes it; restart the
-                // buffer rather than serving through a stale shape.
-                lane.buffer = BatchBuffer::with_width(width).expect("output width is non-zero");
-            }
-            lane.pinned = Some((current, generation));
-        }
-        let (detector, _) = lane.pinned.as_ref().expect("pinned above");
-
-        let row = lane.buffer.push_row();
-        if let Err(e) = detector.preprocessor().transform_record_into(record, row) {
-            lane.buffer.pop_row();
-            return Err(ServeError::Rejected(CyberHdError::Data(e)));
-        }
-        let seq = lane.next_seq;
-        lane.next_seq += 1;
-        lane.pending.push(PendingFlow { seq, submitted: Instant::now() });
-        lane.stats.flows_submitted += 1;
-        self.outstanding.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-
-        if lane.pending.len() >= self.config.max_batch {
-            flush_lane(lane);
-        }
-        Ok(Ticket { tenant: Arc::clone(&lane.tenant), lane: lane.id, seq })
-    }
-
-    /// Flushes `tenant`'s pending flows now, returning how many were
-    /// scored.  A registered tenant with no serving state yet flushes
-    /// zero flows (no lane is created).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::UnknownTenant`] for an unregistered tenant
-    /// with no lane.
-    pub fn flush(&self, tenant: &str) -> ServeResult<usize> {
-        if let Some(lane) = self.existing_lane(tenant) {
-            let mut lane = lane.lock().expect("lane lock");
-            // An eviction racing this lookup orphaned the lane; scoring
-            // its batch would bury the verdicts forever.
-            if !lane.evicted {
-                return Ok(flush_lane(&mut lane));
-            }
-        }
-        if self.registry.generation(tenant).is_some() {
-            Ok(0)
-        } else {
-            Err(ServeError::UnknownTenant(tenant.into()))
-        }
-    }
-
-    /// Flushes every lane whose **oldest** pending flow has waited at
-    /// least `max_delay`, returning the number of flows scored.  Callers
-    /// drive this from their event loop (or a timer thread); between
-    /// submissions it is the only thing that needs to run.
-    ///
-    /// Doubles as the engine's housekeeping pass: lanes whose tenant has
-    /// been removed from the registry are evicted (see
-    /// [`ServeEngine::evict`]) instead of lingering for the life of the
-    /// engine.
-    pub fn poll(&self) -> usize {
-        let now = Instant::now();
-        let lanes: Vec<(Arc<str>, Arc<Mutex<Lane>>)> = self
-            .lanes
-            .read()
-            .expect("lanes lock")
-            .iter()
-            .map(|(key, lane)| (Arc::clone(key), Arc::clone(lane)))
-            .collect();
-        let mut served = 0usize;
-        for (key, lane) in lanes {
-            if self.registry.generation(&key).is_none() {
-                self.evict_if_unregistered(&key);
-                continue;
-            }
-            let mut lane = lane.lock().expect("lane lock");
-            if lane.evicted {
-                // An eviction raced the snapshot above: scoring the orphan
-                // would bury its verdicts (no ticket can collect from an
-                // evicted lane), so skip it — evict() already honoured the
-                // "outstanding tickets fail" guarantee.
-                continue;
-            }
-            let expired = lane.pending.first().is_some_and(|oldest| {
-                now.duration_since(oldest.submitted) >= self.config.max_delay
-            });
-            if expired {
-                served += flush_lane(&mut lane);
-            }
-        }
-        served
-    }
-
-    /// [`ServeEngine::poll`] for a **single** tenant — the targeted form a
-    /// deadline wheel drives when this tenant's batch deadline fires, so a
-    /// timer tick touches one lane instead of scanning the whole map.
-    ///
-    /// Flushes the lane if its oldest pending flow has waited at least
-    /// `max_delay`; otherwise reports how much of the wait remains
-    /// ([`LanePoll::Due`]) so the caller can reschedule.  Like `poll`,
-    /// doubles as housekeeping: a lane whose tenant left the registry is
-    /// evicted and reported [`LanePoll::Idle`].
-    pub fn poll_tenant(&self, tenant: &str) -> LanePoll {
-        if self.registry.generation(tenant).is_none() {
-            self.evict_if_unregistered(tenant);
-            return LanePoll::Idle;
-        }
-        let Some(lane) = self.existing_lane(tenant) else {
-            return LanePoll::Idle;
-        };
-        let mut lane = lane.lock().expect("lane lock");
-        if lane.evicted {
-            return LanePoll::Idle;
-        }
-        match lane.pending.first() {
-            None => LanePoll::Idle,
-            Some(oldest) => {
-                let waited = oldest.submitted.elapsed();
-                if waited >= self.config.max_delay {
-                    LanePoll::Flushed(flush_lane(&mut lane))
-                } else {
-                    LanePoll::Due(self.config.max_delay - waited)
-                }
-            }
-        }
-    }
-
-    /// Drops `tenant`'s lane — its reusable buffer, **pending flows and
-    /// uncollected verdicts included**; outstanding tickets fail with
-    /// [`ServeError::UnknownTenant`] (unregistered) or
-    /// [`ServeError::UnknownTicket`] afterwards.  Call after
-    /// [`DetectorRegistry::remove`] to release the tenant's serving state
-    /// (or let the next [`ServeEngine::poll`] do it).  Returns whether a
-    /// lane existed.
-    pub fn evict(&self, tenant: &str) -> bool {
-        let mut lanes = self.lanes.write().expect("lanes lock");
-        match lanes.remove(tenant) {
-            Some(lane) => {
-                // Flag under the lane mutex (inside the map's write lock,
-                // so no new lookup can hand the orphan out): a submitter
-                // that already holds this Arc re-resolves instead of
-                // enqueueing into a lane nothing will ever flush.
-                let mut lane = lane.lock().expect("lane lock");
-                lane.evicted = true;
-                self.outstanding.fetch_sub(
-                    lane.pending.len() + lane.completed.len(),
-                    std::sync::atomic::Ordering::Relaxed,
-                );
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// [`ServeEngine::evict`] only if the tenant is (still) absent from
-    /// the registry — the housekeeping form, re-checked under the map's
-    /// write lock so a concurrent re-register + submit cannot have its
-    /// live lane swept away.
-    fn evict_if_unregistered(&self, tenant: &str) {
-        let mut lanes = self.lanes.write().expect("lanes lock");
-        if self.registry.generation(tenant).is_none() {
-            if let Some(lane) = lanes.remove(tenant) {
-                let mut lane = lane.lock().expect("lane lock");
-                lane.evicted = true;
-                self.outstanding.fetch_sub(
-                    lane.pending.len() + lane.completed.len(),
-                    std::sync::atomic::Ordering::Relaxed,
-                );
-            }
-        }
-    }
-
-    /// Flushes every lane unconditionally, fanning the per-tenant flushes
-    /// out across worker threads ([`hdc::parallel::for_each_task`], behind
-    /// the `parallel` feature) — batches of different tenants are
-    /// independent, so the fan-out cannot affect any verdict.  Returns the
-    /// number of flows scored.
-    pub fn flush_all(&self) -> usize {
-        let lanes = self.snapshot_lanes();
-        let served = std::sync::atomic::AtomicUsize::new(0);
-        let threads = hdc::parallel::engine_threads().min(lanes.len().max(1));
-        hdc::parallel::for_each_task(lanes, threads, |lane| {
-            let mut lane = lane.lock().expect("lane lock");
-            if lane.evicted {
-                // Same eviction race as poll(): never score an orphan.
-                return;
-            }
-            let n = flush_lane(&mut lane);
-            served.fetch_add(n, std::sync::atomic::Ordering::Relaxed);
-        });
-        served.into_inner()
-    }
-
-    /// The tenant's lane if one exists — the non-creating lookup the
-    /// collect/flush paths use, so read-only calls never materialize
-    /// serving state (and never resurrect an evicted lane).
-    fn existing_lane(&self, tenant: &str) -> Option<Arc<Mutex<Lane>>> {
-        self.lanes.read().expect("lanes lock").get(tenant).map(Arc::clone)
-    }
-
-    /// The error for an operation on a tenant with no lane: tickets of a
-    /// registered tenant are simply unknown (nothing was ever queued, or
-    /// the lane was evicted); an unregistered tenant is the bigger
-    /// problem, reported as such.
-    fn no_lane_error(&self, tenant: &str) -> ServeError {
-        if self.registry.generation(tenant).is_some() {
-            ServeError::UnknownTicket
-        } else {
-            ServeError::UnknownTenant(tenant.into())
-        }
-    }
-
-    /// Non-blocking collect: the verdict if the ticket's batch has
-    /// flushed, `None` if the flow is still pending.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::UnknownTicket`] for a foreign,
-    /// already-collected or evicted ticket and
-    /// [`ServeError::UnknownTenant`] when the tenant is not registered.
-    pub fn try_take(&self, ticket: &Ticket) -> ServeResult<Option<Verdict>> {
-        let lane =
-            self.existing_lane(&ticket.tenant).ok_or_else(|| self.no_lane_error(&ticket.tenant))?;
-        let mut lane = lane.lock().expect("lane lock");
-        if lane.evicted || lane.id != ticket.lane {
-            // Evicted lanes honour evict()'s "outstanding tickets fail"
-            // guarantee even when the collect raced the eviction; and
-            // sequence numbers restart in a recreated lane, so a ticket
-            // from a previous lane must not collect a recycled seq.
-            return Err(ServeError::UnknownTicket);
-        }
-        if let Some(verdict) = lane.completed.remove(&ticket.seq) {
-            self.outstanding.fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
-            return Ok(Some(verdict));
-        }
-        if lane.pending.iter().any(|p| p.seq == ticket.seq) {
-            return Ok(None);
-        }
-        Err(ServeError::UnknownTicket)
-    }
-
-    /// Collects a ticket's verdict, flushing its batch first if the flow
-    /// is still pending (the synchronous caller's "I need this one now").
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::UnknownTicket`] for a foreign,
-    /// already-collected or evicted ticket and
-    /// [`ServeError::UnknownTenant`] when the tenant is not registered.
-    pub fn take(&self, ticket: &Ticket) -> ServeResult<Verdict> {
-        let lane =
-            self.existing_lane(&ticket.tenant).ok_or_else(|| self.no_lane_error(&ticket.tenant))?;
-        let mut lane = lane.lock().expect("lane lock");
-        if lane.evicted || lane.id != ticket.lane {
-            return Err(ServeError::UnknownTicket);
-        }
-        if let Some(verdict) = lane.completed.remove(&ticket.seq) {
-            self.outstanding.fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
-            return Ok(verdict);
-        }
-        if lane.pending.iter().any(|p| p.seq == ticket.seq) {
-            flush_lane(&mut lane);
-            let verdict = lane.completed.remove(&ticket.seq).ok_or(ServeError::UnknownTicket)?;
-            self.outstanding.fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
-            return Ok(verdict);
-        }
-        Err(ServeError::UnknownTicket)
-    }
-
-    /// A snapshot of `tenant`'s serving counters, or `None` before its
-    /// first submission.
-    pub fn stats(&self, tenant: &str) -> Option<ServeStats> {
-        let lane = self.lanes.read().expect("lanes lock").get(tenant).map(Arc::clone)?;
-        let version = self.registry.version(tenant).unwrap_or(0);
-        let lane = lane.lock().expect("lane lock");
-        let stats = &lane.stats;
-        Some(ServeStats {
-            tenant: tenant.to_string(),
-            detector_version: version,
-            flows_submitted: stats.flows_submitted,
-            flows_served: stats.flows_served,
-            rejected: stats.rejected,
-            queue_depth: lane.pending.len(),
-            uncollected: lane.completed.len(),
-            batches: stats.batches,
-            batch_size_histogram: stats
-                .batch_sizes
-                .iter()
-                .enumerate()
-                .filter(|(_, &count)| count > 0)
-                .map(|(size, &count)| (size, count))
-                .collect(),
-            mean_latency: stats.latency.mean(),
-            p50_latency: stats.latency.percentile(0.50),
-            p99_latency: stats.latency.percentile(0.99),
-            max_latency: stats.latency.max(),
-            latency: stats.latency.clone(),
-        })
-    }
-
-    /// Every lane currently known to the engine.
-    fn snapshot_lanes(&self) -> Vec<Arc<Mutex<Lane>>> {
-        self.lanes.read().expect("lanes lock").values().map(Arc::clone).collect()
-    }
-
-    /// Tenant ids with serving state on this engine (the stats fan-out
-    /// key set — distinct from [`DetectorRegistry::tenants`], which lists
-    /// registrations whether or not they ever submitted).
-    fn lane_keys(&self) -> Vec<Arc<str>> {
-        self.lanes.read().expect("lanes lock").keys().map(Arc::clone).collect()
-    }
-}
-
-/// Scores a lane's pending micro-batch on its pinned artifact and files
-/// the verdicts under their tickets.  Returns the number of flows scored.
-///
-/// Infallible by construction: rows were validated at submit time, the
-/// buffer width matches the pinned artifact, and scoring a well-shaped
-/// view cannot fail.
-fn flush_lane(lane: &mut Lane) -> usize {
-    if lane.pending.is_empty() {
-        // Unpin even with nothing to score: a rejected first flow can
-        // leave an empty lane pinned, and a stale pin surviving this
-        // flush would let post-swap submissions skip the re-pin (and the
-        // buffer-width restart) and score on the superseded artifact.
-        lane.pinned = None;
-        return 0;
-    }
-    let (detector, _) = lane.pinned.as_ref().expect("non-empty lanes are pinned");
-    let verdicts = detector
-        .detect_preprocessed(lane.buffer.view())
-        .expect("pending rows were validated at submit time");
-    debug_assert_eq!(verdicts.len(), lane.pending.len());
-    let now = Instant::now();
-    let size = lane.pending.len();
-    for (flow, verdict) in lane.pending.drain(..).zip(verdicts) {
-        lane.completed.insert(flow.seq, verdict);
-        lane.stats.latency.record(now.duration_since(flow.submitted));
-    }
-    lane.buffer.clear();
-    lane.pinned = None;
-    lane.stats.flows_served += size as u64;
-    lane.stats.batches += 1;
-    // Sizes are capped at max_batch by the submit-time flush; guard
-    // anyway so a future policy change cannot index out of bounds.
-    let bucket = size.min(lane.stats.batch_sizes.len() - 1);
-    lane.stats.batch_sizes[bucket] += 1;
-    size
-}
-
-// ---------------------------------------------------------------------
-// Adaptive lanes
-// ---------------------------------------------------------------------
-
-/// Watermarks and adaptation policy of an [`AdaptiveLane`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveConfig {
-    /// Flush the lane's queued events once this many are pending.
-    pub max_batch: usize,
-    /// Flush once the **oldest** queued event has waited this long
-    /// (checked by [`AdaptiveLane::poll`]).
-    pub max_delay: Duration,
-    /// Bound on queued events plus completed-but-uncollected verdicts;
-    /// submissions beyond it fail with [`ServeError::Backpressure`].
-    pub queue_capacity: usize,
-    /// Drift-detection thresholds (see
-    /// [`crate::regeneration::DriftMonitor`]).
-    pub monitor: DriftMonitorConfig,
-    /// How many recent **unlabelled** flows the lane retains (their raw
-    /// records) so late ground truth can still be applied through
-    /// [`AdaptiveLane::submit_feedback`]; `0` disables late feedback.
-    pub retention: usize,
-    /// Regeneration rate used when the monitor trips; `None` uses the
-    /// learner's training-time configuration.
-    pub regeneration_rate: Option<f32>,
-    /// Regeneration rounds run per adaptation.
-    pub regeneration_rounds: usize,
-    /// Automatically publish a sealed snapshot to the registry after every
-    /// adaptation (no-op for lanes created without a registry).
-    ///
-    /// For a lane created from an **open-set** artifact the published
-    /// snapshot carries freshly recalibrated per-class thresholds: the
-    /// adaptation recalibrates them from the lane's in-distribution
-    /// reservoir against the regenerated memory (see
-    /// [`AdaptiveConfig::reservoir_capacity`]), so
-    /// [`DetectorRegistry::info`] keeps reporting `open_set: true` after a
-    /// republish instead of the artifact silently dropping to closed-set.
-    /// Closed-set lanes publish closed-set snapshots, as before.
-    pub auto_publish: bool,
-    /// How many recent in-distribution flows (accepted and labelled —
-    /// ground truth certifies membership, so the model's own novelty
-    /// flag does not gate entry and cannot truncate the similarity
-    /// distribution the recalibration quantile is taken over) the lane
-    /// samples into its recalibration reservoir via seeded reservoir
-    /// sampling; `0` disables recalibration (adapted snapshots then keep
-    /// the last thresholds verbatim).  The reservoir is a pure function
-    /// of the applied event sequence, so replay and crash recovery
-    /// reproduce it bit for bit.
-    pub reservoir_capacity: usize,
-    /// Seed of the reservoir's per-candidate replacement draws.
-    pub reservoir_seed: u64,
-    /// Own-class similarity quantile used when recalibrating thresholds
-    /// from the reservoir (same scale as `DetectorBuilder::open_set`).
-    pub recalibration_quantile: f64,
-    /// Opt-in burst mode: apply each flushed micro-batch through the
-    /// frozen-snapshot mini-batch rule
-    /// ([`crate::OnlineLearner::observe_batch_view`]) instead of the
-    /// serial test-then-train rule.  High-volume label streams cost one
-    /// batched encode + one deferred update per flush, with the weaker,
-    /// documented contract: verdicts and the final model are
-    /// **bit-identical to a batched replay at the same flush boundaries**
-    /// (not to a serial replay — samples within a batch do not see each
-    /// other's updates).  Drift trips are honoured at batch boundaries.
-    pub batched_feedback: bool,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        Self {
-            max_batch: 64,
-            max_delay: Duration::from_millis(2),
-            queue_capacity: 4096,
-            monitor: DriftMonitorConfig::default(),
-            retention: 1024,
-            regeneration_rate: None,
-            regeneration_rounds: 1,
-            auto_publish: true,
-            reservoir_capacity: 256,
-            reservoir_seed: 0x5EED_CA1B,
-            recalibration_quantile: 0.05,
-            batched_feedback: false,
-        }
-    }
-}
-
-impl AdaptiveConfig {
-    fn validate(&self) -> ServeResult<()> {
-        if self.max_batch == 0 {
-            return Err(ServeError::InvalidConfig("max_batch must be non-zero".into()));
-        }
-        if self.queue_capacity < self.max_batch {
-            return Err(ServeError::InvalidConfig(format!(
-                "queue_capacity ({}) must be at least max_batch ({})",
-                self.queue_capacity, self.max_batch
-            )));
-        }
-        if self.regeneration_rounds == 0 {
-            return Err(ServeError::InvalidConfig("regeneration_rounds must be non-zero".into()));
-        }
-        if !(0.0..=1.0).contains(&self.recalibration_quantile)
-            || !self.recalibration_quantile.is_finite()
-        {
-            return Err(ServeError::InvalidConfig(format!(
-                "recalibration_quantile must lie in [0, 1], got {}",
-                self.recalibration_quantile
-            )));
-        }
-        self.monitor
-            .validate()
-            .map_err(|e| ServeError::InvalidConfig(format!("drift monitor: {e}")))
-    }
-}
-
-/// One queued adaptive event.  Events are applied strictly in submission
-/// order at flush time — the whole determinism story of the adaptive lane
-/// rests on this queue being FIFO.
-#[derive(Debug)]
-enum AdaptiveEvent {
-    /// A served flow: predict (and, when labelled, test-then-train).
-    Flow { seq: u64, record: Vec<f32>, label: Option<usize>, submitted: Instant },
-    /// Late ground truth for a retained flow: train-only.
-    Feedback { record: Vec<f32>, label: usize, submitted: Instant },
-}
-
-impl AdaptiveEvent {
-    fn submitted(&self) -> Instant {
-        match self {
-            AdaptiveEvent::Flow { submitted, .. } | AdaptiveEvent::Feedback { submitted, .. } => {
-                *submitted
-            }
-        }
-    }
-}
-
-/// Mutable state behind an [`AdaptiveLane`]'s mutex.
-#[derive(Debug)]
-struct AdaptiveInner {
-    online: OnlineDetector,
-    /// Open-set thresholds, kept as the **drift signal** (novelty flags
-    /// feeding the monitor's unknown-rate surge).  Between trips they stay
-    /// fixed — a surge in flows scoring below them is exactly the signal
-    /// being watched for; a successful adaptation recalibrates them from
-    /// the in-distribution reservoir against the regenerated memory, so
-    /// both the lane's novelty flags and the republished snapshot track
-    /// the adapted model.
-    thresholds: Option<Vec<f32>>,
-    /// Seeded reservoir sample of recent labelled flows — the
-    /// recalibration set (ground truth certifies in-distribution
-    /// membership; the model's novelty flag does not gate entry).
-    /// Updated only inside the event application paths, so its contents
-    /// are a pure function of the applied event sequence.
-    reservoir: Vec<(Vec<f32>, usize)>,
-    /// Eligible candidates the reservoir has seen (the Algorithm-R index;
-    /// with `reservoir_seed` it fully determines every replacement draw).
-    reservoir_candidates: u64,
-    queue: VecDeque<AdaptiveEvent>,
-    /// Raw records of recent unlabelled flows, awaiting possible feedback.
-    retained: HashMap<u64, Vec<f32>>,
-    /// FIFO of retained sequence numbers (eviction order).
-    retained_order: VecDeque<u64>,
-    /// Highest sequence number evicted from the retention window by aging
-    /// (not by feedback), so [`AdaptiveLane::submit_feedback`] can report
-    /// [`ServeError::FeedbackTooLate`] instead of a generic unavailability.
-    /// Eviction is FIFO in submission order, so one watermark suffices.
-    evicted_up_to: Option<u64>,
-    completed: HashMap<u64, Verdict>,
-    next_seq: u64,
-    monitor: DriftMonitor,
-    /// Set by an adaptation; consumed at the end of the flush that caused
-    /// it (publication stays off the per-event hot path).
-    pending_publish: bool,
-    stats: AdaptiveLaneStats,
-}
-
-/// Mutable counters behind [`AdaptiveStats`].
-#[derive(Debug)]
-struct AdaptiveLaneStats {
-    flows_submitted: u64,
-    flows_served: u64,
-    feedback_submitted: u64,
-    feedback_applied: u64,
-    rejected: u64,
-    batches: u64,
-    adaptations: u64,
-    regenerated_dimensions: u64,
-    adaptation_failures: u64,
-    recalibrations: u64,
-    publishes: u64,
-    publish_failures: u64,
-    last_published_version: Option<u64>,
-    /// Submit→verdict latency of served flows.
-    latency: LatencyHistogram,
-    /// Reseal + registry-swap latency of publications.
-    publish_latency: LatencyHistogram,
-}
-
-impl AdaptiveLaneStats {
-    fn new() -> Self {
-        Self {
-            flows_submitted: 0,
-            flows_served: 0,
-            feedback_submitted: 0,
-            feedback_applied: 0,
-            rejected: 0,
-            batches: 0,
-            adaptations: 0,
-            regenerated_dimensions: 0,
-            adaptation_failures: 0,
-            recalibrations: 0,
-            publishes: 0,
-            publish_failures: 0,
-            last_published_version: None,
-            latency: LatencyHistogram::new(),
-            publish_latency: LatencyHistogram::new(),
-        }
-    }
-}
-
-/// A point-in-time snapshot of one adaptive lane's serving and adaptation
-/// counters.
-#[derive(Debug, Clone)]
-pub struct AdaptiveStats {
-    /// Tenant id.
-    pub tenant: String,
-    /// Flows accepted for serving (labelled and unlabelled submits).
-    pub flows_submitted: u64,
-    /// Flows whose verdicts have been computed.
-    pub flows_served: u64,
-    /// Late-feedback events accepted.
-    pub feedback_submitted: u64,
-    /// Late-feedback events applied to the model.
-    pub feedback_applied: u64,
-    /// Submissions rejected by backpressure.
-    pub rejected: u64,
-    /// Events waiting for the next flush.
-    pub queue_depth: usize,
-    /// Completed verdicts not yet collected through their tickets.
-    pub uncollected: usize,
-    /// Unlabelled flows currently retained for late feedback.
-    pub retained: usize,
-    /// Flushes executed.
-    pub batches: u64,
-    /// Labelled samples the live model has learned from.
-    pub samples_learned: usize,
-    /// Cumulative prequential (test-then-train) accuracy of the lane.
-    pub prequential_accuracy: f64,
-    /// Prequential accuracy over the monitor's sliding window.
-    pub window_accuracy: f64,
-    /// Error rate over the monitor's sliding window.
-    pub window_error: f64,
-    /// Novel-flag rate over the monitor's sliding window.
-    pub unknown_rate: f64,
-    /// The monitor's frozen baseline error, once armed.
-    pub baseline_error: Option<f64>,
-    /// Times the drift monitor tripped.
-    pub monitor_trips: usize,
-    /// Adaptations (regeneration runs) executed.
-    pub adaptations: u64,
-    /// Total dimensions regenerated across all adaptations.
-    pub regenerated_dimensions: u64,
-    /// Adaptations that failed (e.g. a non-regenerable encoder).
-    pub adaptation_failures: u64,
-    /// Open-set threshold recalibrations run from the reservoir (at most
-    /// one per successful adaptation of an open-set lane).
-    pub recalibrations: u64,
-    /// In-distribution flows currently held in the recalibration
-    /// reservoir.
-    pub reservoir_size: usize,
-    /// The live model's effective dimensionality (`D* = D + Σ regenerated`).
-    pub effective_dimension: usize,
-    /// Sealed snapshots published to the registry.
-    pub publishes: u64,
-    /// Publications refused by the registry.
-    pub publish_failures: u64,
-    /// Registry version of the last successful publication.
-    pub last_published_version: Option<u64>,
-    /// Mean submit→verdict latency.
-    pub mean_latency: Duration,
-    /// Median submit→verdict latency.
-    pub p50_latency: Duration,
-    /// 99th-percentile submit→verdict latency.
-    pub p99_latency: Duration,
-    /// Median reseal + registry-swap latency.
-    pub p50_publish_latency: Duration,
-    /// Worst observed reseal + registry-swap latency.
-    pub max_publish_latency: Duration,
-}
-
-impl fmt::Display for AdaptiveStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: {} served / {} submitted (+{} feedback), window acc {:.3} (cum {:.3}, unknown \
-             {:.3}), {} trips -> {} adaptations ({} dims), {} publishes{}, latency p50 {:?} p99 \
-             {:?}",
-            self.tenant,
-            self.flows_served,
-            self.flows_submitted,
-            self.feedback_applied,
-            self.window_accuracy,
-            self.prequential_accuracy,
-            self.unknown_rate,
-            self.monitor_trips,
-            self.adaptations,
-            self.regenerated_dimensions,
-            self.publishes,
-            match self.last_published_version {
-                Some(version) => format!(" (registry v{version})"),
-                None => String::new(),
-            },
-            self.p50_latency,
-            self.p99_latency,
-        )
-    }
-}
-
-/// A drift-adaptive per-tenant serving lane (see the [module docs](self)).
-///
-/// Where [`ServeEngine`] serves a frozen artifact, an `AdaptiveLane` wraps
-/// a live [`OnlineDetector`] that keeps learning from ground truth:
-///
-/// * [`AdaptiveLane::submit`] serves an unlabelled flow (predict only) and
-///   retains its record so [`AdaptiveLane::submit_feedback`] can apply
-///   late ground truth through the flow's [`Ticket`];
-/// * [`AdaptiveLane::submit_labelled`] serves a flow whose ground truth is
-///   already known — the verdict is the prediction made *before* the
-///   test-then-train update;
-/// * every labelled observation feeds the
-///   [`crate::regeneration::DriftMonitor`]; when it trips, the lane
-///   regenerates low-variance dimensions in place and (when created with
-///   [`AdaptiveLane::with_registry`]) publishes a sealed snapshot through
-///   [`DetectorRegistry::swap`] — frozen lanes of the same tenant pick the
-///   adapted artifact up atomically, in-flight micro-batches finishing on
-///   their pinned generation.
-///
-/// # Determinism
-///
-/// Events are applied strictly in submission order through the serial
-/// [`crate::OnlineLearner`] rule, so the lane's verdicts and final model
-/// are **bit-identical** to a serial replay of the same event sequence,
-/// regardless of flush boundaries, `poll` interleavings or concurrent
-/// lanes on other threads (pinned by `tests/scenario.rs`).
-///
-/// # Example
-///
-/// ```
-/// use cyberhd::serve::{AdaptiveConfig, AdaptiveLane};
-/// use cyberhd::Detector;
-/// use nids_data::synth::SyntheticConfig;
-/// use nids_data::DatasetKind;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let dataset = DatasetKind::NslKdd.generate(&SyntheticConfig::new(400, 7))?;
-/// let detector = Detector::builder().dimension(128).retrain_epochs(1).train(&dataset)?;
-/// let lane = AdaptiveLane::new("edge-0", detector, AdaptiveConfig::default())?;
-///
-/// // A labelled flow: the verdict is the prediction before the update.
-/// let ticket = lane.submit_labelled(&dataset.records()[0], dataset.labels()[0])?;
-/// lane.flush()?;
-/// let verdict = lane.take(&ticket)?;
-/// assert!(verdict.class < dataset.num_classes());
-/// assert_eq!(lane.stats().samples_learned, 1);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct AdaptiveLane {
-    tenant: Arc<str>,
-    /// Process-unique lane id stamped into tickets.
-    id: u64,
-    config: AdaptiveConfig,
-    /// Number of trained classes (label validation happens at submit so
-    /// flushes are infallible).
-    classes: usize,
-    registry: Option<Arc<DetectorRegistry>>,
-    inner: Mutex<AdaptiveInner>,
-}
-
-impl AdaptiveLane {
-    /// Creates an adaptive lane for `tenant` from a sealed artifact,
-    /// without a registry (adaptations stay lane-local; publish manually
-    /// via [`AdaptiveLane::seal_snapshot`] if needed).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::InvalidConfig`] for inconsistent watermarks
-    /// or monitor thresholds, and for artifacts that cannot continue
-    /// learning (quantized detectors).
-    pub fn new(tenant: &str, detector: Detector, config: AdaptiveConfig) -> ServeResult<Self> {
-        Self::build(tenant, detector, config, None)
-    }
-
-    /// [`AdaptiveLane::new`] wired to a registry: every adaptation
-    /// republishes a sealed snapshot under `tenant` (swap when registered,
-    /// register at version 1 otherwise), so the frozen serving path picks
-    /// the adapted model up atomically.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`AdaptiveLane::new`].
-    pub fn with_registry(
-        tenant: &str,
-        detector: Detector,
-        config: AdaptiveConfig,
-        registry: Arc<DetectorRegistry>,
-    ) -> ServeResult<Self> {
-        Self::build(tenant, detector, config, Some(registry))
-    }
-
-    fn build(
-        tenant: &str,
-        detector: Detector,
-        config: AdaptiveConfig,
-        registry: Option<Arc<DetectorRegistry>>,
-    ) -> ServeResult<Self> {
-        config.validate()?;
-        let monitor = DriftMonitor::new(config.monitor)
-            .map_err(|e| ServeError::InvalidConfig(format!("drift monitor: {e}")))?;
-        let classes = detector.num_classes();
-        let thresholds = detector.thresholds().map(<[f32]>::to_vec);
-        let online = detector.into_online().map_err(|e| {
-            ServeError::InvalidConfig(format!("adaptive lanes need a dense artifact: {e}"))
-        })?;
-        Ok(Self {
-            tenant: tenant.into(),
-            id: next_lane_id(),
-            config,
-            classes,
-            registry,
-            inner: Mutex::new(AdaptiveInner {
-                online,
-                thresholds,
-                reservoir: Vec::new(),
-                reservoir_candidates: 0,
-                queue: VecDeque::new(),
-                retained: HashMap::new(),
-                retained_order: VecDeque::new(),
-                evicted_up_to: None,
-                completed: HashMap::new(),
-                next_seq: 0,
-                monitor,
-                pending_publish: false,
-                stats: AdaptiveLaneStats::new(),
-            }),
-        })
-    }
-
-    /// The tenant this lane serves.
-    pub fn tenant(&self) -> &str {
-        &self.tenant
-    }
-
-    /// The lane's watermark and adaptation configuration.
-    pub fn config(&self) -> &AdaptiveConfig {
-        &self.config
-    }
-
-    /// Submits one unlabelled raw flow, returning a [`Ticket`] for its
-    /// verdict.  The record is retained (up to
-    /// [`AdaptiveConfig::retention`] flows) so ground truth can be applied
-    /// later through [`AdaptiveLane::submit_feedback`].
-    ///
-    /// # Errors
-    ///
-    /// * [`ServeError::Rejected`] — record fails schema validation,
-    /// * [`ServeError::Backpressure`] — bounded queue full.
-    pub fn submit(&self, record: &[f32]) -> ServeResult<Ticket> {
-        self.submit_event(record, None)
-    }
-
-    /// Submits one raw flow **with ground truth attached**: the flow is
-    /// served (the verdict is the prediction made *before* the update) and
-    /// then immediately learned from — the prequential test-then-train
-    /// step of the paper's streaming deployment.
-    ///
-    /// # Errors
-    ///
-    /// * [`ServeError::Rejected`] — record fails schema validation or the
-    ///   label is out of range,
-    /// * [`ServeError::Backpressure`] — bounded queue full.
-    pub fn submit_labelled(&self, record: &[f32], label: usize) -> ServeResult<Ticket> {
-        self.submit_event(record, Some(label))
-    }
-
-    fn submit_event(&self, record: &[f32], label: Option<usize>) -> ServeResult<Ticket> {
-        let mut inner = self.inner.lock().expect("adaptive lane lock");
-        // Validate up front so flushes are infallible: transform_record
-        // can only fail schema validation, and observe only label range.
-        inner
-            .online
-            .preprocessor()
-            .schema()
-            .validate_record(record)
-            .map_err(|e| ServeError::Rejected(CyberHdError::Data(e)))?;
-        if let Some(label) = label {
-            if label >= self.classes {
-                return Err(ServeError::Rejected(CyberHdError::InvalidData(format!(
-                    "label {label} out of range for {} classes",
-                    self.classes
-                ))));
-            }
-        }
-        let depth = inner.queue.len() + inner.completed.len();
-        if depth >= self.config.queue_capacity {
-            inner.stats.rejected += 1;
-            return Err(ServeError::Backpressure {
-                tenant: self.tenant.as_ref().into(),
-                capacity: self.config.queue_capacity,
-                depth,
-                retry_hint: self.config.max_delay,
-            });
-        }
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        if label.is_none() && self.config.retention > 0 {
-            retain(&mut inner, seq, record.to_vec(), self.config.retention);
-        }
-        inner.queue.push_back(AdaptiveEvent::Flow {
-            seq,
-            record: record.to_vec(),
-            label,
-            submitted: Instant::now(),
-        });
-        inner.stats.flows_submitted += 1;
-        if inner.queue.len() >= self.config.max_batch {
-            self.flush_locked(&mut inner);
-        }
-        Ok(Ticket { tenant: Arc::clone(&self.tenant), lane: self.id, seq })
-    }
-
-    /// Applies late ground truth to a previously submitted (unlabelled)
-    /// flow: the retained record is re-scored against the **current**
-    /// model (test-then-train, feeding the drift monitor) and then learned
-    /// from, in submission order with every other queued event.
-    ///
-    /// # Errors
-    ///
-    /// * [`ServeError::UnknownTicket`] — foreign ticket (or a sequence
-    ///   number this lane never issued),
-    /// * [`ServeError::Rejected`] — label out of range,
-    /// * [`ServeError::FeedbackTooLate`] — the record aged out of the
-    ///   retention window before the ground truth arrived (or the window
-    ///   is disabled),
-    /// * [`ServeError::FeedbackUnavailable`] — the flow was labelled at
-    ///   submit time or feedback was already applied,
-    /// * [`ServeError::Backpressure`] — bounded queue full (the record
-    ///   stays retained; retry after draining).
-    pub fn submit_feedback(&self, ticket: &Ticket, label: usize) -> ServeResult<()> {
-        let mut inner = self.inner.lock().expect("adaptive lane lock");
-        if ticket.lane != self.id || ticket.tenant.as_ref() != self.tenant.as_ref() {
-            return Err(ServeError::UnknownTicket);
-        }
-        if label >= self.classes {
-            return Err(ServeError::Rejected(CyberHdError::InvalidData(format!(
-                "label {label} out of range for {} classes",
-                self.classes
-            ))));
-        }
-        if !inner.retained.contains_key(&ticket.seq) {
-            return Err(self.classify_feedback_miss(&inner, ticket.seq));
-        }
-        let depth = inner.queue.len() + inner.completed.len();
-        if depth >= self.config.queue_capacity {
-            inner.stats.rejected += 1;
-            return Err(ServeError::Backpressure {
-                tenant: self.tenant.as_ref().into(),
-                capacity: self.config.queue_capacity,
-                depth,
-                retry_hint: self.config.max_delay,
-            });
-        }
-        let record = inner.retained.remove(&ticket.seq).expect("checked above");
-        inner.retained_order.retain(|&seq| seq != ticket.seq);
-        inner.queue.push_back(AdaptiveEvent::Feedback { record, label, submitted: Instant::now() });
-        inner.stats.feedback_submitted += 1;
-        if inner.queue.len() >= self.config.max_batch {
-            self.flush_locked(&mut inner);
-        }
-        Ok(())
-    }
-
-    /// Explains why a feedback target is not in the retention map: too
-    /// late (aged out / window disabled), unavailable (labelled at submit
-    /// or already applied), or a sequence number this lane never issued.
-    ///
-    /// Aging eviction is FIFO in submission order, so every sequence at or
-    /// below the eviction watermark is reported as too late — including
-    /// the (indistinguishable without per-flow bookkeeping) case where its
-    /// feedback had already been applied before the watermark passed it.
-    fn classify_feedback_miss(&self, inner: &AdaptiveInner, seq: u64) -> ServeError {
-        if seq >= inner.next_seq {
-            // The lane id matched but the sequence was never issued — a
-            // forged or cross-restart ticket.
-            return ServeError::UnknownTicket;
-        }
-        if self.config.retention == 0 {
-            return ServeError::FeedbackTooLate { seq, retention: 0 };
-        }
-        if inner.evicted_up_to.is_some_and(|watermark| seq <= watermark) {
-            return ServeError::FeedbackTooLate { seq, retention: self.config.retention };
-        }
-        ServeError::FeedbackUnavailable(format!(
-            "flow {seq} of tenant {:?} is not retained (labelled at submit time, or feedback \
-             was already applied)",
-            self.tenant
-        ))
-    }
-
-    // ------------------------------------------------------------------
-    // Durable-lane support (crate-internal)
-    // ------------------------------------------------------------------
-
-    /// Re-issues a ticket for `seq` — the durable lane's replay path needs
-    /// handles for flows whose original tickets died with the process.
-    pub(crate) fn ticket_for(&self, seq: u64) -> Ticket {
-        Ticket { tenant: Arc::clone(&self.tenant), lane: self.id, seq }
-    }
-
-    /// `true` when [`AdaptiveLane::poll`] would flush now (the oldest
-    /// queued event has expired) — lets the durable wrapper sync its log
-    /// *before* the flush applies events, without flushing eagerly.
-    pub(crate) fn poll_due(&self) -> bool {
-        let inner = self.inner.lock().expect("adaptive lane lock");
-        inner
-            .queue
-            .front()
-            .is_some_and(|event| event.submitted().elapsed() >= self.config.max_delay)
-    }
-
-    /// Drains every completed-but-uncollected verdict, sorted by sequence
-    /// number — the durable lane's replay loop collects verdicts this way
-    /// so a long tail replay can never hit its own backpressure bound.
-    pub(crate) fn drain_completed(&self) -> Vec<(u64, Verdict)> {
-        let mut inner = self.inner.lock().expect("adaptive lane lock");
-        let mut verdicts: Vec<(u64, Verdict)> = inner.completed.drain().collect();
-        verdicts.sort_unstable_by_key(|&(seq, _)| seq);
-        verdicts
-    }
-
-    /// The lane's current open-set thresholds (`None` for a closed-set
-    /// lane) — the durable wrapper frames them into its recalibration
-    /// audit records so operators can diff threshold drift offline, and
-    /// the crash matrix compares them bit for bit across recovery.
-    pub fn thresholds_snapshot(&self) -> Option<Vec<f32>> {
-        let inner = self.inner.lock().expect("adaptive lane lock");
-        inner.thresholds.clone()
-    }
-
-    /// The recalibration reservoir's current entries and candidate
-    /// counter — both are a deterministic function of the applied event
-    /// sequence, so recovery tests compare them bit for bit against an
-    /// uncrashed timeline.
-    pub fn reservoir_snapshot(&self) -> (Vec<(Vec<f32>, usize)>, u64) {
-        let inner = self.inner.lock().expect("adaptive lane lock");
-        (inner.reservoir.clone(), inner.reservoir_candidates)
-    }
-
-    /// Captures everything a checkpoint must persist for recovery to be
-    /// bit-identical: the sealed model bytes, the drift-signal thresholds,
-    /// the monitor state, the prequential counters, the retention window
-    /// (records and eviction watermark), the recalibration reservoir (and
-    /// its candidate counter) and the deterministic lane counters.
-    /// Queued events are deliberately **not** captured — the
-    /// caller flushes before checkpointing, so the queue is empty and the
-    /// WAL tail covers anything submitted afterwards.
-    pub(crate) fn checkpoint_state(&self) -> LaneCheckpoint {
-        let inner = self.inner.lock().expect("adaptive lane lock");
-        LaneCheckpoint {
-            tenant: self.tenant.as_ref().into(),
-            detector_bytes: inner.online.seal_snapshot().to_bytes(),
-            thresholds: inner.thresholds.clone(),
-            monitor: inner.monitor.clone(),
-            next_seq: inner.next_seq,
-            retained: inner
-                .retained_order
-                .iter()
-                .filter_map(|seq| inner.retained.get(seq).map(|r| (*seq, r.clone())))
-                .collect(),
-            evicted_up_to: inner.evicted_up_to,
-            reservoir: inner.reservoir.clone(),
-            reservoir_candidates: inner.reservoir_candidates,
-            seen: inner.online.samples_seen(),
-            prequential_correct: inner.online.learner().prequential_correct(),
-            counters: [
-                inner.stats.flows_submitted,
-                inner.stats.flows_served,
-                inner.stats.feedback_submitted,
-                inner.stats.feedback_applied,
-                inner.stats.batches,
-                inner.stats.adaptations,
-                inner.stats.regenerated_dimensions,
-                inner.stats.adaptation_failures,
-                inner.stats.recalibrations,
-            ],
-        }
-    }
-
-    /// Rebuilds a lane from a [`LaneCheckpoint`] — the recovery path.  The
-    /// restored lane is bit-identical to the lane that wrote the
-    /// checkpoint: model bytes, monitor state, prequential counters,
-    /// retention window and sequence numbering all resume exactly where
-    /// they stopped (wall-clock latency histograms restart, as do the
-    /// registry-dependent publish counters).
-    pub(crate) fn restore(
-        config: AdaptiveConfig,
-        registry: Option<Arc<DetectorRegistry>>,
-        state: LaneCheckpoint,
-    ) -> ServeResult<Self> {
-        config.validate()?;
-        let detector = Detector::from_bytes(&state.detector_bytes)
-            .map_err(|e| ServeError::Durability(format!("checkpointed model: {e}")))?;
-        let classes = detector.num_classes();
-        let mut online = detector.into_online().map_err(|e| {
-            ServeError::InvalidConfig(format!("adaptive lanes need a dense artifact: {e}"))
-        })?;
-        online.restore_prequential(state.seen, state.prequential_correct);
-        if let Some(thresholds) = &state.thresholds {
-            if thresholds.len() != classes {
-                return Err(ServeError::Durability(format!(
-                    "checkpoint holds {} thresholds for {} classes",
-                    thresholds.len(),
-                    classes
-                )));
-            }
-        }
-        let flows_retained = state.retained.len() as u64;
-        if flows_retained > config.retention as u64 {
-            return Err(ServeError::Durability(format!(
-                "checkpoint retains {flows_retained} flows but the window holds {}",
-                config.retention
-            )));
-        }
-        let mut retained = HashMap::with_capacity(state.retained.len());
-        let mut retained_order = VecDeque::with_capacity(state.retained.len());
-        for (seq, record) in state.retained {
-            if seq >= state.next_seq {
-                return Err(ServeError::Durability(format!(
-                    "checkpoint retains flow {seq} beyond its next sequence {}",
-                    state.next_seq
-                )));
-            }
-            if retained.insert(seq, record).is_some() {
-                return Err(ServeError::Durability(format!("checkpoint retains flow {seq} twice")));
-            }
-            retained_order.push_back(seq);
-        }
-        if state.reservoir.len() > config.reservoir_capacity {
-            return Err(ServeError::Durability(format!(
-                "checkpoint holds {} reservoir entries but the reservoir holds {}",
-                state.reservoir.len(),
-                config.reservoir_capacity
-            )));
-        }
-        if (state.reservoir.len() as u64) > state.reservoir_candidates {
-            return Err(ServeError::Durability(format!(
-                "checkpoint holds {} reservoir entries from {} candidates",
-                state.reservoir.len(),
-                state.reservoir_candidates
-            )));
-        }
-        if let Some(&(_, bad)) = state.reservoir.iter().find(|&&(_, label)| label >= classes) {
-            return Err(ServeError::Durability(format!(
-                "checkpoint reservoir label {bad} out of range for {classes} classes"
-            )));
-        }
-        let mut stats = AdaptiveLaneStats::new();
-        let [submitted, served, fb_submitted, fb_applied, batches, adaptations, regen, failures, recalibrations] =
-            state.counters;
-        stats.flows_submitted = submitted;
-        stats.flows_served = served;
-        stats.feedback_submitted = fb_submitted;
-        stats.feedback_applied = fb_applied;
-        stats.batches = batches;
-        stats.adaptations = adaptations;
-        stats.regenerated_dimensions = regen;
-        stats.adaptation_failures = failures;
-        stats.recalibrations = recalibrations;
-        Ok(Self {
-            tenant: state.tenant.as_str().into(),
-            id: next_lane_id(),
-            config,
-            classes,
-            registry,
-            inner: Mutex::new(AdaptiveInner {
-                online,
-                thresholds: state.thresholds,
-                reservoir: state.reservoir,
-                reservoir_candidates: state.reservoir_candidates,
-                queue: VecDeque::new(),
-                retained,
-                retained_order,
-                evicted_up_to: state.evicted_up_to,
-                completed: HashMap::new(),
-                next_seq: state.next_seq,
-                monitor: state.monitor,
-                pending_publish: false,
-                stats,
-            }),
-        })
-    }
-
-    /// Flushes every queued event now, returning how many **flows** were
-    /// served (feedback events are applied but serve no verdict).
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible (events are validated at submit time); the
-    /// `Result` keeps the signature parallel to [`ServeEngine::flush`].
-    pub fn flush(&self) -> ServeResult<usize> {
-        let mut inner = self.inner.lock().expect("adaptive lane lock");
-        Ok(self.flush_locked(&mut inner))
-    }
-
-    /// Flushes if the **oldest** queued event has waited at least
-    /// [`AdaptiveConfig::max_delay`]; returns the number of flows served.
-    pub fn poll(&self) -> usize {
-        let mut inner = self.inner.lock().expect("adaptive lane lock");
-        let expired = inner
-            .queue
-            .front()
-            .is_some_and(|event| event.submitted().elapsed() >= self.config.max_delay);
-        if expired {
-            self.flush_locked(&mut inner)
-        } else {
-            0
-        }
-    }
-
-    /// Applies the queued events strictly in submission order — through
-    /// the serial streaming rule, or (for
-    /// [`AdaptiveConfig::batched_feedback`] lanes) through the
-    /// frozen-snapshot mini-batch rule — files verdicts, feeds the drift
-    /// monitor and adapts when it trips.  Publication (reseal + registry
-    /// swap) runs once at the end, off the per-event path.
-    fn flush_locked(&self, inner: &mut AdaptiveInner) -> usize {
-        if inner.queue.is_empty() {
-            return 0;
-        }
-        let served = if self.config.batched_feedback {
-            self.flush_batched(inner)
-        } else {
-            self.flush_serial(inner)
-        };
-        inner.stats.flows_served += served as u64;
-        inner.stats.batches += 1;
-        if inner.pending_publish {
-            inner.pending_publish = false;
-            // Failures are recorded in publish_failures; serving goes on
-            // with the lane-local adapted model either way.
-            let _ = self.publish_now(inner);
-        }
-        served
-    }
-
-    /// The serial event application: each event is scored and learned from
-    /// in turn, so the lane is bit-identical to a serial replay.  The
-    /// monitor trips **inline**, at the tripping event.
-    fn flush_serial(&self, inner: &mut AdaptiveInner) -> usize {
-        let mut served = 0usize;
-        while let Some(event) = inner.queue.pop_front() {
-            match event {
-                AdaptiveEvent::Flow { seq, record, label, submitted } => {
-                    let (class, similarity) = match label {
-                        Some(label) => inner
-                            .online
-                            .observe_scored(&record, label)
-                            .expect("record and label validated at submit time"),
-                        None => inner
-                            .online
-                            .predict_scored(&record)
-                            .expect("record validated at submit time"),
-                    };
-                    let novel = inner.thresholds.as_ref().is_some_and(|t| similarity < t[class]);
-                    let tripped = match label {
-                        Some(label) => inner.monitor.record_labelled(class == label, novel),
-                        None => inner.monitor.record_unlabelled(novel),
-                    };
-                    if let Some(label) = label {
-                        self.reservoir_note(inner, &record, label);
-                    }
-                    inner.completed.insert(seq, Verdict { class, similarity, novel });
-                    inner.stats.latency.record(submitted.elapsed());
-                    served += 1;
-                    if tripped {
-                        self.adapt_locked(inner);
-                    }
-                }
-                AdaptiveEvent::Feedback { record, label, .. } => {
-                    let (class, similarity) = inner
-                        .online
-                        .observe_scored(&record, label)
-                        .expect("record and label validated at submit time");
-                    let novel = inner.thresholds.as_ref().is_some_and(|t| similarity < t[class]);
-                    let tripped = inner.monitor.record_labelled(class == label, novel);
-                    self.reservoir_note(inner, &record, label);
-                    inner.stats.feedback_applied += 1;
-                    if tripped {
-                        self.adapt_locked(inner);
-                    }
-                }
-            }
-        }
-        served
-    }
-
-    /// The batched event application: every queued event is scored against
-    /// the **frozen pre-batch model**, the labelled events are learned
-    /// from through one deferred mini-batch update
-    /// ([`crate::OnlineLearner::observe_batch_view`]), and monitor trips
-    /// are honoured **at the batch boundary** — the weaker documented
-    /// contract of [`AdaptiveConfig::batched_feedback`]: bit-identical to
-    /// a batched replay at the same flush boundaries.
-    fn flush_batched(&self, inner: &mut AdaptiveInner) -> usize {
-        let events: Vec<AdaptiveEvent> = inner.queue.drain(..).collect();
-        // Score unlabelled flows first: predictions are pure, and the
-        // labelled events' deferred update lands only after this loop, so
-        // every score in the batch sees the same frozen model.
-        let mut unlabelled_scores = VecDeque::new();
-        let mut records = Vec::new();
-        let mut labels = Vec::new();
-        for event in &events {
-            match event {
-                AdaptiveEvent::Flow { record, label: None, .. } => unlabelled_scores.push_back(
-                    inner.online.predict_scored(record).expect("record validated at submit time"),
-                ),
-                AdaptiveEvent::Flow { record, label: Some(label), .. }
-                | AdaptiveEvent::Feedback { record, label, .. } => {
-                    records.push(record.clone());
-                    labels.push(*label);
-                }
-            }
-        }
-        let mut labelled_scores: VecDeque<(usize, f32)> = if records.is_empty() {
-            VecDeque::new()
-        } else {
-            inner
-                .online
-                .observe_batch_scored(&records, &labels)
-                .expect("records and labels validated at submit time")
-                .into()
-        };
-        // Walk the events in submission order: verdicts, monitor feed and
-        // reservoir updates happen exactly as in the serial path, only on
-        // frozen-snapshot scores; trips are tallied and honoured once the
-        // whole batch is applied.
-        let mut served = 0usize;
-        let mut trips = 0usize;
-        for event in events {
-            match event {
-                AdaptiveEvent::Flow { seq, record, label, submitted } => {
-                    let (class, similarity) = match label {
-                        Some(_) => labelled_scores.pop_front().expect("one score per label"),
-                        None => unlabelled_scores.pop_front().expect("one score per flow"),
-                    };
-                    let novel = inner.thresholds.as_ref().is_some_and(|t| similarity < t[class]);
-                    let tripped = match label {
-                        Some(label) => inner.monitor.record_labelled(class == label, novel),
-                        None => inner.monitor.record_unlabelled(novel),
-                    };
-                    if let Some(label) = label {
-                        self.reservoir_note(inner, &record, label);
-                    }
-                    inner.completed.insert(seq, Verdict { class, similarity, novel });
-                    inner.stats.latency.record(submitted.elapsed());
-                    served += 1;
-                    trips += usize::from(tripped);
-                }
-                AdaptiveEvent::Feedback { record, label, .. } => {
-                    let (class, similarity) =
-                        labelled_scores.pop_front().expect("one score per label");
-                    let novel = inner.thresholds.as_ref().is_some_and(|t| similarity < t[class]);
-                    let tripped = inner.monitor.record_labelled(class == label, novel);
-                    self.reservoir_note(inner, &record, label);
-                    inner.stats.feedback_applied += 1;
-                    trips += usize::from(tripped);
-                }
-            }
-        }
-        for _ in 0..trips {
-            self.adapt_locked(inner);
-        }
-        served
-    }
-
-    /// Offers one in-distribution `(record, label)` to the recalibration
-    /// reservoir (Algorithm R).  Every replacement draw is a pure function
-    /// of `(reservoir_seed, candidate index)`, so the reservoir contents
-    /// after any event prefix are reproducible without persisting RNG
-    /// state — replay and crash recovery land on bit-identical reservoirs.
-    fn reservoir_note(&self, inner: &mut AdaptiveInner, record: &[f32], label: usize) {
-        let capacity = self.config.reservoir_capacity;
-        if capacity == 0 {
-            return;
-        }
-        let candidate = inner.reservoir_candidates;
-        inner.reservoir_candidates += 1;
-        if inner.reservoir.len() < capacity {
-            inner.reservoir.push((record.to_vec(), label));
-            return;
-        }
-        let mut rng = HdcRng::seed_from(
-            self.config.reservoir_seed ^ candidate.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
-        let slot = rng.index(candidate as usize + 1);
-        if slot < capacity {
-            inner.reservoir[slot] = (record.to_vec(), label);
-        }
-    }
-
-    /// One adaptation: regenerate low-variance dimensions in place.  Runs
-    /// inline at the event that tripped the monitor, so the outcome is a
-    /// pure function of the event sequence (flush boundaries cannot move
-    /// it).
-    fn adapt_locked(&self, inner: &mut AdaptiveInner) {
-        let mut regenerated = 0usize;
-        for _ in 0..self.config.regeneration_rounds {
-            let result = match self.config.regeneration_rate {
-                Some(rate) => inner.online.regenerate_at(rate),
-                None => inner.online.regenerate(),
-            };
-            match result {
-                Ok(dims) => regenerated += dims,
-                Err(_) => {
-                    // A non-regenerable encoder: the lane keeps learning
-                    // through the adaptive rule alone.
-                    inner.stats.adaptation_failures += 1;
-                    return;
-                }
-            }
-        }
-        inner.stats.adaptations += 1;
-        inner.stats.regenerated_dimensions += regenerated as u64;
-        self.recalibrate_locked(inner);
-        if self.config.auto_publish && self.registry.is_some() {
-            inner.pending_publish = true;
-        }
-    }
-
-    /// Recalibrates the open-set thresholds from the in-distribution
-    /// reservoir against the freshly regenerated memory.  Runs inline in
-    /// the adaptation (registry-independent), so the lane's post-trip
-    /// novelty flags — not just the published snapshot — are a pure
-    /// function of the event sequence.  A closed-set lane, a disabled
-    /// reservoir or an empty reservoir keeps the previous thresholds.
-    fn recalibrate_locked(&self, inner: &mut AdaptiveInner) {
-        if inner.thresholds.is_none() || inner.reservoir.is_empty() {
-            return;
-        }
-        let (records, labels): (Vec<Vec<f32>>, Vec<usize>) =
-            inner.reservoir.iter().cloned().unzip();
-        let thresholds = inner
-            .online
-            .recalibrate_thresholds(&records, &labels, self.config.recalibration_quantile)
-            .expect("reservoir records and labels were validated at submit time");
-        inner.thresholds = Some(thresholds);
-        inner.stats.recalibrations += 1;
-    }
-
-    /// Seals a snapshot and hands it to the registry (swap, or register at
-    /// version 1 for an unknown tenant), recording the reseal+swap latency
-    /// — the one publication path behind both the automatic post-adaptation
-    /// publish and the manual [`AdaptiveLane::publish`].  Every registry
-    /// refusal increments `publish_failures`.
-    ///
-    /// An **open-set** lane publishes an open-set snapshot: its current
-    /// per-class thresholds — recalibrated from the reservoir at every
-    /// successful adaptation — are attached to the resealed model via
-    /// [`Detector::with_thresholds`], so [`DetectorRegistry::info`] keeps
-    /// reporting `open_set: true` after a drift-triggered republish.  A
-    /// closed-set lane publishes closed-set, as before.
-    fn publish_now(&self, inner: &mut AdaptiveInner) -> ServeResult<u64> {
-        let Some(registry) = self.registry.as_ref() else {
-            return Err(ServeError::InvalidConfig(
-                "this adaptive lane was created without a registry".into(),
-            ));
-        };
-        let start = Instant::now();
-        let sealed = inner.online.seal_snapshot();
-        let sealed = match &inner.thresholds {
-            Some(thresholds) => sealed
-                .with_thresholds(thresholds.clone())
-                .expect("snapshots are dense and threshold counts match the class count"),
-            None => sealed,
-        };
-        let result = match registry.swap(&self.tenant, sealed.clone()) {
-            Err(ServeError::UnknownTenant(_)) => registry.register(&self.tenant, sealed).map(|_| 1),
-            swapped => swapped,
-        };
-        match result {
-            Ok(version) => {
-                inner.stats.publish_latency.record(start.elapsed());
-                inner.stats.publishes += 1;
-                inner.stats.last_published_version = Some(version);
-                Ok(version)
-            }
-            Err(e) => {
-                inner.stats.publish_failures += 1;
-                Err(e)
-            }
-        }
-    }
-
-    /// Publishes a sealed snapshot to the registry now, returning the new
-    /// registry version — the manual form of the automatic post-adaptation
-    /// publication.  An open-set lane publishes with its current
-    /// (reservoir-recalibrated) thresholds attached; a closed-set lane
-    /// publishes closed-set.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::InvalidConfig`] for a lane created without a
-    /// registry and propagates [`DetectorRegistry::swap`] /
-    /// [`DetectorRegistry::register`] errors (counted in
-    /// [`AdaptiveStats::publish_failures`]).
-    pub fn publish(&self) -> ServeResult<u64> {
-        let mut inner = self.inner.lock().expect("adaptive lane lock");
-        self.publish_now(&mut inner)
-    }
-
-    /// Non-blocking collect: the verdict if the ticket's flow has been
-    /// served, `None` while it is still queued.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::UnknownTicket`] for a foreign or
-    /// already-collected ticket.
-    pub fn try_take(&self, ticket: &Ticket) -> ServeResult<Option<Verdict>> {
-        let mut inner = self.inner.lock().expect("adaptive lane lock");
-        if ticket.lane != self.id || ticket.tenant.as_ref() != self.tenant.as_ref() {
-            return Err(ServeError::UnknownTicket);
-        }
-        if let Some(verdict) = inner.completed.remove(&ticket.seq) {
-            return Ok(Some(verdict));
-        }
-        let pending = inner
-            .queue
-            .iter()
-            .any(|event| matches!(event, AdaptiveEvent::Flow { seq, .. } if *seq == ticket.seq));
-        if pending {
-            return Ok(None);
-        }
-        Err(ServeError::UnknownTicket)
-    }
-
-    /// Collects a ticket's verdict, flushing first if the flow is still
-    /// queued.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::UnknownTicket`] for a foreign or
-    /// already-collected ticket.
-    pub fn take(&self, ticket: &Ticket) -> ServeResult<Verdict> {
-        let mut inner = self.inner.lock().expect("adaptive lane lock");
-        if ticket.lane != self.id || ticket.tenant.as_ref() != self.tenant.as_ref() {
-            return Err(ServeError::UnknownTicket);
-        }
-        if let Some(verdict) = inner.completed.remove(&ticket.seq) {
-            return Ok(verdict);
-        }
-        let pending = inner
-            .queue
-            .iter()
-            .any(|event| matches!(event, AdaptiveEvent::Flow { seq, .. } if *seq == ticket.seq));
-        if pending {
-            self.flush_locked(&mut inner);
-            return inner.completed.remove(&ticket.seq).ok_or(ServeError::UnknownTicket);
-        }
-        Err(ServeError::UnknownTicket)
-    }
-
-    /// Cumulative prequential (test-then-train) accuracy of the lane's
-    /// labelled stream.
-    pub fn prequential_accuracy(&self) -> f64 {
-        self.inner.lock().expect("adaptive lane lock").online.prequential_accuracy()
-    }
-
-    /// Seals a snapshot of the current model (the lane keeps adapting).
-    pub fn seal_snapshot(&self) -> Detector {
-        self.inner.lock().expect("adaptive lane lock").online.seal_snapshot()
-    }
-
-    /// A point-in-time snapshot of the lane's counters.
-    pub fn stats(&self) -> AdaptiveStats {
-        let inner = self.inner.lock().expect("adaptive lane lock");
-        let stats = &inner.stats;
-        AdaptiveStats {
-            tenant: self.tenant.as_ref().into(),
-            flows_submitted: stats.flows_submitted,
-            flows_served: stats.flows_served,
-            feedback_submitted: stats.feedback_submitted,
-            feedback_applied: stats.feedback_applied,
-            rejected: stats.rejected,
-            queue_depth: inner.queue.len(),
-            uncollected: inner.completed.len(),
-            retained: inner.retained.len(),
-            batches: stats.batches,
-            samples_learned: inner.online.samples_seen(),
-            prequential_accuracy: inner.online.prequential_accuracy(),
-            window_accuracy: inner.monitor.window_accuracy(),
-            window_error: inner.monitor.window_error(),
-            unknown_rate: inner.monitor.unknown_rate(),
-            baseline_error: inner.monitor.baseline_error(),
-            monitor_trips: inner.monitor.trips(),
-            adaptations: stats.adaptations,
-            regenerated_dimensions: stats.regenerated_dimensions,
-            adaptation_failures: stats.adaptation_failures,
-            recalibrations: stats.recalibrations,
-            reservoir_size: inner.reservoir.len(),
-            effective_dimension: inner.online.learner().effective_dimension(),
-            publishes: stats.publishes,
-            publish_failures: stats.publish_failures,
-            last_published_version: stats.last_published_version,
-            mean_latency: stats.latency.mean(),
-            p50_latency: stats.latency.percentile(0.50),
-            p99_latency: stats.latency.percentile(0.99),
-            p50_publish_latency: stats.publish_latency.percentile(0.50),
-            max_publish_latency: stats.publish_latency.max(),
-        }
-    }
-}
-
-/// Retains `record` under `seq`, evicting the oldest retained flow when
-/// the window is full (recording it in the too-late watermark).
-fn retain(inner: &mut AdaptiveInner, seq: u64, record: Vec<f32>, retention: usize) {
-    if inner.retained.len() >= retention {
-        if let Some(oldest) = inner.retained_order.pop_front() {
-            inner.retained.remove(&oldest);
-            inner.evicted_up_to = Some(inner.evicted_up_to.map_or(oldest, |w| w.max(oldest)));
-        }
-    }
-    inner.retained.insert(seq, record);
-    inner.retained_order.push_back(seq);
-}
-
-/// Everything an [`AdaptiveLane`] needs persisted for bit-identical
-/// recovery (see [`AdaptiveLane::checkpoint_state`] /
-/// [`AdaptiveLane::restore`]).  The durable lane serializes this through
-/// [`hdc::codec`]; the queue is never part of it — checkpoints are taken
-/// at flush boundaries, where the queue is empty.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct LaneCheckpoint {
-    /// Tenant id.
-    pub(crate) tenant: String,
-    /// Sealed [`Detector::to_bytes`] snapshot of the live model (encoder
-    /// seed and regeneration counter included, so post-recovery
-    /// regenerations draw the exact streams the uncrashed lane would).
-    pub(crate) detector_bytes: Vec<u8>,
-    /// Open-set drift-signal thresholds (dropped from the sealed snapshot
-    /// by design, so they ride the checkpoint separately).
-    pub(crate) thresholds: Option<Vec<f32>>,
-    /// Drift-monitor windows, baseline, cooldown and trip count.
-    pub(crate) monitor: DriftMonitor,
-    /// Next sequence number the lane will issue.
-    pub(crate) next_seq: u64,
-    /// Retention window in FIFO (eviction) order.
-    pub(crate) retained: Vec<(u64, Vec<f32>)>,
-    /// Aging-eviction watermark (see [`AdaptiveInner::evicted_up_to`]).
-    pub(crate) evicted_up_to: Option<u64>,
-    /// Recalibration reservoir `(record, label)` entries in slot order.
-    pub(crate) reservoir: Vec<(Vec<f32>, usize)>,
-    /// Eligible candidates the reservoir has seen (the Algorithm-R index).
-    pub(crate) reservoir_candidates: u64,
-    /// Prequential sample count ([`OnlineDetector::samples_seen`]).
-    pub(crate) seen: usize,
-    /// Prequential correct-before-update count.
-    pub(crate) prequential_correct: usize,
-    /// Deterministic lane counters, in the fixed order consumed by
-    /// [`AdaptiveLane::restore`]: flows_submitted, flows_served,
-    /// feedback_submitted, feedback_applied, batches, adaptations,
-    /// regenerated_dimensions, adaptation_failures, recalibrations.
-    pub(crate) counters: [u64; 9],
-}
-
 #[cfg(test)]
-mod tests {
-    use super::*;
+mod testkit {
+    use crate::Detector;
     use nids_data::synth::SyntheticConfig;
     use nids_data::DatasetKind;
 
-    fn dataset(samples: usize, seed: u64) -> nids_data::Dataset {
+    pub(super) fn dataset(samples: usize, seed: u64) -> nids_data::Dataset {
         DatasetKind::NslKdd
             .generate(&SyntheticConfig::new(samples, seed).difficulty(1.2))
             .expect("synthetic generation")
     }
 
-    fn detector(data: &nids_data::Dataset, seed: u64) -> Detector {
+    pub(super) fn detector(data: &nids_data::Dataset, seed: u64) -> Detector {
         Detector::builder().dimension(128).retrain_epochs(1).seed(seed).train(data).unwrap()
     }
+}
 
-    fn engine_with(data: &nids_data::Dataset, config: ServeConfig) -> ServeEngine {
-        let registry = Arc::new(DetectorRegistry::new());
-        registry.register("t0", detector(data, 5)).unwrap();
-        ServeEngine::new(registry, config).unwrap()
-    }
-
-    #[test]
-    fn config_watermarks_are_validated() {
-        let registry = Arc::new(DetectorRegistry::new());
-        let bad = ServeConfig { max_batch: 0, ..ServeConfig::default() };
-        assert!(matches!(
-            ServeEngine::new(Arc::clone(&registry), bad),
-            Err(ServeError::InvalidConfig(_))
-        ));
-        let bad = ServeConfig { max_batch: 64, queue_capacity: 8, ..ServeConfig::default() };
-        assert!(matches!(ServeEngine::new(registry, bad), Err(ServeError::InvalidConfig(_))));
-    }
-
-    #[test]
-    fn submit_flush_take_round_trip_matches_detect() {
-        let data = dataset(300, 3);
-        let engine = engine_with(&data, ServeConfig::default());
-        let oracle = engine.registry().current("t0").unwrap().0;
-        let records: Vec<Vec<f32>> = data.records()[..10].to_vec();
-        let expected = oracle.detect_batch(&records).unwrap();
-
-        let tickets: Vec<Ticket> =
-            records.iter().map(|r| engine.submit("t0", r).unwrap()).collect();
-        assert_eq!(engine.stats("t0").unwrap().queue_depth, 10);
-        assert!(engine.try_take(&tickets[0]).unwrap().is_none(), "still pending");
-        assert_eq!(engine.flush("t0").unwrap(), 10);
-        for (ticket, want) in tickets.iter().zip(&expected) {
-            assert_eq!(engine.try_take(ticket).unwrap(), Some(*want));
-        }
-        // Second collect of the same ticket fails.
-        assert!(matches!(engine.try_take(&tickets[0]), Err(ServeError::UnknownTicket)));
-        let stats = engine.stats("t0").unwrap();
-        assert_eq!(stats.flows_served, 10);
-        assert_eq!(stats.batches, 1);
-        assert_eq!(stats.batch_size_histogram, vec![(10, 1)]);
-        assert_eq!(stats.uncollected, 0);
-        assert!(stats.p99_latency >= stats.p50_latency);
-    }
-
-    #[test]
-    fn max_batch_watermark_flushes_inline_and_take_forces_a_flush() {
-        let data = dataset(300, 7);
-        let config = ServeConfig { max_batch: 4, ..ServeConfig::default() };
-        let engine = engine_with(&data, config);
-        let mut tickets = Vec::new();
-        for record in &data.records()[..9] {
-            tickets.push(engine.submit("t0", record).unwrap());
-        }
-        let stats = engine.stats("t0").unwrap();
-        assert_eq!(stats.batches, 2, "two full batches flushed inline");
-        assert_eq!(stats.queue_depth, 1);
-        assert_eq!(stats.batch_size_histogram, vec![(4, 2)]);
-        // Taking the straggler forces its batch out.
-        let verdict = engine.take(&tickets[8]).unwrap();
-        let oracle = engine.registry().current("t0").unwrap().0;
-        assert_eq!(verdict, oracle.detect_batch(&data.records()[8..9]).unwrap()[0]);
-        assert_eq!(engine.stats("t0").unwrap().queue_depth, 0);
-    }
-
-    #[test]
-    fn poll_honours_the_max_delay_watermark() {
-        let data = dataset(300, 9);
-        let config = ServeConfig { max_delay: Duration::from_millis(1), ..ServeConfig::default() };
-        let engine = engine_with(&data, config);
-        let ticket = engine.submit("t0", &data.records()[0]).unwrap();
-        assert_eq!(engine.poll(), 0, "not yet expired");
-        std::thread::sleep(Duration::from_millis(2));
-        assert_eq!(engine.poll(), 1);
-        assert!(engine.try_take(&ticket).unwrap().is_some());
-    }
-
-    #[test]
-    fn unknown_tenants_and_foreign_tickets_are_rejected() {
-        let data = dataset(300, 11);
-        let engine = engine_with(&data, ServeConfig::default());
-        assert!(matches!(
-            engine.submit("nope", &data.records()[0]),
-            Err(ServeError::UnknownTenant(_))
-        ));
-        assert!(matches!(engine.flush("nope"), Err(ServeError::UnknownTenant(_))));
-        let foreign = Ticket { tenant: "t0".into(), lane: 0, seq: 999 };
-        engine.submit("t0", &data.records()[0]).unwrap();
-        assert!(matches!(engine.take(&foreign), Err(ServeError::UnknownTicket)));
-    }
-
-    #[test]
-    fn malformed_records_are_rejected_without_corrupting_the_lane() {
-        let data = dataset(300, 13);
-        let engine = engine_with(&data, ServeConfig::default());
-        let good = engine.submit("t0", &data.records()[0]).unwrap();
-        // Wrong arity: rejected, lane intact.
-        assert!(matches!(
-            engine.submit("t0", &[0.0, 1.0]),
-            Err(ServeError::Rejected(CyberHdError::Data(_)))
-        ));
-        let oracle = engine.registry().current("t0").unwrap().0;
-        assert_eq!(
-            engine.take(&good).unwrap(),
-            oracle.detect_batch(&data.records()[..1]).unwrap()[0]
-        );
-    }
-
-    #[test]
-    fn registry_admission_checks_gate_swaps() {
-        let nsl = dataset(300, 15);
-        let registry = DetectorRegistry::new();
-        registry.register("edge", detector(&nsl, 1)).unwrap();
-        assert!(matches!(
-            registry.register("edge", detector(&nsl, 2)),
-            Err(ServeError::DuplicateTenant(_))
-        ));
-        assert_eq!(registry.tenants(), vec!["edge".to_string()]);
-        assert_eq!(registry.len(), 1);
-
-        // Same shape, new weights: admitted, version bumps.
-        assert_eq!(registry.swap("edge", detector(&nsl, 2)).unwrap(), 2);
-        assert_eq!(registry.current("edge").unwrap().1, 2);
-
-        // Different schema: refused.
-        let unsw =
-            DatasetKind::UnswNb15.generate(&SyntheticConfig::new(300, 15).difficulty(1.2)).unwrap();
-        assert!(matches!(
-            registry.swap("edge", detector(&unsw, 3)),
-            Err(ServeError::IncompatibleSwap(_))
-        ));
-        assert!(matches!(
-            registry.swap("ghost", detector(&nsl, 3)),
-            Err(ServeError::UnknownTenant(_))
-        ));
-
-        // Byte-loaded artifacts swap through the codec path.
-        let v3 = detector(&nsl, 4);
-        assert_eq!(registry.swap_from_bytes("edge", &v3.to_bytes()).unwrap(), 3);
-        assert!(matches!(
-            registry.swap_from_bytes("edge", b"garbage"),
-            Err(ServeError::Rejected(_))
-        ));
-        assert!(registry.remove("edge").is_some());
-        assert!(registry.is_empty());
-    }
-
-    #[test]
-    fn remove_and_reregister_cannot_alias_the_old_artifact() {
-        let data = dataset(300, 17);
-        let registry = Arc::new(DetectorRegistry::new());
-        registry.register("t0", detector(&data, 1)).unwrap();
-        let engine = ServeEngine::new(Arc::clone(&registry), ServeConfig::default()).unwrap();
-
-        // Pin a batch on the original artifact, then remove + re-register
-        // under the same id (version restarts at 1, but generations are
-        // registry-unique, so the lane must notice).
-        let old_ticket = engine.submit("t0", &data.records()[0]).unwrap();
-        registry.remove("t0").unwrap();
-        let replacement = detector(&data, 2);
-        registry.register("t0", replacement.clone()).unwrap();
-
-        let new_ticket = engine.submit("t0", &data.records()[1]).unwrap();
-        engine.flush("t0").unwrap();
-        // The in-flight flow finished on the removed artifact; the one
-        // admitted after the re-register scored on the replacement.
-        assert!(engine.take(&old_ticket).is_ok());
-        assert_eq!(
-            engine.take(&new_ticket).unwrap(),
-            replacement.detect_batch(&data.records()[1..2]).unwrap()[0],
-            "post-re-register submissions must score on the replacement artifact"
-        );
-    }
-
-    #[test]
-    fn removed_tenants_lanes_are_evicted() {
-        let data = dataset(300, 19);
-        let registry = Arc::new(DetectorRegistry::new());
-        registry.register("t0", detector(&data, 1)).unwrap();
-        let engine = ServeEngine::new(Arc::clone(&registry), ServeConfig::default()).unwrap();
-        let ticket = engine.submit("t0", &data.records()[0]).unwrap();
-
-        registry.remove("t0").unwrap();
-        // Housekeeping drops the orphaned lane (pending flow included).
-        engine.poll();
-        assert!(!engine.evict("t0"), "poll already evicted the lane");
-        assert!(engine.stats("t0").is_none());
-        assert!(matches!(engine.take(&ticket), Err(ServeError::UnknownTenant(_))));
-        assert!(matches!(
-            engine.submit("t0", &data.records()[0]),
-            Err(ServeError::UnknownTenant(_))
-        ));
-
-        // Explicit eviction works without a poll, too.
-        registry.register("t0", detector(&data, 2)).unwrap();
-        engine.submit("t0", &data.records()[0]).unwrap();
-        assert!(engine.evict("t0"));
-        assert!(engine.stats("t0").is_none());
-    }
-
-    #[test]
-    fn stale_tickets_cannot_collect_a_recreated_lanes_recycled_seq() {
-        let data = dataset(300, 29);
-        let registry = Arc::new(DetectorRegistry::new());
-        registry.register("t0", detector(&data, 1)).unwrap();
-        let engine = ServeEngine::new(Arc::clone(&registry), ServeConfig::default()).unwrap();
-
-        // Ticket A (seq 0) from the original lane, never collected.
-        let stale = engine.submit("t0", &data.records()[0]).unwrap();
-        registry.remove("t0").unwrap();
-        engine.evict("t0");
-
-        // Recreated lane reissues seq 0 to a different flow.
-        registry.register("t0", detector(&data, 2)).unwrap();
-        let fresh = engine.submit("t0", &data.records()[1]).unwrap();
-        assert_eq!(fresh.seq(), stale.seq(), "the recreated lane recycles sequence numbers");
-        engine.flush("t0").unwrap();
-
-        // The stale ticket must not collect (and thereby consume) the
-        // fresh flow's verdict.
-        assert!(matches!(engine.take(&stale), Err(ServeError::UnknownTicket)));
-        assert!(engine.take(&fresh).is_ok());
-    }
-
-    #[test]
-    fn stale_pin_from_a_rejected_first_flow_does_not_survive_a_swap() {
-        let data = dataset(300, 23);
-        let registry = Arc::new(DetectorRegistry::new());
-        registry.register("t0", detector(&data, 1)).unwrap();
-        let engine = ServeEngine::new(Arc::clone(&registry), ServeConfig::default()).unwrap();
-
-        // A rejected first flow pins the lane but leaves it empty...
-        assert!(engine.submit("t0", &[1.0, 2.0]).is_err());
-        // ...then the registry swaps.  The next valid submission must pin
-        // (and score on) the new artifact, not the superseded pin.
-        let v2 = detector(&data, 2);
-        registry.swap("t0", v2.clone()).unwrap();
-        let ticket = engine.submit("t0", &data.records()[0]).unwrap();
-        assert_eq!(
-            engine.take(&ticket).unwrap(),
-            v2.detect_batch(&data.records()[..1]).unwrap()[0],
-            "post-swap submissions must score on the swapped-in artifact"
-        );
-    }
-
-    #[test]
-    fn collect_and_flush_paths_never_create_lanes() {
-        let data = dataset(300, 27);
-        let registry = Arc::new(DetectorRegistry::new());
-        registry.register("t0", detector(&data, 1)).unwrap();
-        let engine = ServeEngine::new(Arc::clone(&registry), ServeConfig::default()).unwrap();
-
-        // Registered tenant, nothing ever submitted: collects fail fast,
-        // flush is a no-op, and none of them materialize serving state.
-        let phantom = Ticket { tenant: "t0".into(), lane: 0, seq: 0 };
-        assert!(matches!(engine.try_take(&phantom), Err(ServeError::UnknownTicket)));
-        assert!(matches!(engine.take(&phantom), Err(ServeError::UnknownTicket)));
-        assert_eq!(engine.flush("t0").unwrap(), 0);
-        assert!(engine.stats("t0").is_none(), "read-only paths must not create a lane");
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
 
     #[test]
     fn error_display_and_sources_are_informative() {
@@ -2757,559 +356,5 @@ mod tests {
         assert!(ServeError::DuplicateTenant("d".into()).to_string().contains("registered"));
         assert!(ServeError::UnknownTenant("u".into()).to_string().contains("tenant"));
         assert!(ServeError::FeedbackUnavailable("f".into()).to_string().contains("feedback"));
-    }
-
-    // -----------------------------------------------------------------
-    // Adaptive lanes
-    // -----------------------------------------------------------------
-
-    /// A monitor tuned to trip quickly in unit-sized streams.
-    fn touchy_monitor() -> DriftMonitorConfig {
-        DriftMonitorConfig {
-            window: 16,
-            min_observations: 8,
-            error_delta: 0.25,
-            unknown_surge: 2.0,
-            cooldown: 8,
-        }
-    }
-
-    #[test]
-    fn adaptive_config_is_validated() {
-        let data = dataset(300, 3);
-        let detector = detector(&data, 5);
-        for bad in [
-            AdaptiveConfig { max_batch: 0, ..AdaptiveConfig::default() },
-            AdaptiveConfig { max_batch: 64, queue_capacity: 8, ..AdaptiveConfig::default() },
-            AdaptiveConfig { regeneration_rounds: 0, ..AdaptiveConfig::default() },
-            AdaptiveConfig {
-                monitor: DriftMonitorConfig { window: 0, ..DriftMonitorConfig::default() },
-                ..AdaptiveConfig::default()
-            },
-        ] {
-            assert!(matches!(
-                AdaptiveLane::new("t0", detector.clone(), bad),
-                Err(ServeError::InvalidConfig(_))
-            ));
-        }
-        // Quantized artifacts cannot keep learning.
-        let quantized = Detector::builder()
-            .dimension(128)
-            .retrain_epochs(1)
-            .quantize(hdc::BitWidth::B1)
-            .train(&data)
-            .unwrap();
-        assert!(matches!(
-            AdaptiveLane::new("t0", quantized, AdaptiveConfig::default()),
-            Err(ServeError::InvalidConfig(_))
-        ));
-    }
-
-    #[test]
-    fn adaptive_lane_matches_a_serial_online_replay() {
-        let data = dataset(400, 31);
-        let detector = detector(&data, 9);
-        let lane = AdaptiveLane::new(
-            "t0",
-            detector.clone(),
-            AdaptiveConfig { max_batch: 7, ..AdaptiveConfig::default() },
-        )
-        .unwrap();
-        let mut oracle = detector.into_online().unwrap();
-
-        let mut tickets = Vec::new();
-        for (i, (record, &label)) in data.records().iter().zip(data.labels()).take(60).enumerate() {
-            if i % 3 == 0 {
-                tickets.push((lane.submit(record).unwrap(), None::<usize>, record));
-            } else {
-                tickets.push((lane.submit_labelled(record, label).unwrap(), Some(label), record));
-            }
-            if i % 11 == 0 {
-                lane.flush().unwrap();
-            }
-        }
-        lane.flush().unwrap();
-
-        for (ticket, label, record) in &tickets {
-            let verdict = lane.take(ticket).unwrap();
-            let (class, similarity) = match label {
-                Some(label) => oracle.observe_scored(record, *label).unwrap(),
-                None => oracle.predict_scored(record).unwrap(),
-            };
-            assert_eq!(verdict.class, class);
-            assert_eq!(verdict.similarity.to_bits(), similarity.to_bits());
-            assert!(!verdict.novel, "no thresholds on a closed-set lane");
-        }
-        let stats = lane.stats();
-        assert_eq!(stats.flows_served, 60);
-        assert_eq!(stats.samples_learned, oracle.samples_seen());
-        assert_eq!(stats.prequential_accuracy, oracle.prequential_accuracy());
-        assert_eq!(stats.uncollected, 0);
-        // The lane's model is the oracle's model, bit for bit.
-        assert_eq!(
-            lane.seal_snapshot().to_bytes(),
-            oracle.seal_snapshot().to_bytes(),
-            "interleaved flushes must not change the model a serial replay produces"
-        );
-    }
-
-    #[test]
-    fn adaptive_feedback_applies_late_ground_truth_in_order() {
-        let data = dataset(300, 37);
-        let lane = AdaptiveLane::new("t0", detector(&data, 3), AdaptiveConfig::default()).unwrap();
-
-        let labelled = lane.submit_labelled(&data.records()[0], data.labels()[0]).unwrap();
-        let unlabelled = lane.submit(&data.records()[1]).unwrap();
-        lane.flush().unwrap();
-        assert_eq!(lane.stats().samples_learned, 1, "unlabelled flows do not train");
-
-        // Late ground truth arrives through the ticket.
-        lane.submit_feedback(&unlabelled, data.labels()[1]).unwrap();
-        lane.flush().unwrap();
-        let stats = lane.stats();
-        assert_eq!(stats.samples_learned, 2);
-        assert_eq!(stats.feedback_submitted, 1);
-        assert_eq!(stats.feedback_applied, 1);
-
-        // Applying it twice fails; so does feedback for a labelled submit,
-        // a foreign ticket, or an out-of-range label.
-        assert!(matches!(
-            lane.submit_feedback(&unlabelled, data.labels()[1]),
-            Err(ServeError::FeedbackUnavailable(_))
-        ));
-        assert!(matches!(
-            lane.submit_feedback(&labelled, data.labels()[0]),
-            Err(ServeError::FeedbackUnavailable(_))
-        ));
-        let foreign = Ticket { tenant: "t0".into(), lane: lane.id + 1, seq: 0 };
-        assert!(matches!(lane.submit_feedback(&foreign, 0), Err(ServeError::UnknownTicket)));
-        let fresh = lane.submit(&data.records()[2]).unwrap();
-        assert!(matches!(lane.submit_feedback(&fresh, 999), Err(ServeError::Rejected(_))));
-        // Verdicts still collectable.
-        assert!(lane.take(&labelled).is_ok());
-        assert!(lane.take(&unlabelled).is_ok());
-    }
-
-    #[test]
-    fn adaptive_retention_window_ages_flows_out() {
-        let data = dataset(300, 41);
-        let config = AdaptiveConfig { retention: 2, ..AdaptiveConfig::default() };
-        let lane = AdaptiveLane::new("t0", detector(&data, 3), config).unwrap();
-        let first = lane.submit(&data.records()[0]).unwrap();
-        lane.submit(&data.records()[1]).unwrap();
-        lane.submit(&data.records()[2]).unwrap();
-        // The first flow aged out of the 2-flow retention window — a
-        // distinct, WAL-replayable error, not generic unavailability.
-        assert!(matches!(
-            lane.submit_feedback(&first, 0),
-            Err(ServeError::FeedbackTooLate { seq: 0, retention: 2 })
-        ));
-        assert_eq!(lane.stats().retained, 2);
-
-        // retention = 0 disables late feedback entirely.
-        let no_feedback = AdaptiveLane::new(
-            "t1",
-            detector(&data, 3),
-            AdaptiveConfig { retention: 0, ..AdaptiveConfig::default() },
-        )
-        .unwrap();
-        let ticket = no_feedback.submit(&data.records()[0]).unwrap();
-        assert!(matches!(
-            no_feedback.submit_feedback(&ticket, 0),
-            Err(ServeError::FeedbackTooLate { retention: 0, .. })
-        ));
-        // A sequence the lane never issued stays UnknownTicket even with
-        // the retention window empty.
-        let forged = no_feedback.ticket_for(999);
-        assert!(matches!(no_feedback.submit_feedback(&forged, 0), Err(ServeError::UnknownTicket)));
-    }
-
-    #[test]
-    fn adaptive_checkpoint_restore_is_bit_identical() {
-        let data = dataset(400, 47);
-        let config = AdaptiveConfig {
-            max_batch: 8,
-            retention: 16,
-            monitor: DriftMonitorConfig {
-                window: 32,
-                min_observations: 16,
-                cooldown: 16,
-                ..DriftMonitorConfig::default()
-            },
-            ..AdaptiveConfig::default()
-        };
-        let lane = AdaptiveLane::new("t0", detector(&data, 3), config).unwrap();
-        let oracle = AdaptiveLane::new("t0", detector(&data, 3), config).unwrap();
-
-        // Mixed traffic: labelled, unlabelled (some fed back), enough to
-        // evict from the retention window and (likely) trip the monitor.
-        let mut tickets = Vec::new();
-        for (i, record) in data.records()[..120].iter().enumerate() {
-            if i % 3 == 0 {
-                lane.submit_labelled(record, data.labels()[i]).unwrap();
-                oracle.submit_labelled(record, data.labels()[i]).unwrap();
-            } else {
-                tickets.push((i, lane.submit(record).unwrap(), oracle.submit(record).unwrap()));
-            }
-            if i % 7 == 0 {
-                if let Some((j, t_lane, t_oracle)) = tickets.pop() {
-                    let _ = lane.submit_feedback(&t_lane, data.labels()[j]);
-                    let _ = oracle.submit_feedback(&t_oracle, data.labels()[j]);
-                }
-            }
-        }
-        lane.flush().unwrap();
-        oracle.flush().unwrap();
-        lane.drain_completed();
-        oracle.drain_completed();
-
-        // Checkpoint the first lane and restore a fresh one from it.
-        let state = lane.checkpoint_state();
-        let restored = AdaptiveLane::restore(config, None, state.clone()).unwrap();
-        assert_eq!(restored.checkpoint_state(), state, "restore must round-trip the checkpoint");
-
-        // The restored lane and the never-checkpointed oracle must agree
-        // bit-for-bit on everything that follows.
-        for (i, record) in data.records()[120..240].iter().enumerate() {
-            let label = data.labels()[120 + i];
-            let (a, b) = if i % 2 == 0 {
-                (restored.submit_labelled(record, label), oracle.submit_labelled(record, label))
-            } else {
-                (restored.submit(record), oracle.submit(record))
-            };
-            assert_eq!(a.unwrap().seq(), b.unwrap().seq(), "sequence numbering must resume");
-        }
-        restored.flush().unwrap();
-        oracle.flush().unwrap();
-        assert_eq!(
-            restored.drain_completed(),
-            oracle.drain_completed(),
-            "post-restore verdicts must match the uncrashed lane"
-        );
-        assert_eq!(
-            restored.seal_snapshot().to_bytes(),
-            oracle.seal_snapshot().to_bytes(),
-            "post-restore model must be bit-identical to the uncrashed lane"
-        );
-        let (r, o) = (restored.stats(), oracle.stats());
-        assert_eq!(r.samples_learned, o.samples_learned);
-        assert_eq!(r.prequential_accuracy, o.prequential_accuracy);
-        assert_eq!(r.monitor_trips, o.monitor_trips);
-        assert_eq!(r.adaptations, o.adaptations);
-        assert_eq!(r.flows_submitted, o.flows_submitted);
-    }
-
-    #[test]
-    fn adaptive_backpressure_and_rejection_leave_the_lane_sound() {
-        let data = dataset(300, 43);
-        let config =
-            AdaptiveConfig { max_batch: 4, queue_capacity: 4, ..AdaptiveConfig::default() };
-        let lane = AdaptiveLane::new("t0", detector(&data, 3), config).unwrap();
-        // Malformed records and out-of-range labels are rejected up front.
-        assert!(matches!(lane.submit(&[1.0, 2.0]), Err(ServeError::Rejected(_))));
-        assert!(matches!(
-            lane.submit_labelled(&data.records()[0], 999),
-            Err(ServeError::Rejected(_))
-        ));
-        // Four submissions fill the queue (the fourth auto-flushes into
-        // four uncollected verdicts, which still occupy it).
-        let tickets: Vec<Ticket> =
-            data.records()[..4].iter().map(|r| lane.submit(r).unwrap()).collect();
-        assert!(matches!(
-            lane.submit(&data.records()[4]),
-            Err(ServeError::Backpressure { capacity: 4, .. })
-        ));
-        let stats = lane.stats();
-        assert_eq!(stats.rejected, 1);
-        assert_eq!(stats.uncollected, 4);
-        // Draining frees capacity again.
-        assert!(lane.take(&tickets[0]).is_ok());
-        assert!(lane.submit(&data.records()[4]).is_ok());
-    }
-
-    #[test]
-    fn adaptive_poll_honours_max_delay() {
-        let data = dataset(300, 47);
-        let config =
-            AdaptiveConfig { max_delay: Duration::from_millis(1), ..AdaptiveConfig::default() };
-        let lane = AdaptiveLane::new("t0", detector(&data, 3), config).unwrap();
-        let ticket = lane.submit(&data.records()[0]).unwrap();
-        assert_eq!(lane.poll(), 0, "not yet expired");
-        std::thread::sleep(Duration::from_millis(2));
-        assert_eq!(lane.poll(), 1);
-        assert!(lane.try_take(&ticket).unwrap().is_some());
-        // try_take semantics: pending -> None, collected -> UnknownTicket.
-        let pending = lane.submit(&data.records()[1]).unwrap();
-        assert!(lane.try_take(&pending).unwrap().is_none());
-        assert!(matches!(lane.try_take(&ticket), Err(ServeError::UnknownTicket)));
-    }
-
-    #[test]
-    fn adaptive_drift_trip_regenerates_and_republishes() {
-        let data = dataset(600, 53);
-        let v1 = Detector::builder()
-            .dimension(128)
-            .retrain_epochs(2)
-            .regeneration_rate(0.1)
-            .seed(7)
-            .train(&data)
-            .unwrap();
-        let registry = Arc::new(DetectorRegistry::new());
-        registry.register("edge", v1.clone()).unwrap();
-        let config =
-            AdaptiveConfig { monitor: touchy_monitor(), max_batch: 8, ..AdaptiveConfig::default() };
-        let lane = AdaptiveLane::with_registry("edge", v1, config, Arc::clone(&registry)).unwrap();
-
-        // Calm phase: true labels freeze a low baseline error.
-        for (record, &label) in data.records().iter().zip(data.labels()).take(40) {
-            lane.submit_labelled(record, label).unwrap();
-        }
-        lane.flush().unwrap();
-        assert_eq!(lane.stats().monitor_trips, 0, "stationary traffic must not trip");
-
-        // Abrupt shift: the label semantics rotate, so the frozen-baseline
-        // window error surges and the monitor trips.
-        let classes = data.num_classes();
-        for (record, &label) in data.records().iter().zip(data.labels()).skip(40).take(120) {
-            lane.submit_labelled(record, (label + 1) % classes).unwrap();
-        }
-        lane.flush().unwrap();
-
-        let stats = lane.stats();
-        assert!(stats.monitor_trips >= 1, "rotated labels must trip the monitor: {stats}");
-        assert!(stats.adaptations >= 1);
-        assert!(stats.regenerated_dimensions >= 1);
-        assert!(
-            stats.effective_dimension > 128,
-            "regeneration grows the effective dimension: {}",
-            stats.effective_dimension
-        );
-        assert!(stats.publishes >= 1, "auto-publish must fire after an adaptation");
-        assert_eq!(stats.publish_failures, 0);
-        let version = registry.version("edge").unwrap();
-        assert!(version >= 2, "the registry must have received a swap, got v{version}");
-        assert_eq!(stats.last_published_version, Some(version));
-        assert!(stats.max_publish_latency >= stats.p50_publish_latency);
-
-        // Auto-publications snapshot the model *at publish time*; the lane
-        // has kept learning since.  A manual publish hands the registry the
-        // current model, bit for bit.
-        let republished = lane.publish().unwrap();
-        assert_eq!(republished, version + 1);
-        let (published, _) = registry.current("edge").unwrap();
-        assert_eq!(published.to_bytes(), lane.seal_snapshot().to_bytes());
-    }
-
-    #[test]
-    fn adaptive_open_set_republish_recalibrates_thresholds() {
-        let data = dataset(600, 67);
-        let v1 = Detector::builder()
-            .dimension(128)
-            .retrain_epochs(2)
-            .regeneration_rate(0.1)
-            .open_set(0.05)
-            .seed(7)
-            .train(&data)
-            .unwrap();
-        let initial = v1.thresholds().unwrap().to_vec();
-        let registry = Arc::new(DetectorRegistry::new());
-        registry.register("edge", v1.clone()).unwrap();
-        let config =
-            AdaptiveConfig { monitor: touchy_monitor(), max_batch: 8, ..AdaptiveConfig::default() };
-        let lane = AdaptiveLane::with_registry("edge", v1, config, Arc::clone(&registry)).unwrap();
-
-        // Calm phase, then rotated labels: the error surge trips the
-        // monitor and each adaptation must recalibrate before publishing.
-        for (record, &label) in data.records().iter().zip(data.labels()).take(40) {
-            lane.submit_labelled(record, label).unwrap();
-        }
-        lane.flush().unwrap();
-        let classes = data.num_classes();
-        for (record, &label) in data.records().iter().zip(data.labels()).skip(40).take(120) {
-            lane.submit_labelled(record, (label + 1) % classes).unwrap();
-        }
-        lane.flush().unwrap();
-
-        let stats = lane.stats();
-        assert!(stats.monitor_trips >= 1, "rotated labels must trip the monitor: {stats}");
-        assert!(stats.recalibrations >= 1, "open-set adaptations must recalibrate: {stats}");
-        assert!(stats.reservoir_size > 0, "labelled flows must populate the reservoir: {stats}");
-        let thresholds = lane.thresholds_snapshot().expect("the lane must stay open-set");
-        assert_ne!(thresholds, initial, "recalibration must refresh the thresholds");
-        // The republished snapshot carries the recalibrated thresholds —
-        // the bug this PR fixes was publish dropping them entirely.
-        let (published, version) = registry.current("edge").unwrap();
-        assert!(version >= 2, "the adaptation must have republished, got v{version}");
-        assert_eq!(
-            published.thresholds(),
-            Some(thresholds.as_slice()),
-            "the published snapshot must carry the lane's recalibrated thresholds"
-        );
-        assert!(registry.info("edge").unwrap().open_set);
-    }
-
-    #[test]
-    fn batched_lanes_match_a_batched_replay_at_the_same_boundaries() {
-        let data = dataset(360, 71);
-        let artifact = Detector::builder()
-            .dimension(128)
-            .retrain_epochs(1)
-            .regeneration_rate(0.1)
-            .open_set(0.05)
-            .seed(9)
-            .train(&data)
-            .unwrap();
-        let thresholds = artifact.thresholds().unwrap().to_vec();
-        let batch = 9usize;
-        let config = AdaptiveConfig {
-            max_batch: batch,
-            queue_capacity: 512,
-            batched_feedback: true,
-            ..AdaptiveConfig::default()
-        };
-        let lane = AdaptiveLane::new("t0", artifact.clone(), config).unwrap();
-        let mut oracle = artifact.into_online().unwrap();
-
-        // The documented contract: bit-identical to a batched replay at
-        // the same flush boundaries.  The lane auto-flushes every
-        // `batch` submissions, so the oracle applies the same chunks —
-        // every score in a chunk against the frozen pre-chunk model, the
-        // labelled records learned through one deferred batch update.
-        let mut expected = Vec::new();
-        for chunk in data.records().chunks(batch) {
-            let base = expected.len();
-            let mut scores = Vec::new();
-            let mut records = Vec::new();
-            let mut labels = Vec::new();
-            for (i, record) in chunk.iter().enumerate() {
-                if (base + i) % 2 == 0 {
-                    lane.submit_labelled(record, data.labels()[base + i]).unwrap();
-                    records.push(record.clone());
-                    labels.push(data.labels()[base + i]);
-                    scores.push(None);
-                } else {
-                    lane.submit(record).unwrap();
-                    scores.push(Some(oracle.predict_scored(record).unwrap()));
-                }
-            }
-            let mut learned = std::collections::VecDeque::from(
-                oracle.observe_batch_scored(&records, &labels).unwrap(),
-            );
-            for score in scores {
-                let (class, similarity) =
-                    score.unwrap_or_else(|| learned.pop_front().expect("one score per label"));
-                let novel = similarity < thresholds[class];
-                expected.push(Verdict { class, similarity, novel });
-            }
-        }
-        let verdicts: Vec<Verdict> =
-            lane.drain_completed().into_iter().map(|(_, verdict)| verdict).collect();
-        assert_eq!(verdicts.len(), expected.len());
-        for (seq, (got, want)) in verdicts.iter().zip(&expected).enumerate() {
-            assert_eq!(got.class, want.class, "flow {seq}");
-            assert_eq!(got.similarity.to_bits(), want.similarity.to_bits(), "flow {seq}");
-            assert_eq!(got.novel, want.novel, "flow {seq}");
-        }
-        assert_eq!(
-            lane.seal_snapshot().to_bytes(),
-            oracle.seal_snapshot().to_bytes(),
-            "the lane's final model must match the batched replay bit for bit"
-        );
-    }
-
-    #[test]
-    fn reservoir_is_identical_across_flush_modes_and_bounded_by_capacity() {
-        let data = dataset(300, 73);
-        let artifact = Detector::builder()
-            .dimension(96)
-            .retrain_epochs(1)
-            .regeneration_rate(0.1)
-            .open_set(0.05)
-            .seed(11)
-            .train(&data)
-            .unwrap();
-        let base = AdaptiveConfig {
-            reservoir_capacity: 16,
-            queue_capacity: 512,
-            ..AdaptiveConfig::default()
-        };
-        // The reservoir is a pure function of the labelled event sequence:
-        // flush cadence and batched vs serial application must not move a
-        // single entry.
-        let serial = AdaptiveLane::new("t0", artifact.clone(), base).unwrap();
-        let chunky =
-            AdaptiveLane::new("t0", artifact.clone(), AdaptiveConfig { max_batch: 5, ..base })
-                .unwrap();
-        let batched = AdaptiveLane::new(
-            "t0",
-            artifact,
-            AdaptiveConfig { max_batch: 7, batched_feedback: true, ..base },
-        )
-        .unwrap();
-        for lane in [&serial, &chunky, &batched] {
-            for (record, &label) in data.records().iter().zip(data.labels()).take(120) {
-                lane.submit_labelled(record, label).unwrap();
-            }
-            lane.flush().unwrap();
-        }
-        let (entries, candidates) = serial.reservoir_snapshot();
-        assert_eq!(entries.len(), 16, "the reservoir must cap at its configured capacity");
-        assert_eq!(candidates, 120, "every labelled event is a candidate");
-        assert_eq!(serial.reservoir_snapshot(), chunky.reservoir_snapshot());
-        assert_eq!(serial.reservoir_snapshot(), batched.reservoir_snapshot());
-        assert_eq!(serial.stats().reservoir_size, 16);
-    }
-
-    #[test]
-    fn engine_and_adaptive_tickets_for_the_same_tenant_cannot_cross_collect() {
-        let data = dataset(300, 61);
-        let artifact = detector(&data, 3);
-        let registry = Arc::new(DetectorRegistry::new());
-        registry.register("edge", artifact.clone()).unwrap();
-        let engine = ServeEngine::new(Arc::clone(&registry), ServeConfig::default()).unwrap();
-        let lane = AdaptiveLane::with_registry(
-            "edge",
-            artifact,
-            AdaptiveConfig::default(),
-            Arc::clone(&registry),
-        )
-        .unwrap();
-
-        // Same tenant, same sequence number (both start at 0) — lane ids
-        // come from one process-global counter, so neither side can
-        // collect (and thereby consume) the other's verdict.
-        let engine_ticket = engine.submit("edge", &data.records()[0]).unwrap();
-        let lane_ticket = lane.submit(&data.records()[1]).unwrap();
-        assert_eq!(engine_ticket.seq(), lane_ticket.seq());
-        engine.flush("edge").unwrap();
-        lane.flush().unwrap();
-
-        assert!(matches!(lane.take(&engine_ticket), Err(ServeError::UnknownTicket)));
-        assert!(matches!(lane.try_take(&engine_ticket), Err(ServeError::UnknownTicket)));
-        assert!(matches!(lane.submit_feedback(&engine_ticket, 0), Err(ServeError::UnknownTicket)));
-        assert!(matches!(engine.take(&lane_ticket), Err(ServeError::UnknownTicket)));
-        // The rightful owners still collect.
-        assert!(engine.take(&engine_ticket).is_ok());
-        assert!(lane.take(&lane_ticket).is_ok());
-    }
-
-    #[test]
-    fn adaptive_publish_registers_unknown_tenants() {
-        let data = dataset(300, 59);
-        let registry = Arc::new(DetectorRegistry::new());
-        let lane = AdaptiveLane::with_registry(
-            "fresh",
-            detector(&data, 3),
-            AdaptiveConfig::default(),
-            Arc::clone(&registry),
-        )
-        .unwrap();
-        assert_eq!(lane.publish().unwrap(), 1, "publish registers an unknown tenant");
-        assert_eq!(lane.publish().unwrap(), 2, "and swaps once registered");
-        assert_eq!(registry.version("fresh"), Some(2));
-        // A lane without a registry refuses to publish.
-        let lonely =
-            AdaptiveLane::new("t0", detector(&data, 3), AdaptiveConfig::default()).unwrap();
-        assert!(matches!(lonely.publish(), Err(ServeError::InvalidConfig(_))));
     }
 }

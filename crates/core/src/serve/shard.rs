@@ -38,8 +38,9 @@ use super::admission::{
 use super::timer::DeadlineWheel;
 use super::{
     DetectorRegistry, LanePoll, ServeConfig, ServeEngine, ServeError, ServeResult, ServeStats,
-    Ticket, Verdict,
+    Ticket,
 };
+use crate::detector::Verdict;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
