@@ -1,26 +1,42 @@
 //! `cyberhd::durable` — crash-durable adaptive serving.
 //!
-//! An [`AdaptiveLane`] is a purely in-memory
-//! object: kill the process and the adapted model, the drift-monitor
-//! state and every retained flow die with it.  This module wraps the lane
-//! in a **write-ahead log plus checkpoint** pair so a restart resumes the
-//! lane *bit-identically* — same model bytes, same monitor windows, same
-//! sequence numbering, same verdicts for the replayed tail:
+//! An [`AdaptiveLane`] is a purely in-memory object: kill the process and
+//! the adapted model, the drift-monitor state and every retained flow die
+//! with it.  A [`DurableLane`] is the same lane with a **write-ahead
+//! journal** attached — a [`hdc::wal`] log plus sealed checkpoints in one
+//! directory — so a restart resumes the lane *bit-identically*: same model
+//! bytes, same monitor windows, same sequence numbering, same verdicts for
+//! the replayed tail.
 //!
-//! * every accepted event (flow submission, labelled submission, late
-//!   feedback) is appended to an [`hdc::wal`] log **before** it can be
-//!   applied to the model — the log is fsynced once per micro-batch, so
-//!   durability costs one `sync_data` per flush, not per flow;
-//! * every `checkpoint_every` applied events the lane's full state is
-//!   written to a sealed **checkpoint** file (model bytes via
+//! Durability is not a second lane wrapped around the first: the journal
+//! lives **inside** the adaptive lane, behind the lane's one mutex, and the
+//! lane calls it at the three points where durability actually happens:
+//!
+//! * **log before enqueue** — every accepted event (flow submission,
+//!   labelled submission, late feedback) is framed into the log before it
+//!   joins the lane's queue, so nothing can reach the model unlogged;
+//! * **fsync before apply** — a flush (explicit, `max_batch` watermark,
+//!   `max_delay` poll, or a `take` whose own flow is still queued) syncs the
+//!   log strictly before it applies the first queued event.  This is the
+//!   write-ahead invariant, and it lives in exactly one place — the lane's
+//!   flush — so durability costs one `sync_data` per micro-batch, not per
+//!   flow, and the journal adds no flush boundaries of its own: a durable
+//!   lane cuts its batches exactly where a plain one would;
+//! * **audit + checkpoint after apply** — the flush tells the journal what
+//!   it did (drift trips, regenerations, recalibrated thresholds, the
+//!   published version) and those land as audit records; every
+//!   `checkpoint_every` applied events the lane's full state is written to
+//!   a sealed **checkpoint** file (model bytes via
 //!   [`Detector::to_bytes`](crate::Detector::to_bytes), CRC-framed), the
 //!   WAL is compacted to the tail the oldest kept checkpoint still needs,
 //!   and checkpoints beyond `keep_checkpoints` are pruned — so replay
-//!   length, log size and recovery time all stay bounded;
-//! * [`DurableLane::recover`] loads the newest checkpoint that still
-//!   validates (corrupt ones are skipped, counted in the report), resumes
-//!   the WAL past any torn tail, and replays the surviving records
-//!   through the ordinary serving path.
+//!   length, log size and recovery time all stay bounded.
+//!
+//! [`DurableLane::recover`] loads the newest checkpoint that still
+//! validates (corrupt ones are skipped, counted in the report), resumes
+//! the WAL past any torn tail, replays the surviving records into the
+//! restored — still journal-less — lane through its ordinary serving path,
+//! and only then attaches the resumed journal.
 //!
 //! Recovery is bit-identical for the same reason the adaptive lane is
 //! deterministic at all: events are applied strictly in submission order
@@ -83,9 +99,10 @@ use crate::serve::{
 };
 use hdc::codec::{CodecError, CodecResult, Reader, Writer};
 use hdc::wal;
+use std::collections::VecDeque;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Magic prefix of a checkpoint file.
@@ -121,7 +138,7 @@ const TAG_BATCH_BOUNDARY: u8 = 7;
 /// Durability policy of a [`DurableLane`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct DurableConfig {
-    /// The wrapped lane's serving and adaptation policy.
+    /// The lane's serving and adaptation policy.
     pub adaptive: AdaptiveConfig,
     /// Write a checkpoint (and compact the log) once this many events
     /// have been applied since the last one — the replay-length bound.
@@ -148,14 +165,6 @@ impl DurableConfig {
         }
         Ok(())
     }
-
-    /// The wrapped lane's configuration with its *internal* auto-flush
-    /// neutralized (pushed out to the queue-capacity bound): the durable
-    /// wrapper must fsync the log **before** events apply, so it enforces
-    /// the real `max_batch` watermark itself.
-    fn inner_adaptive(&self) -> AdaptiveConfig {
-        AdaptiveConfig { max_batch: self.adaptive.queue_capacity, ..self.adaptive }
-    }
 }
 
 /// What [`DurableLane::recover`] found and did.
@@ -178,39 +187,212 @@ pub struct RecoveryReport {
     pub checkpoints_skipped: usize,
 }
 
-/// Mutable durability state behind the [`DurableLane`] mutex.
-///
-/// Lock order: this mutex is taken **first**, the wrapped lane's internal
-/// mutex second (inside the lane's own methods) — nothing ever takes them
-/// the other way around.
-#[derive(Debug)]
-struct DurableState {
-    wal: wal::Writer,
-    /// Next event index (tags 0–2 logged so far, checkpoint included).
-    events: u64,
-    /// Events applied (flushed into the model), for the checkpoint cadence.
-    applied: u64,
-    /// Event count of the last checkpoint written.
-    checkpointed: u64,
-    /// Stats watermarks for the audit records (tags 3–6).
-    trips: usize,
-    adaptations: u64,
-    regenerated: u64,
-    publishes: u64,
-    recalibrations: u64,
+/// The cumulative adaptation counters the audit records (tags 3, 4, 6)
+/// report; a flush compares them before and after applying its events.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AuditMarks {
+    pub(crate) trips: u64,
+    pub(crate) adaptations: u64,
+    pub(crate) regenerated: u64,
+    pub(crate) recalibrations: u64,
 }
 
-/// A crash-durable [`AdaptiveLane`] (see the [module docs](self)).
+/// The write-ahead journal a durable lane's [`AdaptiveLane`] owns: the
+/// WAL writer, the checkpoint cadence and the event counters.  The lane
+/// calls it at the three points where durability happens — *log before
+/// enqueue* ([`Journal::log_flow`] / [`Journal::log_feedback`]), *fsync
+/// before apply* ([`Journal::commit`]), *audit + checkpoint after apply*
+/// ([`Journal::audit`], [`Journal::checkpoint`]) — under the lane's own
+/// mutex, so the journal needs no synchronisation of its own.
+#[derive(Debug)]
+pub(crate) struct Journal {
+    wal: wal::Writer,
+    dir: PathBuf,
+    /// The lane's policy: the cadence and keep bound steer checkpointing,
+    /// and every checkpoint file carries the whole of it.
+    config: DurableConfig,
+    /// Next event index (tags 0–2 logged so far, checkpoint included).
+    /// Between flushes the lane's queue holds the unapplied tail; at
+    /// every flush boundary this is also the count of applied events.
+    events: u64,
+    /// Event count of the last checkpoint written.
+    checkpointed: u64,
+}
+
+impl Journal {
+    /// Events logged so far (flows + feedback, durable or pending).
+    pub(crate) fn events(&self) -> u64 {
+        self.events
+    }
+
+    /// Buffers one framed record for the next [`Journal::commit`].
+    fn append(&mut self, record: Writer) -> ServeResult<()> {
+        self.wal
+            .append(&record.into_bytes())
+            .map_err(|e| ServeError::Durability(format!("append to WAL: {e}")))
+    }
+
+    /// Logs a flow submission (tag 0, or tag 1 with its label) as the
+    /// next event.
+    pub(crate) fn log_flow(
+        &mut self,
+        seq: u64,
+        record: &[f32],
+        label: Option<usize>,
+    ) -> ServeResult<()> {
+        let mut w = self.record(if label.is_some() { TAG_FLOW_LABELLED } else { TAG_FLOW });
+        w.u64(seq);
+        if let Some(label) = label {
+            w.usize(label);
+        }
+        w.f32_slice(record);
+        self.append(w)?;
+        self.events += 1;
+        Ok(())
+    }
+
+    /// Logs late ground truth for flow `seq` (tag 2) as the next event.
+    pub(crate) fn log_feedback(&mut self, seq: u64, label: usize) -> ServeResult<()> {
+        let mut w = self.record(TAG_FEEDBACK);
+        w.u64(seq);
+        w.usize(label);
+        self.append(w)?;
+        self.events += 1;
+        Ok(())
+    }
+
+    /// Makes everything logged so far durable with one fsync.  A
+    /// batched-feedback lane about to apply events passes `close_batch`:
+    /// the boundary marker (tag 7) closing them rides the same sync, so
+    /// recovery replays the tail batched at these exact boundaries.
+    pub(crate) fn commit(&mut self, close_batch: bool) -> ServeResult<()> {
+        if close_batch {
+            self.append(self.record(TAG_BATCH_BOUNDARY))?;
+        }
+        self.wal.flush().map_err(|e| ServeError::Durability(format!("sync WAL: {e}")))
+    }
+
+    /// Appends audit records (tags 3, 4, 6) for whatever the flush that
+    /// moved the counters from `before` to `after` did.  They ride the
+    /// next fsync — losing them in a crash is fine, replay reconstructs
+    /// the same state without them.
+    pub(crate) fn audit(
+        &mut self,
+        before: AuditMarks,
+        after: AuditMarks,
+        thresholds: Option<&[f32]>,
+    ) -> ServeResult<()> {
+        if after.trips > before.trips {
+            let mut w = self.record(TAG_DRIFT_TRIP);
+            w.u64(after.trips);
+            self.append(w)?;
+        }
+        if after.adaptations > before.adaptations || after.regenerated > before.regenerated {
+            let mut w = self.record(TAG_REGENERATION);
+            w.u64(after.adaptations);
+            w.u64(after.regenerated);
+            self.append(w)?;
+        }
+        if after.recalibrations > before.recalibrations {
+            // The thresholds the recalibration produced ride along so an
+            // operator can diff threshold drift straight off the log.
+            let mut w = self.record(TAG_RECALIBRATION);
+            w.u64(after.recalibrations);
+            w.f32_slice(thresholds.unwrap_or_default());
+            self.append(w)?;
+        }
+        Ok(())
+    }
+
+    /// Appends the audit record (tag 5) of the lane's `publishes`-th
+    /// publication, which the registry accepted as `version`.
+    pub(crate) fn log_publish(&mut self, publishes: u64, version: u64) -> ServeResult<()> {
+        let mut w = self.record(TAG_PUBLISH);
+        w.u64(publishes);
+        w.u64(version);
+        self.append(w)
+    }
+
+    /// The common head of every record: its tag and the event index it is
+    /// written at (an event's own index; for audit and boundary records
+    /// the count of events logged before them).
+    fn record(&self, tag: u8) -> Writer {
+        let mut w = Writer::new();
+        w.u8(tag);
+        w.u64(self.events);
+        w
+    }
+
+    /// Whether a flush boundary has crossed the checkpoint cadence.
+    pub(crate) fn checkpoint_due(&self) -> bool {
+        self.events - self.checkpointed >= self.config.checkpoint_every
+    }
+
+    /// Syncs any pending audit records, writes a checkpoint of `state`
+    /// (the lane's queue must be empty — only called at flush boundaries
+    /// or creation), prunes old checkpoints and compacts the WAL.
+    pub(crate) fn checkpoint(&mut self, state: &LaneCheckpoint) -> ServeResult<()> {
+        self.commit(false)?;
+        let bytes = encode_checkpoint(&self.config, self.events, state);
+        replace_file(&self.dir.join(format!("checkpoint-{:020}.ckpt", self.events)), &bytes)?;
+        self.checkpointed = self.events;
+
+        // Prune checkpoints beyond the keep bound (newest first).
+        let checkpoints = list_checkpoints(&self.dir)?;
+        let mut oldest_kept = self.events;
+        for (i, old) in checkpoints.iter().enumerate() {
+            if i < self.config.keep_checkpoints {
+                if let Some(events) = checkpoint_events_of(old) {
+                    oldest_kept = oldest_kept.min(events);
+                }
+            } else {
+                let _ = fs::remove_file(old);
+            }
+        }
+
+        // Compact the WAL: records below what the oldest kept checkpoint
+        // needs are dead weight on every future recovery.
+        self.compact_wal(oldest_kept)
+    }
+
+    /// Rewrites the WAL keeping only events at or past `oldest_kept`
+    /// (audit records are dropped — they are advisory; batch-boundary
+    /// markers survive with the events they close, so a batched replay
+    /// keeps its boundaries).  The writer resumes on the compacted file.
+    fn compact_wal(&mut self, oldest_kept: u64) -> ServeResult<()> {
+        let path = self.wal.path().to_path_buf();
+        let scan =
+            wal::read_file(&path).map_err(|e| ServeError::Durability(format!("read WAL: {e}")))?;
+        let mut compacted: Vec<u8> = Vec::with_capacity(wal::HEADER_LEN);
+        compacted.extend_from_slice(wal::MAGIC);
+        compacted.extend_from_slice(&wal::VERSION.to_le_bytes());
+        for record in &scan.records {
+            let keep = match decode_event(record)? {
+                Some(event) => event.index >= oldest_kept,
+                None => false,
+            };
+            if keep {
+                compacted.extend_from_slice(&wal::frame(record));
+            }
+        }
+        replace_file(&path, &compacted)?;
+        self.wal = wal::Writer::resume(&path, compacted.len() as u64)
+            .map_err(|e| ServeError::Durability(format!("resume compacted WAL: {e}")))?;
+        Ok(())
+    }
+}
+
+/// A crash-durable [`AdaptiveLane`] (see the [module docs](self)): the
+/// lane with its write-ahead journal attached, plus where it lives on disk.
 ///
-/// All methods take `&self`; the durability state sits behind one mutex,
-/// so concurrent submitters serialize exactly as they do on the wrapped
-/// lane.
+/// All methods take `&self` and delegate to the lane; the journal sits
+/// behind the lane's own mutex, so concurrent submitters serialize exactly
+/// as they do on a plain adaptive lane.
 #[derive(Debug)]
 pub struct DurableLane {
     lane: AdaptiveLane,
     config: DurableConfig,
     dir: PathBuf,
-    state: Mutex<DurableState>,
 }
 
 impl DurableLane {
@@ -240,35 +422,13 @@ impl DurableLane {
                 dir.display()
             )));
         }
-        let lane = match registry {
-            Some(registry) => {
-                AdaptiveLane::with_registry(tenant, detector, config.inner_adaptive(), registry)?
-            }
-            None => AdaptiveLane::new(tenant, detector, config.inner_adaptive())?,
-        };
+        let lane = AdaptiveLane::build(tenant, detector, config.adaptive, registry)?;
         let wal = wal::Writer::create(&wal_path)
             .map_err(|e| ServeError::Durability(format!("create WAL: {e}")))?;
-        let durable = Self {
-            lane,
-            config,
-            dir,
-            state: Mutex::new(DurableState {
-                wal,
-                events: 0,
-                applied: 0,
-                checkpointed: 0,
-                trips: 0,
-                adaptations: 0,
-                regenerated: 0,
-                publishes: 0,
-                recalibrations: 0,
-            }),
-        };
-        {
-            let mut state = durable.state.lock().expect("durable state lock");
-            durable.write_checkpoint(&mut state)?;
-        }
-        Ok(durable)
+        let journal =
+            Journal { wal, dir: dir.clone(), config: config.clone(), events: 0, checkpointed: 0 };
+        lane.attach_journal(journal, true)?;
+        Ok(Self { lane, config, dir })
     }
 
     /// Recovers the durable lane stored in `dir`: loads the newest
@@ -357,19 +517,32 @@ impl DurableLane {
         let wal = wal::Writer::resume(&wal_path, valid_len as u64)
             .map_err(|e| ServeError::Durability(format!("resume WAL: {e}")))?;
 
-        let lane = AdaptiveLane::restore(config.inner_adaptive(), registry, state)?;
-
-        // Replay the tail: records the checkpoint already covers are
-        // skipped, the rest must be contiguous and must reproduce the
-        // exact sequence numbers the log recorded.  Serial lanes flush at
-        // the batch watermark (flush boundaries cannot change serial
-        // results); batched-feedback lanes flush **only** at the logged
-        // boundary markers, because their contract is bit-identity to a
-        // batched replay *at the same boundaries*.
-        let mut replayed = 0u64;
+        // Replay the tail into the restored, still journal-less lane
+        // through its ordinary serving path: records the checkpoint
+        // already covers are skipped, the rest must be contiguous and
+        // must reproduce the exact sequence numbers the log recorded.
+        // The lane flushes itself at the `max_batch` watermark exactly
+        // where the original did; a batched-feedback lane additionally
+        // flushes at every logged boundary marker, because its contract
+        // is bit-identity to a batched replay *at the same boundaries*.
+        let lane = AdaptiveLane::restore(config.adaptive, registry, state)?;
         let mut next_event = checkpoint_events;
         let mut verdicts: Vec<(u64, Verdict)> = Vec::new();
-        let mut pending = 0usize;
+        // Tickets of replayed flows not yet served, oldest first; they are
+        // collected as their verdicts appear, so a long tail can never
+        // hit its own backpressure bound.
+        let mut tickets: VecDeque<Ticket> = VecDeque::new();
+        let mut collect =
+            |lane: &AdaptiveLane, tickets: &mut VecDeque<Ticket>| -> ServeResult<()> {
+                while let Some(ticket) = tickets.front() {
+                    match lane.try_take(ticket)? {
+                        Some(verdict) => verdicts.push((ticket.seq(), verdict)),
+                        None => break,
+                    }
+                    tickets.pop_front();
+                }
+                Ok(())
+            };
         for record in &records {
             let event = match decode_event(record)? {
                 Some(event) => event,
@@ -378,33 +551,22 @@ impl DurableLane {
             if event.index < checkpoint_events {
                 continue;
             }
-            if matches!(event.kind, EventKind::Boundary) {
-                // The original lane flushed here; the marker carries the
-                // event count it closed, so it must land exactly where
-                // replay stands (== checkpoint_events is the no-op
-                // boundary the checkpoint itself was cut at).
-                if event.index != next_event {
-                    return Err(ServeError::Durability(format!(
-                        "WAL batch boundary closes event {} but replay stands at {next_event}",
-                        event.index
-                    )));
-                }
-                if pending > 0 {
-                    lane.flush()?;
-                    verdicts.extend(lane.drain_completed());
-                    pending = 0;
-                }
-                continue;
-            }
+            // A boundary marker carries the event count it closed, so it
+            // must land exactly where replay stands (== checkpoint_events
+            // is the no-op boundary the checkpoint itself was cut at).
+            let boundary = matches!(event.kind, EventKind::Boundary);
             if event.index != next_event {
+                let what = if boundary { "a batch boundary closing event" } else { "event" };
                 return Err(ServeError::Durability(format!(
-                    "WAL does not extend the checkpoint: expected event {next_event}, log holds \
-                     {}",
+                    "WAL does not extend the checkpoint: replay stands at event {next_event}, \
+                     log holds {what} {}",
                     event.index
                 )));
             }
             match event.kind {
-                EventKind::Boundary => unreachable!("boundary markers are handled above"),
+                EventKind::Boundary => {
+                    lane.flush()?;
+                }
                 EventKind::Flow { seq, record, label } => {
                     let ticket = match label {
                         Some(label) => lane.submit_labelled(&record, label),
@@ -419,49 +581,32 @@ impl DurableLane {
                             ticket.seq()
                         )));
                     }
+                    tickets.push_back(ticket);
                 }
                 EventKind::Feedback { seq, label } => {
-                    lane.submit_feedback(&lane.ticket_for(seq), label)
+                    lane.submit_feedback(&lane.reissue_ticket(seq), label)
                         .map_err(|e| replay_err(event.index, &e))?;
                 }
             }
-            next_event += 1;
-            replayed += 1;
-            pending += 1;
-            // Drain as we go: nobody collects tickets during replay, so
-            // without this a long tail would hit its own backpressure.
-            // Batched lanes skip this — their flush points are the logged
-            // boundary markers, and the original lane's own flushes bound
-            // the gap between boundaries by the queue capacity.
-            if !config.adaptive.batched_feedback && pending >= config.adaptive.max_batch {
-                lane.flush()?;
-                verdicts.extend(lane.drain_completed());
-                pending = 0;
-            }
+            next_event += u64::from(!boundary);
+            collect(&lane, &mut tickets)?;
         }
         // For batched lanes this is a no-op: every committed event was
         // closed by a boundary marker, so the queue is already empty.
         lane.flush()?;
-        verdicts.extend(lane.drain_completed());
-        verdicts.sort_unstable_by_key(|&(seq, _)| seq);
+        collect(&lane, &mut tickets)?;
 
-        let stats = lane.stats();
-        let durable = Self {
-            lane,
-            config,
-            dir,
-            state: Mutex::new(DurableState {
-                wal,
-                events: next_event,
-                applied: next_event,
-                checkpointed: checkpoint_events,
-                trips: stats.monitor_trips,
-                adaptations: stats.adaptations,
-                regenerated: stats.regenerated_dimensions,
-                publishes: stats.publishes,
-                recalibrations: stats.recalibrations,
-            }),
+        // Replay may have crossed the checkpoint cadence; checkpointing
+        // now bounds the next recovery instead of re-replaying this tail.
+        let replayed = next_event - checkpoint_events;
+        let journal = Journal {
+            wal,
+            dir: dir.clone(),
+            config: config.clone(),
+            events: next_event,
+            checkpointed: checkpoint_events,
         };
+        lane.attach_journal(journal, replayed >= config.checkpoint_every)?;
         let report = RecoveryReport {
             checkpoint_events,
             events_replayed: replayed,
@@ -470,13 +615,7 @@ impl DurableLane {
             truncated_bytes,
             checkpoints_skipped: skipped,
         };
-        // Replay may have crossed the checkpoint cadence; checkpointing
-        // now bounds the next recovery instead of re-replaying this tail.
-        if replayed >= durable.config.checkpoint_every {
-            let mut state = durable.state.lock().expect("durable state lock");
-            durable.sync_and_checkpoint(&mut state)?;
-        }
-        Ok((durable, report))
+        Ok((Self { lane, config, dir }, report))
     }
 
     /// The tenant this lane serves.
@@ -499,11 +638,11 @@ impl DurableLane {
     ///
     /// # Errors
     ///
-    /// The wrapped lane's submit errors, plus [`ServeError::Durability`]
+    /// [`AdaptiveLane::submit`]'s errors, plus [`ServeError::Durability`]
     /// when the batch watermark forces a flush and the log cannot be
     /// synced.
     pub fn submit(&self, record: &[f32]) -> ServeResult<Ticket> {
-        self.submit_event(record, None)
+        self.lane.submit(record)
     }
 
     /// Submits one labelled raw flow — [`AdaptiveLane::submit_labelled`],
@@ -513,39 +652,7 @@ impl DurableLane {
     ///
     /// Same as [`DurableLane::submit`].
     pub fn submit_labelled(&self, record: &[f32], label: usize) -> ServeResult<Ticket> {
-        self.submit_event(record, Some(label))
-    }
-
-    fn submit_event(&self, record: &[f32], label: Option<usize>) -> ServeResult<Ticket> {
-        let mut state = self.state.lock().expect("durable state lock");
-        let ticket = match label {
-            Some(label) => self.lane.submit_labelled(record, label)?,
-            None => self.lane.submit(record)?,
-        };
-        let mut w = Writer::new();
-        match label {
-            Some(label) => {
-                w.u8(TAG_FLOW_LABELLED);
-                w.u64(state.events);
-                w.u64(ticket.seq());
-                w.usize(label);
-            }
-            None => {
-                w.u8(TAG_FLOW);
-                w.u64(state.events);
-                w.u64(ticket.seq());
-            }
-        }
-        w.f32_slice(record);
-        state
-            .wal
-            .append(&w.into_bytes())
-            .map_err(|e| ServeError::Durability(format!("append to WAL: {e}")))?;
-        state.events += 1;
-        if state.events - state.applied >= self.config.adaptive.max_batch as u64 {
-            self.flush_locked(&mut state)?;
-        }
-        Ok(ticket)
+        self.lane.submit_labelled(record, label)
     }
 
     /// Applies late ground truth through a ticket —
@@ -556,22 +663,7 @@ impl DurableLane {
     /// Same as [`AdaptiveLane::submit_feedback`], plus
     /// [`ServeError::Durability`] on log failures.
     pub fn submit_feedback(&self, ticket: &Ticket, label: usize) -> ServeResult<()> {
-        let mut state = self.state.lock().expect("durable state lock");
-        self.lane.submit_feedback(ticket, label)?;
-        let mut w = Writer::new();
-        w.u8(TAG_FEEDBACK);
-        w.u64(state.events);
-        w.u64(ticket.seq());
-        w.usize(label);
-        state
-            .wal
-            .append(&w.into_bytes())
-            .map_err(|e| ServeError::Durability(format!("append to WAL: {e}")))?;
-        state.events += 1;
-        if state.events - state.applied >= self.config.adaptive.max_batch as u64 {
-            self.flush_locked(&mut state)?;
-        }
-        Ok(())
+        self.lane.submit_feedback(ticket, label)
     }
 
     /// Flushes now: fsyncs the log, applies the queued events, appends
@@ -581,11 +673,10 @@ impl DurableLane {
     /// # Errors
     ///
     /// [`ServeError::Durability`] when the log or a checkpoint cannot be
-    /// written; the queued events stay queued (and stay in the WAL
-    /// buffer), so the call can be retried.
+    /// written; if the log could not be synced the queued events stay
+    /// queued (and stay in the WAL buffer), so the call can be retried.
     pub fn flush(&self) -> ServeResult<usize> {
-        let mut state = self.state.lock().expect("durable state lock");
-        self.flush_locked(&mut state)
+        self.lane.flush()
     }
 
     /// Flushes if the oldest queued event has waited at least
@@ -595,169 +686,10 @@ impl DurableLane {
     ///
     /// Same as [`DurableLane::flush`].
     pub fn poll(&self) -> ServeResult<usize> {
-        let mut state = self.state.lock().expect("durable state lock");
-        if self.lane.poll_due() {
-            self.flush_locked(&mut state)
-        } else {
-            Ok(0)
-        }
+        self.lane.poll_checked()
     }
 
-    /// The write-ahead invariant lives here: `wal.flush()` (buffered
-    /// append + one fsync) happens strictly **before** the lane applies
-    /// the events, so every event that ever touched the model is durable.
-    /// Batched-feedback lanes also log a batch-boundary marker closing the
-    /// pending events — it rides the same fsync as the events it closes,
-    /// so recovery replays the tail batched at these exact boundaries.
-    fn flush_locked(&self, state: &mut DurableState) -> ServeResult<usize> {
-        if self.config.adaptive.batched_feedback && state.events > state.applied {
-            let mut w = Writer::new();
-            w.u8(TAG_BATCH_BOUNDARY);
-            w.u64(state.events);
-            state
-                .wal
-                .append(&w.into_bytes())
-                .map_err(|e| ServeError::Durability(format!("append to WAL: {e}")))?;
-        }
-        state.wal.flush().map_err(|e| ServeError::Durability(format!("sync WAL: {e}")))?;
-        let served = self.lane.flush()?;
-        state.applied = state.events;
-        self.append_audit(state)?;
-        if state.applied - state.checkpointed >= self.config.checkpoint_every {
-            self.sync_and_checkpoint(state)?;
-        }
-        Ok(served)
-    }
-
-    /// Appends audit records (tags 3–6) for adaptation activity since the
-    /// last flush.  They ride the next fsync — losing them in a crash is
-    /// fine, replay reconstructs the same state without them.
-    fn append_audit(&self, state: &mut DurableState) -> ServeResult<()> {
-        let stats = self.lane.stats();
-        if stats.monitor_trips > state.trips {
-            let mut w = Writer::new();
-            w.u8(TAG_DRIFT_TRIP);
-            w.u64(state.applied);
-            w.u64(stats.monitor_trips as u64);
-            state
-                .wal
-                .append(&w.into_bytes())
-                .map_err(|e| ServeError::Durability(format!("append to WAL: {e}")))?;
-            state.trips = stats.monitor_trips;
-        }
-        if stats.adaptations > state.adaptations || stats.regenerated_dimensions > state.regenerated
-        {
-            let mut w = Writer::new();
-            w.u8(TAG_REGENERATION);
-            w.u64(state.applied);
-            w.u64(stats.adaptations);
-            w.u64(stats.regenerated_dimensions);
-            state
-                .wal
-                .append(&w.into_bytes())
-                .map_err(|e| ServeError::Durability(format!("append to WAL: {e}")))?;
-            state.adaptations = stats.adaptations;
-            state.regenerated = stats.regenerated_dimensions;
-        }
-        if stats.recalibrations > state.recalibrations {
-            // The thresholds the recalibration produced ride along so an
-            // operator can diff threshold drift straight off the log.
-            let mut w = Writer::new();
-            w.u8(TAG_RECALIBRATION);
-            w.u64(state.applied);
-            w.u64(stats.recalibrations);
-            w.f32_slice(&self.lane.thresholds_snapshot().unwrap_or_default());
-            state
-                .wal
-                .append(&w.into_bytes())
-                .map_err(|e| ServeError::Durability(format!("append to WAL: {e}")))?;
-            state.recalibrations = stats.recalibrations;
-        }
-        if stats.publishes > state.publishes {
-            let mut w = Writer::new();
-            w.u8(TAG_PUBLISH);
-            w.u64(state.applied);
-            w.u64(stats.publishes);
-            w.u64(stats.last_published_version.unwrap_or(0));
-            state
-                .wal
-                .append(&w.into_bytes())
-                .map_err(|e| ServeError::Durability(format!("append to WAL: {e}")))?;
-            state.publishes = stats.publishes;
-        }
-        Ok(())
-    }
-
-    /// Syncs any pending audit records, then checkpoints and compacts.
-    fn sync_and_checkpoint(&self, state: &mut DurableState) -> ServeResult<()> {
-        state.wal.flush().map_err(|e| ServeError::Durability(format!("sync WAL: {e}")))?;
-        self.write_checkpoint(state)
-    }
-
-    /// Writes a checkpoint of the lane's current state (queue must be
-    /// empty — only called at flush boundaries or creation), prunes old
-    /// checkpoints and compacts the WAL.
-    fn write_checkpoint(&self, state: &mut DurableState) -> ServeResult<()> {
-        let bytes = encode_checkpoint(&self.config, state.applied, &self.lane.checkpoint_state());
-        let name = format!("checkpoint-{:020}.ckpt", state.applied);
-        let path = self.dir.join(&name);
-        let tmp = self.dir.join(format!("{name}.tmp"));
-        fs::write(&tmp, &bytes).map_err(|e| io_err("write checkpoint", &tmp, &e))?;
-        sync_file(&tmp)?;
-        fs::rename(&tmp, &path).map_err(|e| io_err("publish checkpoint", &path, &e))?;
-        sync_dir(&self.dir);
-        state.checkpointed = state.applied;
-
-        // Prune checkpoints beyond the keep bound (newest first).
-        let checkpoints = list_checkpoints(&self.dir)?;
-        let mut oldest_kept = state.applied;
-        for (i, old) in checkpoints.iter().enumerate() {
-            if i < self.config.keep_checkpoints {
-                if let Some(events) = checkpoint_events_of(old) {
-                    oldest_kept = oldest_kept.min(events);
-                }
-            } else {
-                let _ = fs::remove_file(old);
-            }
-        }
-
-        // Compact the WAL: records below what the oldest kept checkpoint
-        // needs are dead weight on every future recovery.
-        self.compact_wal(state, oldest_kept)
-    }
-
-    /// Rewrites the WAL keeping only events at or past `oldest_kept`
-    /// (audit records are dropped — they are advisory; batch-boundary
-    /// markers survive with the events they close, so a batched replay
-    /// keeps its boundaries).  Atomic via tmp + rename; the writer
-    /// resumes on the compacted file.
-    fn compact_wal(&self, state: &mut DurableState, oldest_kept: u64) -> ServeResult<()> {
-        let path = state.wal.path().to_path_buf();
-        let scan =
-            wal::read_file(&path).map_err(|e| ServeError::Durability(format!("read WAL: {e}")))?;
-        let mut compacted: Vec<u8> = Vec::with_capacity(wal::HEADER_LEN);
-        compacted.extend_from_slice(wal::MAGIC);
-        compacted.extend_from_slice(&wal::VERSION.to_le_bytes());
-        for record in &scan.records {
-            let keep = match decode_event(record)? {
-                Some(event) => event.index >= oldest_kept,
-                None => false,
-            };
-            if keep {
-                compacted.extend_from_slice(&wal::frame(record));
-            }
-        }
-        let tmp = path.with_extension("log.tmp");
-        fs::write(&tmp, &compacted).map_err(|e| io_err("write compacted WAL", &tmp, &e))?;
-        sync_file(&tmp)?;
-        fs::rename(&tmp, &path).map_err(|e| io_err("publish compacted WAL", &path, &e))?;
-        sync_dir(&self.dir);
-        state.wal = wal::Writer::resume(&path, compacted.len() as u64)
-            .map_err(|e| ServeError::Durability(format!("resume compacted WAL: {e}")))?;
-        Ok(())
-    }
-
-    /// Collects a ticket's verdict, durably flushing first if the flow is
+    /// Collects a ticket's verdict, durably flushing first if its flow is
     /// still queued (the write-ahead invariant covers every path that
     /// applies events, this one included).
     ///
@@ -766,12 +698,6 @@ impl DurableLane {
     /// Same as [`AdaptiveLane::take`], plus [`ServeError::Durability`]
     /// when the forced flush cannot sync the log.
     pub fn take(&self, ticket: &Ticket) -> ServeResult<Verdict> {
-        {
-            let mut state = self.state.lock().expect("durable state lock");
-            if state.events > state.applied {
-                self.flush_locked(&mut state)?;
-            }
-        }
         self.lane.take(ticket)
     }
 
@@ -789,7 +715,7 @@ impl DurableLane {
     /// post-recovery path for feedback on flows whose original tickets
     /// died with the crashed process.
     pub fn reissue_ticket(&self, seq: u64) -> Ticket {
-        self.lane.ticket_for(seq)
+        self.lane.reissue_ticket(seq)
     }
 
     /// Publishes a sealed snapshot to the registry now (see
@@ -831,7 +757,7 @@ impl DurableLane {
 
     /// Events logged so far (flows + feedback, durable or pending).
     pub fn events(&self) -> u64 {
-        self.state.lock().expect("durable state lock").events
+        self.lane.journal_events().expect("a durable lane always has its journal")
     }
 }
 
@@ -856,35 +782,25 @@ enum EventKind {
     Boundary,
 }
 
-/// Decodes one WAL payload; `Ok(None)` for audit tags, an error for byte
-/// soup — never a panic.
+/// Decodes one WAL payload ([`Journal::record`]'s head, then the tag's
+/// fields); `Ok(None)` for audit tags, an error for byte soup — never a
+/// panic.
 fn decode_event(payload: &[u8]) -> ServeResult<Option<LoggedEvent>> {
-    let r = &mut Reader::new(payload);
     let parse = |r: &mut Reader<'_>| -> CodecResult<Option<LoggedEvent>> {
         let tag = r.u8()?;
-        let event = match tag {
-            TAG_FLOW => LoggedEvent {
-                index: r.u64()?,
-                kind: EventKind::Flow { seq: r.u64()?, label: None, record: r.f32_vec()? },
-            },
-            TAG_FLOW_LABELLED => {
-                let index = r.u64()?;
+        if matches!(tag, TAG_DRIFT_TRIP | TAG_REGENERATION | TAG_PUBLISH | TAG_RECALIBRATION) {
+            return Ok(None);
+        }
+        let index = r.u64()?;
+        let kind = match tag {
+            TAG_FLOW | TAG_FLOW_LABELLED => {
                 let seq = r.u64()?;
-                let label = r.usize()?;
-                LoggedEvent {
-                    index,
-                    kind: EventKind::Flow { seq, label: Some(label), record: r.f32_vec()? },
-                }
+                let label = if tag == TAG_FLOW_LABELLED { Some(r.usize()?) } else { None };
+                EventKind::Flow { seq, label, record: r.f32_vec()? }
             }
-            TAG_FEEDBACK => LoggedEvent {
-                index: r.u64()?,
-                kind: EventKind::Feedback { seq: r.u64()?, label: r.usize()? },
-            },
-            TAG_BATCH_BOUNDARY => LoggedEvent { index: r.u64()?, kind: EventKind::Boundary },
-            TAG_DRIFT_TRIP | TAG_REGENERATION | TAG_PUBLISH | TAG_RECALIBRATION => return Ok(None),
-            other => {
-                return Err(CodecError::Invalid(format!("unknown WAL record tag {other}")));
-            }
+            TAG_FEEDBACK => EventKind::Feedback { seq: r.u64()?, label: r.usize()? },
+            TAG_BATCH_BOUNDARY => EventKind::Boundary,
+            other => return Err(CodecError::Invalid(format!("unknown WAL record tag {other}"))),
         };
         if !r.is_exhausted() {
             return Err(CodecError::Invalid(format!(
@@ -892,9 +808,10 @@ fn decode_event(payload: &[u8]) -> ServeResult<Option<LoggedEvent>> {
                 r.remaining()
             )));
         }
-        Ok(Some(event))
+        Ok(Some(LoggedEvent { index, kind }))
     };
-    parse(r).map_err(|e| ServeError::Durability(format!("malformed WAL record: {e}")))
+    parse(&mut Reader::new(payload))
+        .map_err(|e| ServeError::Durability(format!("malformed WAL record: {e}")))
 }
 
 /// The error for a replayed event the lane refused — the log and the
@@ -1105,17 +1022,22 @@ fn io_err(what: &str, path: &Path, e: &std::io::Error) -> ServeError {
     ServeError::Durability(format!("{what} {}: {e}", path.display()))
 }
 
-fn sync_file(path: &Path) -> ServeResult<()> {
-    fs::File::open(path).and_then(|f| f.sync_data()).map_err(|e| io_err("sync", path, &e))
-}
-
-/// Best-effort directory fsync (makes renames durable on crash-consistent
-/// filesystems; failure is not fatal — the matrix tests inject file-level
-/// faults, not directory-entry loss).
-fn sync_dir(dir: &Path) {
-    if let Ok(f) = fs::File::open(dir) {
-        let _ = f.sync_data();
+/// Atomically writes `bytes` to `path`: a `<name>.tmp` sibling is written
+/// and fsynced, renamed over `path`, and the directory entry synced
+/// (best-effort — it makes the rename durable on crash-consistent
+/// filesystems; the matrix tests inject file-level faults, not
+/// directory-entry loss).
+fn replace_file(path: &Path, bytes: &[u8]) -> ServeResult<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    fs::write(&tmp, bytes).map_err(|e| io_err("write", &tmp, &e))?;
+    fs::File::open(&tmp).and_then(|f| f.sync_data()).map_err(|e| io_err("sync", &tmp, &e))?;
+    fs::rename(&tmp, path).map_err(|e| io_err("publish", path, &e))?;
+    if let Some(Ok(dir)) = path.parent().map(fs::File::open) {
+        let _ = dir.sync_data();
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1274,6 +1196,114 @@ mod tests {
         assert_eq!(reopened.seal_snapshot().to_bytes(), committed_model);
         assert_eq!(reopened.thresholds_snapshot(), committed_thresholds);
         assert_eq!(reopened.reservoir_snapshot(), committed_reservoir);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn take_of_a_served_ticket_does_not_flush_unrelated_pending_events() {
+        let data = dataset(400, 89);
+        let dir = temp_dir("take_served");
+        let mut config = small_config();
+        config.adaptive.batched_feedback = true;
+        let artifact = Detector::builder()
+            .dimension(96)
+            .retrain_epochs(1)
+            .open_set(0.05)
+            .seed(5)
+            .train(&data)
+            .unwrap();
+        let lane = DurableLane::create(&dir, "t0", artifact.clone(), config.clone(), None).unwrap();
+        let oracle = AdaptiveLane::new("t0", artifact, config.adaptive).unwrap();
+
+        // Every round: 3 labelled flows + flush, 2 more left pending, then
+        // `take` the three served tickets.  Collecting a served flow must
+        // not cut a batch boundary around the unrelated pending pair — a
+        // batched lane's model depends on where the boundaries fall, so a
+        // durable lane that flushed there would diverge from the plain one.
+        let mut flows = data.records().iter().zip(data.labels());
+        let mut submit = || {
+            let (record, &label) = flows.next().unwrap();
+            let durable = lane.submit_labelled(record, label).unwrap();
+            (durable, oracle.submit_labelled(record, label).unwrap())
+        };
+        let mut pending = Vec::new();
+        for _ in 0..12 {
+            let mut served: Vec<_> = std::mem::take(&mut pending);
+            served.extend((0..3).map(|_| submit()));
+            lane.flush().unwrap();
+            oracle.flush().unwrap();
+            pending.extend((0..2).map(|_| submit()));
+            for (durable, plain) in &served {
+                assert_eq!(lane.take(durable).unwrap(), oracle.take(plain).unwrap());
+            }
+            assert_eq!(lane.stats().queue_depth, 2, "the pending pair must stay queued");
+        }
+        lane.flush().unwrap();
+        oracle.flush().unwrap();
+        for (durable, plain) in &pending {
+            assert_eq!(lane.take(durable).unwrap(), oracle.take(plain).unwrap());
+        }
+        assert_eq!(oracle.stats().batches, 13);
+        assert_eq!(lane.stats().batches, 13, "the journal must not add flush boundaries");
+        let sealed = oracle.seal_snapshot().to_bytes();
+        assert_eq!(lane.seal_snapshot().to_bytes(), sealed);
+        assert_eq!(lane.thresholds_snapshot(), oracle.thresholds_snapshot());
+
+        // The logged boundaries are the plain lane's, so recovery replays
+        // into the same model at the same batch count.
+        drop(lane);
+        let (recovered, report) = DurableLane::recover(&dir, None).unwrap();
+        assert_eq!(report.next_event, 60);
+        assert_eq!(recovered.stats().batches, 13);
+        assert_eq!(recovered.seal_snapshot().to_bytes(), sealed);
+        assert_eq!(recovered.thresholds_snapshot(), oracle.thresholds_snapshot());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn replayable_wal_payloads_keep_their_byte_layout() {
+        let data = dataset(300, 97);
+        let dir = temp_dir("layout");
+        let mut config = small_config();
+        config.adaptive.batched_feedback = true;
+        let lane = DurableLane::create(&dir, "t0", detector(&data, 3), config, None).unwrap();
+        let (first, second) = (&data.records()[0], &data.records()[1]);
+        let unlabelled = lane.submit(first).unwrap();
+        lane.submit_labelled(second, 2).unwrap();
+        lane.submit_feedback(&unlabelled, 1).unwrap();
+        lane.flush().unwrap();
+
+        // tag u8 | event u64 | seq u64 | [label u64] | [len u64 + f32 LE bits]
+        let frame = |tag: u8, event: u64, seq: Option<u64>, label: Option<u64>, record: &[f32]| {
+            let mut bytes = vec![tag];
+            bytes.extend_from_slice(&event.to_le_bytes());
+            for field in [seq, label].into_iter().flatten() {
+                bytes.extend_from_slice(&field.to_le_bytes());
+            }
+            if !record.is_empty() {
+                bytes.extend_from_slice(&(record.len() as u64).to_le_bytes());
+                for value in record {
+                    bytes.extend_from_slice(&value.to_bits().to_le_bytes());
+                }
+            }
+            bytes
+        };
+        let expected = vec![
+            frame(TAG_FLOW, 0, Some(0), None, first),
+            frame(TAG_FLOW_LABELLED, 1, Some(1), Some(2), second),
+            frame(TAG_FEEDBACK, 2, Some(0), Some(1), &[]),
+            frame(TAG_BATCH_BOUNDARY, 3, None, None, &[]),
+        ];
+        assert_eq!((TAG_FLOW, TAG_FLOW_LABELLED, TAG_FEEDBACK, TAG_BATCH_BOUNDARY), (0, 1, 2, 7));
+        let scan = wal::scan(&fs::read(dir.join("wal.log")).unwrap()).unwrap();
+        let replayable: Vec<Vec<u8>> = scan
+            .records
+            .into_iter()
+            .filter(|payload| matches!(payload[0], 0 | 1 | 2 | 7))
+            .collect();
+        assert_eq!(replayable, expected);
+        let checkpoint = dir.join(format!("checkpoint-{:020}.ckpt", 0));
+        assert!(checkpoint.exists(), "checkpoints are named checkpoint-<20 digits>.ckpt");
         fs::remove_dir_all(&dir).unwrap();
     }
 

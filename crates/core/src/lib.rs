@@ -91,8 +91,8 @@ pub use serve::admission::{
 pub use serve::shard::{ShardConfig, ShardedServeEngine};
 pub use serve::timer::DeadlineWheel;
 pub use serve::{
-    AdaptiveConfig, AdaptiveLane, AdaptiveStats, DetectorRegistry, LanePoll, ServeConfig,
-    ServeEngine, ServeError, ServeStats, Ticket,
+    AdaptiveConfig, AdaptiveLane, AdaptiveStats, DetectorRegistry, ServeConfig, ServeEngine,
+    ServeError, ServeStats, Ticket,
 };
 pub use trainer::CyberHdTrainer;
 

@@ -37,6 +37,24 @@
 //!   tenant hot-swaps to the adapted model while in-flight micro-batches
 //!   finish on their pinned generation.
 //!
+//! # Layout
+//!
+//! Every lane — the engine's frozen per-tenant lanes and the adaptive
+//! lane alike — embeds one **ticket desk** (`serve/desk.rs`): the lane id,
+//! gap-free sequence allocation and ticket minting, the completed-verdict
+//! map, the bounded-queue check behind [`ServeError::Backpressure`], the
+//! foreign-ticket check, the shared serving counters and the one collect
+//! state machine (`take` is *collect, flush if the ticket's own flow is
+//! still queued, collect*).  Lanes flush FIFO, so "still queued" is a range
+//! check on the sequence number, never a scan.  What the lanes do **not**
+//! share is their pending storage — preprocessed [`hdc::BatchBuffer`] rows
+//! pinned to an artifact generation on the frozen side, raw
+//! labelled/unlabelled/feedback events on the adaptive side — so each keeps
+//! its own queue and flush.  The registry lives in `serve/registry.rs`, the
+//! engine in `serve/engine.rs`, the adaptive lane in `serve/adaptive.rs`;
+//! [`crate::durable`] turns an adaptive lane crash-durable by attaching a
+//! write-ahead journal *inside* it (same mutex, same flush boundaries).
+//!
 //! # Determinism contract
 //!
 //! Ticket verdicts are **bit-identical** to calling
@@ -100,6 +118,7 @@
 
 mod adaptive;
 pub mod admission;
+mod desk;
 mod engine;
 mod registry;
 pub mod shard;
@@ -107,7 +126,7 @@ pub mod timer;
 
 pub(crate) use adaptive::LaneCheckpoint;
 pub use adaptive::{AdaptiveConfig, AdaptiveLane, AdaptiveStats};
-pub use engine::{LanePoll, ServeEngine, ServeStats};
+pub use engine::{ServeEngine, ServeStats};
 pub use registry::DetectorRegistry;
 
 #[cfg(doc)]
@@ -115,7 +134,6 @@ use crate::detector::{Detector, DetectorInfo, OnlineDetector};
 use crate::CyberHdError;
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -262,29 +280,22 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     fn validate(&self) -> ServeResult<()> {
-        if self.max_batch == 0 {
-            return Err(ServeError::InvalidConfig("max_batch must be non-zero".into()));
-        }
-        if self.queue_capacity < self.max_batch {
-            return Err(ServeError::InvalidConfig(format!(
-                "queue_capacity ({}) must be at least max_batch ({})",
-                self.queue_capacity, self.max_batch
-            )));
-        }
-        Ok(())
+        validate_watermarks(self.max_batch, self.queue_capacity)
     }
 }
 
-/// Source of **process-unique** lane ids, shared by every [`ServeEngine`]
-/// lane and every [`AdaptiveLane`]: a ticket stamped by one lane can never
-/// collect from any other lane — not a recreated lane of the same tenant,
-/// not another engine's lane, and not an adaptive lane serving the same
-/// tenant id.
-static LANE_IDS: AtomicU64 = AtomicU64::new(0);
-
-/// The next process-unique lane id.
-fn next_lane_id() -> u64 {
-    LANE_IDS.fetch_add(1, Ordering::Relaxed) + 1
+/// The watermark rule every lane configuration shares: batches are
+/// non-empty and the bounded queue holds at least one of them.
+fn validate_watermarks(max_batch: usize, queue_capacity: usize) -> ServeResult<()> {
+    if max_batch == 0 {
+        return Err(ServeError::InvalidConfig("max_batch must be non-zero".into()));
+    }
+    if queue_capacity < max_batch {
+        return Err(ServeError::InvalidConfig(format!(
+            "queue_capacity ({queue_capacity}) must be at least max_batch ({max_batch})"
+        )));
+    }
+    Ok(())
 }
 
 /// A claim on the verdict of one submitted flow; redeem it with
@@ -293,11 +304,7 @@ fn next_lane_id() -> u64 {
 #[derive(Debug, Clone)]
 pub struct Ticket {
     tenant: Arc<str>,
-    /// Process-unique id of the lane that issued this ticket (see
-    /// [`LANE_IDS`]).  Sequence numbers restart when a lane is recreated
-    /// after eviction, so the lane identity is what stops a stale
-    /// pre-eviction ticket from silently collecting a recycled sequence
-    /// number's verdict.
+    /// Process-unique id of the lane that issued this ticket.
     lane: u64,
     seq: u64,
 }

@@ -2,10 +2,12 @@
 //! [`AdaptiveStats`] and the [`LaneCheckpoint`] a durable lane persists
 //! (see the [`crate::serve`] module docs).
 
+use super::desk::TicketDesk;
 #[cfg(doc)]
 use super::ServeEngine;
-use super::{next_lane_id, DetectorRegistry, ServeError, ServeResult, Ticket};
+use super::{validate_watermarks, DetectorRegistry, ServeError, ServeResult, Ticket};
 use crate::detector::{Detector, OnlineDetector, Verdict};
+use crate::durable::{AuditMarks, Journal};
 use crate::regeneration::{DriftMonitor, DriftMonitorConfig};
 use crate::CyberHdError;
 use eval::timing::LatencyHistogram;
@@ -98,15 +100,7 @@ impl Default for AdaptiveConfig {
 
 impl AdaptiveConfig {
     fn validate(&self) -> ServeResult<()> {
-        if self.max_batch == 0 {
-            return Err(ServeError::InvalidConfig("max_batch must be non-zero".into()));
-        }
-        if self.queue_capacity < self.max_batch {
-            return Err(ServeError::InvalidConfig(format!(
-                "queue_capacity ({}) must be at least max_batch ({})",
-                self.queue_capacity, self.max_batch
-            )));
-        }
+        validate_watermarks(self.max_batch, self.queue_capacity)?;
         if self.regeneration_rounds == 0 {
             return Err(ServeError::InvalidConfig("regeneration_rounds must be non-zero".into()));
         }
@@ -124,30 +118,23 @@ impl AdaptiveConfig {
     }
 }
 
-/// One queued adaptive event.  Events are applied strictly in submission
-/// order at flush time — the whole determinism story of the adaptive lane
-/// rests on this queue being FIFO.
+/// One queued adaptive event: a served flow (predict and, when labelled,
+/// test-then-train) or late ground truth for a retained flow (train-only,
+/// serves no verdict).  Events are applied strictly in submission order at
+/// flush time — the whole determinism story of the adaptive lane rests on
+/// this queue being FIFO.
 #[derive(Debug)]
-enum AdaptiveEvent {
-    /// A served flow: predict (and, when labelled, test-then-train).
-    Flow { seq: u64, record: Vec<f32>, label: Option<usize>, submitted: Instant },
-    /// Late ground truth for a retained flow: train-only.
-    Feedback { record: Vec<f32>, label: usize, submitted: Instant },
-}
-
-impl AdaptiveEvent {
-    fn submitted(&self) -> Instant {
-        match self {
-            AdaptiveEvent::Flow { submitted, .. } | AdaptiveEvent::Feedback { submitted, .. } => {
-                *submitted
-            }
-        }
-    }
+struct AdaptiveEvent {
+    record: Vec<f32>,
+    label: Option<usize>,
+    feedback: bool,
+    submitted: Instant,
 }
 
 /// Mutable state behind an [`AdaptiveLane`]'s mutex.
 #[derive(Debug)]
 struct AdaptiveInner {
+    desk: TicketDesk,
     online: OnlineDetector,
     /// Open-set thresholds, kept as the **drift signal** (novelty flags
     /// feeding the monitor's unknown-rate surge).  Between trips they stay
@@ -176,24 +163,34 @@ struct AdaptiveInner {
     /// [`ServeError::FeedbackTooLate`] instead of a generic unavailability.
     /// Eviction is FIFO in submission order, so one watermark suffices.
     evicted_up_to: Option<u64>,
-    completed: HashMap<u64, Verdict>,
-    next_seq: u64,
     monitor: DriftMonitor,
     /// Set by an adaptation; consumed at the end of the flush that caused
     /// it (publication stays off the per-event hot path).
     pending_publish: bool,
     stats: AdaptiveLaneStats,
+    /// The durable lane's write-ahead journal: events are framed into it
+    /// before they are enqueued and it is fsynced before they are applied.
+    journal: Option<Journal>,
 }
 
-/// Mutable counters behind [`AdaptiveStats`].
-#[derive(Debug)]
+impl AdaptiveInner {
+    /// The cumulative adaptation counters a journal's audit records report.
+    fn audit_marks(&self) -> AuditMarks {
+        AuditMarks {
+            trips: self.monitor.trips() as u64,
+            adaptations: self.stats.adaptations,
+            regenerated: self.stats.regenerated_dimensions,
+            recalibrations: self.stats.recalibrations,
+        }
+    }
+}
+
+/// Mutable adaptation counters behind [`AdaptiveStats`] (the serving
+/// counters live on the desk).
+#[derive(Debug, Default)]
 struct AdaptiveLaneStats {
-    flows_submitted: u64,
-    flows_served: u64,
     feedback_submitted: u64,
     feedback_applied: u64,
-    rejected: u64,
-    batches: u64,
     adaptations: u64,
     regenerated_dimensions: u64,
     adaptation_failures: u64,
@@ -201,32 +198,8 @@ struct AdaptiveLaneStats {
     publishes: u64,
     publish_failures: u64,
     last_published_version: Option<u64>,
-    /// Submit→verdict latency of served flows.
-    latency: LatencyHistogram,
     /// Reseal + registry-swap latency of publications.
     publish_latency: LatencyHistogram,
-}
-
-impl AdaptiveLaneStats {
-    fn new() -> Self {
-        Self {
-            flows_submitted: 0,
-            flows_served: 0,
-            feedback_submitted: 0,
-            feedback_applied: 0,
-            rejected: 0,
-            batches: 0,
-            adaptations: 0,
-            regenerated_dimensions: 0,
-            adaptation_failures: 0,
-            recalibrations: 0,
-            publishes: 0,
-            publish_failures: 0,
-            last_published_version: None,
-            latency: LatencyHistogram::new(),
-            publish_latency: LatencyHistogram::new(),
-        }
-    }
 }
 
 /// A point-in-time snapshot of one adaptive lane's serving and adaptation
@@ -379,8 +352,6 @@ impl fmt::Display for AdaptiveStats {
 #[derive(Debug)]
 pub struct AdaptiveLane {
     tenant: Arc<str>,
-    /// Process-unique lane id stamped into tickets.
-    id: u64,
     config: AdaptiveConfig,
     /// Number of trained classes (label validation happens at submit so
     /// flushes are infallible).
@@ -420,7 +391,9 @@ impl AdaptiveLane {
         Self::build(tenant, detector, config, Some(registry))
     }
 
-    fn build(
+    /// The constructor behind [`AdaptiveLane::new`] and
+    /// [`AdaptiveLane::with_registry`] (and a durable lane's `create`).
+    pub(crate) fn build(
         tenant: &str,
         detector: Detector,
         config: AdaptiveConfig,
@@ -434,13 +407,14 @@ impl AdaptiveLane {
         let online = detector.into_online().map_err(|e| {
             ServeError::InvalidConfig(format!("adaptive lanes need a dense artifact: {e}"))
         })?;
+        let tenant: Arc<str> = tenant.into();
         Ok(Self {
-            tenant: tenant.into(),
-            id: next_lane_id(),
+            tenant: Arc::clone(&tenant),
             config,
             classes,
             registry,
             inner: Mutex::new(AdaptiveInner {
+                desk: TicketDesk::new(tenant, config.queue_capacity, config.max_delay),
                 online,
                 thresholds,
                 reservoir: Vec::new(),
@@ -449,11 +423,10 @@ impl AdaptiveLane {
                 retained: HashMap::new(),
                 retained_order: VecDeque::new(),
                 evicted_up_to: None,
-                completed: HashMap::new(),
-                next_seq: 0,
                 monitor,
                 pending_publish: false,
-                stats: AdaptiveLaneStats::new(),
+                stats: AdaptiveLaneStats::default(),
+                journal: None,
             }),
         })
     }
@@ -506,39 +479,45 @@ impl AdaptiveLane {
             .validate_record(record)
             .map_err(|e| ServeError::Rejected(CyberHdError::Data(e)))?;
         if let Some(label) = label {
-            if label >= self.classes {
-                return Err(ServeError::Rejected(CyberHdError::InvalidData(format!(
-                    "label {label} out of range for {} classes",
-                    self.classes
-                ))));
-            }
+            self.check_label(label)?;
         }
-        let depth = inner.queue.len() + inner.completed.len();
-        if depth >= self.config.queue_capacity {
-            inner.stats.rejected += 1;
-            return Err(ServeError::Backpressure {
-                tenant: self.tenant.as_ref().into(),
-                capacity: self.config.queue_capacity,
-                depth,
-                retry_hint: self.config.max_delay,
-            });
+        let inner = &mut *inner;
+        inner.desk.admit(inner.queue.len())?;
+        if let Some(journal) = inner.journal.as_mut() {
+            journal.log_flow(inner.desk.next_seq(), record, label)?;
         }
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
+        let ticket = inner.desk.issue();
         if label.is_none() && self.config.retention > 0 {
-            retain(&mut inner, seq, record.to_vec(), self.config.retention);
+            retain(inner, ticket.seq, record.to_vec(), self.config.retention);
         }
-        inner.queue.push_back(AdaptiveEvent::Flow {
-            seq,
-            record: record.to_vec(),
-            label,
-            submitted: Instant::now(),
-        });
-        inner.stats.flows_submitted += 1;
+        self.enqueue(inner, record.to_vec(), label, false)?;
+        Ok(ticket)
+    }
+
+    /// Labels are validated at submit time so flushes are infallible.
+    fn check_label(&self, label: usize) -> ServeResult<()> {
+        if label < self.classes {
+            return Ok(());
+        }
+        Err(ServeError::Rejected(CyberHdError::InvalidData(format!(
+            "label {label} out of range for {} classes",
+            self.classes
+        ))))
+    }
+
+    /// Queues an accepted event and flushes at the `max_batch` watermark.
+    fn enqueue(
+        &self,
+        inner: &mut AdaptiveInner,
+        record: Vec<f32>,
+        label: Option<usize>,
+        feedback: bool,
+    ) -> ServeResult<()> {
+        inner.queue.push_back(AdaptiveEvent { record, label, feedback, submitted: Instant::now() });
         if inner.queue.len() >= self.config.max_batch {
-            self.flush_locked(&mut inner);
+            self.flush_locked(inner)?;
         }
-        Ok(Ticket { tenant: Arc::clone(&self.tenant), lane: self.id, seq })
+        Ok(())
     }
 
     /// Applies late ground truth to a previously submitted (unlabelled)
@@ -560,36 +539,22 @@ impl AdaptiveLane {
     ///   stays retained; retry after draining).
     pub fn submit_feedback(&self, ticket: &Ticket, label: usize) -> ServeResult<()> {
         let mut inner = self.inner.lock().expect("adaptive lane lock");
-        if ticket.lane != self.id || ticket.tenant.as_ref() != self.tenant.as_ref() {
+        let inner = &mut *inner;
+        if !inner.desk.owns(ticket) {
             return Err(ServeError::UnknownTicket);
         }
-        if label >= self.classes {
-            return Err(ServeError::Rejected(CyberHdError::InvalidData(format!(
-                "label {label} out of range for {} classes",
-                self.classes
-            ))));
-        }
+        self.check_label(label)?;
         if !inner.retained.contains_key(&ticket.seq) {
-            return Err(self.classify_feedback_miss(&inner, ticket.seq));
+            return Err(self.classify_feedback_miss(inner, ticket.seq));
         }
-        let depth = inner.queue.len() + inner.completed.len();
-        if depth >= self.config.queue_capacity {
-            inner.stats.rejected += 1;
-            return Err(ServeError::Backpressure {
-                tenant: self.tenant.as_ref().into(),
-                capacity: self.config.queue_capacity,
-                depth,
-                retry_hint: self.config.max_delay,
-            });
+        inner.desk.admit(inner.queue.len())?;
+        if let Some(journal) = inner.journal.as_mut() {
+            journal.log_feedback(ticket.seq, label)?;
         }
         let record = inner.retained.remove(&ticket.seq).expect("checked above");
         inner.retained_order.retain(|&seq| seq != ticket.seq);
-        inner.queue.push_back(AdaptiveEvent::Feedback { record, label, submitted: Instant::now() });
         inner.stats.feedback_submitted += 1;
-        if inner.queue.len() >= self.config.max_batch {
-            self.flush_locked(&mut inner);
-        }
-        Ok(())
+        self.enqueue(inner, record, Some(label), true)
     }
 
     /// Explains why a feedback target is not in the retention map: too
@@ -601,7 +566,7 @@ impl AdaptiveLane {
     /// the (indistinguishable without per-flow bookkeeping) case where its
     /// feedback had already been applied before the watermark passed it.
     fn classify_feedback_miss(&self, inner: &AdaptiveInner, seq: u64) -> ServeError {
-        if seq >= inner.next_seq {
+        if seq >= inner.desk.next_seq() {
             // The lane id matched but the sequence was never issued — a
             // forged or cross-restart ticket.
             return ServeError::UnknownTicket;
@@ -619,41 +584,38 @@ impl AdaptiveLane {
         ))
     }
 
-    // ------------------------------------------------------------------
-    // Durable-lane support (crate-internal)
-    // ------------------------------------------------------------------
-
-    /// Re-issues a ticket for `seq` — the durable lane's replay path needs
-    /// handles for flows whose original tickets died with the process.
-    pub(crate) fn ticket_for(&self, seq: u64) -> Ticket {
-        Ticket { tenant: Arc::clone(&self.tenant), lane: self.id, seq }
+    /// Mints a ticket for a previously issued sequence number — recovery's
+    /// handle for feedback on flows whose original tickets died with the
+    /// crashed process.
+    pub(crate) fn reissue_ticket(&self, seq: u64) -> Ticket {
+        self.inner.lock().expect("adaptive lane lock").desk.ticket(seq)
     }
 
-    /// `true` when [`AdaptiveLane::poll`] would flush now (the oldest
-    /// queued event has expired) — lets the durable wrapper sync its log
-    /// *before* the flush applies events, without flushing eagerly.
-    pub(crate) fn poll_due(&self) -> bool {
-        let inner = self.inner.lock().expect("adaptive lane lock");
-        inner
-            .queue
-            .front()
-            .is_some_and(|event| event.submitted().elapsed() >= self.config.max_delay)
+    /// Events the lane's journal has logged (`None` without a journal).
+    pub(crate) fn journal_events(&self) -> Option<u64> {
+        self.inner.lock().expect("adaptive lane lock").journal.as_ref().map(Journal::events)
     }
 
-    /// Drains every completed-but-uncollected verdict, sorted by sequence
-    /// number — the durable lane's replay loop collects verdicts this way
-    /// so a long tail replay can never hit its own backpressure bound.
-    pub(crate) fn drain_completed(&self) -> Vec<(u64, Verdict)> {
+    /// Hands the lane its write-ahead journal, optionally cutting a
+    /// checkpoint right away — from here on every accepted event is
+    /// logged before it is enqueued and fsynced before it is applied.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Durability`] when the checkpoint cannot be written.
+    pub(crate) fn attach_journal(&self, journal: Journal, checkpoint: bool) -> ServeResult<()> {
         let mut inner = self.inner.lock().expect("adaptive lane lock");
-        let mut verdicts: Vec<(u64, Verdict)> = inner.completed.drain().collect();
-        verdicts.sort_unstable_by_key(|&(seq, _)| seq);
-        verdicts
+        inner.journal = Some(journal);
+        if checkpoint {
+            self.checkpoint_locked(&mut inner)?;
+        }
+        Ok(())
     }
 
     /// The lane's current open-set thresholds (`None` for a closed-set
-    /// lane) — the durable wrapper frames them into its recalibration
-    /// audit records so operators can diff threshold drift offline, and
-    /// the crash matrix compares them bit for bit across recovery.
+    /// lane) — the journal frames them into its recalibration audit
+    /// records so operators can diff threshold drift offline, and the
+    /// crash matrix compares them bit for bit across recovery.
     pub fn thresholds_snapshot(&self) -> Option<Vec<f32>> {
         let inner = self.inner.lock().expect("adaptive lane lock");
         inner.thresholds.clone()
@@ -673,17 +635,16 @@ impl AdaptiveLane {
     /// the monitor state, the prequential counters, the retention window
     /// (records and eviction watermark), the recalibration reservoir (and
     /// its candidate counter) and the deterministic lane counters.
-    /// Queued events are deliberately **not** captured — the
-    /// caller flushes before checkpointing, so the queue is empty and the
-    /// WAL tail covers anything submitted afterwards.
-    pub(crate) fn checkpoint_state(&self) -> LaneCheckpoint {
-        let inner = self.inner.lock().expect("adaptive lane lock");
+    /// Queued events are deliberately **not** captured — checkpoints are
+    /// cut at flush boundaries, where the queue is empty, and the WAL tail
+    /// covers anything submitted afterwards.
+    fn checkpoint_state(&self, inner: &AdaptiveInner) -> LaneCheckpoint {
         LaneCheckpoint {
             tenant: self.tenant.as_ref().into(),
             detector_bytes: inner.online.seal_snapshot().to_bytes(),
             thresholds: inner.thresholds.clone(),
             monitor: inner.monitor.clone(),
-            next_seq: inner.next_seq,
+            next_seq: inner.desk.next_seq(),
             retained: inner
                 .retained_order
                 .iter()
@@ -695,17 +656,25 @@ impl AdaptiveLane {
             seen: inner.online.samples_seen(),
             prequential_correct: inner.online.learner().prequential_correct(),
             counters: [
-                inner.stats.flows_submitted,
-                inner.stats.flows_served,
+                inner.desk.flows_submitted,
+                inner.desk.flows_served,
                 inner.stats.feedback_submitted,
                 inner.stats.feedback_applied,
-                inner.stats.batches,
+                inner.desk.batches,
                 inner.stats.adaptations,
                 inner.stats.regenerated_dimensions,
                 inner.stats.adaptation_failures,
                 inner.stats.recalibrations,
             ],
         }
+    }
+
+    /// Checkpoints the lane's current state through its journal (which
+    /// also prunes old checkpoints and compacts the log).
+    fn checkpoint_locked(&self, inner: &mut AdaptiveInner) -> ServeResult<()> {
+        let state = self.checkpoint_state(inner);
+        let journal = inner.journal.as_mut().expect("only journaled lanes checkpoint");
+        journal.checkpoint(&state)
     }
 
     /// Rebuilds a lane from a [`LaneCheckpoint`] — the recovery path.  The
@@ -719,14 +688,9 @@ impl AdaptiveLane {
         registry: Option<Arc<DetectorRegistry>>,
         state: LaneCheckpoint,
     ) -> ServeResult<Self> {
-        config.validate()?;
         let detector = Detector::from_bytes(&state.detector_bytes)
             .map_err(|e| ServeError::Durability(format!("checkpointed model: {e}")))?;
         let classes = detector.num_classes();
-        let mut online = detector.into_online().map_err(|e| {
-            ServeError::InvalidConfig(format!("adaptive lanes need a dense artifact: {e}"))
-        })?;
-        online.restore_prequential(state.seen, state.prequential_correct);
         if let Some(thresholds) = &state.thresholds {
             if thresholds.len() != classes {
                 return Err(ServeError::Durability(format!(
@@ -776,40 +740,32 @@ impl AdaptiveLane {
                 "checkpoint reservoir label {bad} out of range for {classes} classes"
             )));
         }
-        let mut stats = AdaptiveLaneStats::new();
-        let [submitted, served, fb_submitted, fb_applied, batches, adaptations, regen, failures, recalibrations] =
-            state.counters;
-        stats.flows_submitted = submitted;
-        stats.flows_served = served;
-        stats.feedback_submitted = fb_submitted;
-        stats.feedback_applied = fb_applied;
-        stats.batches = batches;
-        stats.adaptations = adaptations;
-        stats.regenerated_dimensions = regen;
-        stats.adaptation_failures = failures;
-        stats.recalibrations = recalibrations;
-        Ok(Self {
-            tenant: state.tenant.as_str().into(),
-            id: next_lane_id(),
-            config,
-            classes,
-            registry,
-            inner: Mutex::new(AdaptiveInner {
-                online,
-                thresholds: state.thresholds,
-                reservoir: state.reservoir,
-                reservoir_candidates: state.reservoir_candidates,
-                queue: VecDeque::new(),
-                retained,
-                retained_order,
-                evicted_up_to: state.evicted_up_to,
-                completed: HashMap::new(),
-                next_seq: state.next_seq,
-                monitor: state.monitor,
-                pending_publish: false,
-                stats,
-            }),
-        })
+        let lane = Self::build(&state.tenant, detector, config, registry)?;
+        let mut guard = lane.inner.lock().expect("adaptive lane lock");
+        let inner = &mut *guard;
+        inner.desk.resume_at(state.next_seq);
+        inner.thresholds = state.thresholds;
+        inner.monitor = state.monitor;
+        inner.online.restore_prequential(state.seen, state.prequential_correct);
+        inner.reservoir = state.reservoir;
+        inner.reservoir_candidates = state.reservoir_candidates;
+        inner.retained = retained;
+        inner.retained_order = retained_order;
+        inner.evicted_up_to = state.evicted_up_to;
+        let (desk, stats) = (&mut inner.desk, &mut inner.stats);
+        [
+            desk.flows_submitted,
+            desk.flows_served,
+            stats.feedback_submitted,
+            stats.feedback_applied,
+            desk.batches,
+            stats.adaptations,
+            stats.regenerated_dimensions,
+            stats.adaptation_failures,
+            stats.recalibrations,
+        ] = state.counters;
+        drop(guard);
+        Ok(lane)
     }
 
     /// Flushes every queued event now, returning how many **flows** were
@@ -817,25 +773,31 @@ impl AdaptiveLane {
     ///
     /// # Errors
     ///
-    /// Currently infallible (events are validated at submit time); the
-    /// `Result` keeps the signature parallel to [`ServeEngine::flush`].
+    /// Infallible for a plain lane (events are validated at submit time);
+    /// a journaled lane fails with [`ServeError::Durability`] when its log
+    /// cannot be synced, leaving the events queued for a retry.
     pub fn flush(&self) -> ServeResult<usize> {
         let mut inner = self.inner.lock().expect("adaptive lane lock");
-        Ok(self.flush_locked(&mut inner))
+        self.flush_locked(&mut inner)
     }
 
     /// Flushes if the **oldest** queued event has waited at least
     /// [`AdaptiveConfig::max_delay`]; returns the number of flows served.
     pub fn poll(&self) -> usize {
+        self.poll_checked().unwrap_or(0)
+    }
+
+    /// [`AdaptiveLane::poll`], surfacing a journaled lane's sync failure.
+    pub(crate) fn poll_checked(&self) -> ServeResult<usize> {
         let mut inner = self.inner.lock().expect("adaptive lane lock");
         let expired = inner
             .queue
             .front()
-            .is_some_and(|event| event.submitted().elapsed() >= self.config.max_delay);
+            .is_some_and(|event| event.submitted.elapsed() >= self.config.max_delay);
         if expired {
             self.flush_locked(&mut inner)
         } else {
-            0
+            Ok(0)
         }
     }
 
@@ -845,75 +807,56 @@ impl AdaptiveLane {
     /// frozen-snapshot mini-batch rule — files verdicts, feeds the drift
     /// monitor and adapts when it trips.  Publication (reseal + registry
     /// swap) runs once at the end, off the per-event path.
-    fn flush_locked(&self, inner: &mut AdaptiveInner) -> usize {
-        if inner.queue.is_empty() {
-            return 0;
+    ///
+    /// The write-ahead invariant of a journaled lane lives here: the
+    /// journal is fsynced (a batched lane's boundary marker riding the
+    /// same sync) strictly **before** the first event is applied; after
+    /// the apply it takes the audit records and, when due, a checkpoint.
+    fn flush_locked(&self, inner: &mut AdaptiveInner) -> ServeResult<usize> {
+        if let Some(journal) = inner.journal.as_mut() {
+            journal.commit(self.config.batched_feedback && !inner.queue.is_empty())?;
         }
-        let served = if self.config.batched_feedback {
-            self.flush_batched(inner)
+        if inner.queue.is_empty() {
+            return Ok(0);
+        }
+        let before = inner.audit_marks();
+        let served_before = inner.desk.flows_served;
+        if self.config.batched_feedback {
+            self.flush_batched(inner);
         } else {
-            self.flush_serial(inner)
-        };
-        inner.stats.flows_served += served as u64;
-        inner.stats.batches += 1;
+            self.flush_serial(inner);
+        }
+        inner.desk.batches += 1;
+        let after = inner.audit_marks();
+        if let Some(journal) = inner.journal.as_mut() {
+            journal.audit(before, after, inner.thresholds.as_deref())?;
+        }
         if inner.pending_publish {
             inner.pending_publish = false;
             // Failures are recorded in publish_failures; serving goes on
             // with the lane-local adapted model either way.
             let _ = self.publish_now(inner);
         }
-        served
+        if inner.journal.as_ref().is_some_and(Journal::checkpoint_due) {
+            self.checkpoint_locked(inner)?;
+        }
+        Ok((inner.desk.flows_served - served_before) as usize)
     }
 
     /// The serial event application: each event is scored and learned from
     /// in turn, so the lane is bit-identical to a serial replay.  The
     /// monitor trips **inline**, at the tripping event.
-    fn flush_serial(&self, inner: &mut AdaptiveInner) -> usize {
-        let mut served = 0usize;
+    fn flush_serial(&self, inner: &mut AdaptiveInner) {
         while let Some(event) = inner.queue.pop_front() {
-            match event {
-                AdaptiveEvent::Flow { seq, record, label, submitted } => {
-                    let (class, similarity) = match label {
-                        Some(label) => inner
-                            .online
-                            .observe_scored(&record, label)
-                            .expect("record and label validated at submit time"),
-                        None => inner
-                            .online
-                            .predict_scored(&record)
-                            .expect("record validated at submit time"),
-                    };
-                    let novel = inner.thresholds.as_ref().is_some_and(|t| similarity < t[class]);
-                    let tripped = match label {
-                        Some(label) => inner.monitor.record_labelled(class == label, novel),
-                        None => inner.monitor.record_unlabelled(novel),
-                    };
-                    if let Some(label) = label {
-                        self.reservoir_note(inner, &record, label);
-                    }
-                    inner.completed.insert(seq, Verdict { class, similarity, novel });
-                    inner.stats.latency.record(submitted.elapsed());
-                    served += 1;
-                    if tripped {
-                        self.adapt_locked(inner);
-                    }
-                }
-                AdaptiveEvent::Feedback { record, label, .. } => {
-                    let (class, similarity) = inner
-                        .online
-                        .observe_scored(&record, label)
-                        .expect("record and label validated at submit time");
-                    let novel = inner.thresholds.as_ref().is_some_and(|t| similarity < t[class]);
-                    let tripped = inner.monitor.record_labelled(class == label, novel);
-                    self.reservoir_note(inner, &record, label);
-                    inner.stats.feedback_applied += 1;
-                    if tripped {
-                        self.adapt_locked(inner);
-                    }
-                }
+            let scored = match event.label {
+                Some(label) => inner.online.observe_scored(&event.record, label),
+                None => inner.online.predict_scored(&event.record),
+            }
+            .expect("record and label validated at submit time");
+            if self.settle(inner, event, scored) {
+                self.adapt_locked(inner);
             }
         }
-        served
     }
 
     /// The batched event application: every queued event is scored against
@@ -923,7 +866,7 @@ impl AdaptiveLane {
     /// are honoured **at the batch boundary** — the weaker documented
     /// contract of [`AdaptiveConfig::batched_feedback`]: bit-identical to
     /// a batched replay at the same flush boundaries.
-    fn flush_batched(&self, inner: &mut AdaptiveInner) -> usize {
+    fn flush_batched(&self, inner: &mut AdaptiveInner) {
         let events: Vec<AdaptiveEvent> = inner.queue.drain(..).collect();
         // Score unlabelled flows first: predictions are pure, and the
         // labelled events' deferred update lands only after this loop, so
@@ -932,14 +875,16 @@ impl AdaptiveLane {
         let mut records = Vec::new();
         let mut labels = Vec::new();
         for event in &events {
-            match event {
-                AdaptiveEvent::Flow { record, label: None, .. } => unlabelled_scores.push_back(
-                    inner.online.predict_scored(record).expect("record validated at submit time"),
+            match event.label {
+                None => unlabelled_scores.push_back(
+                    inner
+                        .online
+                        .predict_scored(&event.record)
+                        .expect("record validated at submit time"),
                 ),
-                AdaptiveEvent::Flow { record, label: Some(label), .. }
-                | AdaptiveEvent::Feedback { record, label, .. } => {
-                    records.push(record.clone());
-                    labels.push(*label);
+                Some(label) => {
+                    records.push(event.record.clone());
+                    labels.push(label);
                 }
             }
         }
@@ -952,47 +897,46 @@ impl AdaptiveLane {
                 .expect("records and labels validated at submit time")
                 .into()
         };
-        // Walk the events in submission order: verdicts, monitor feed and
-        // reservoir updates happen exactly as in the serial path, only on
-        // frozen-snapshot scores; trips are tallied and honoured once the
-        // whole batch is applied.
-        let mut served = 0usize;
+        // Walk the events in submission order and settle each exactly as
+        // the serial path does, only on frozen-snapshot scores; trips are
+        // tallied and honoured once the whole batch is applied.
         let mut trips = 0usize;
         for event in events {
-            match event {
-                AdaptiveEvent::Flow { seq, record, label, submitted } => {
-                    let (class, similarity) = match label {
-                        Some(_) => labelled_scores.pop_front().expect("one score per label"),
-                        None => unlabelled_scores.pop_front().expect("one score per flow"),
-                    };
-                    let novel = inner.thresholds.as_ref().is_some_and(|t| similarity < t[class]);
-                    let tripped = match label {
-                        Some(label) => inner.monitor.record_labelled(class == label, novel),
-                        None => inner.monitor.record_unlabelled(novel),
-                    };
-                    if let Some(label) = label {
-                        self.reservoir_note(inner, &record, label);
-                    }
-                    inner.completed.insert(seq, Verdict { class, similarity, novel });
-                    inner.stats.latency.record(submitted.elapsed());
-                    served += 1;
-                    trips += usize::from(tripped);
-                }
-                AdaptiveEvent::Feedback { record, label, .. } => {
-                    let (class, similarity) =
-                        labelled_scores.pop_front().expect("one score per label");
-                    let novel = inner.thresholds.as_ref().is_some_and(|t| similarity < t[class]);
-                    let tripped = inner.monitor.record_labelled(class == label, novel);
-                    self.reservoir_note(inner, &record, label);
-                    inner.stats.feedback_applied += 1;
-                    trips += usize::from(tripped);
-                }
-            }
+            let scores =
+                if event.label.is_some() { &mut labelled_scores } else { &mut unlabelled_scores };
+            let scored = scores.pop_front().expect("one score per event");
+            trips += usize::from(self.settle(inner, event, scored));
         }
         for _ in 0..trips {
             self.adapt_locked(inner);
         }
-        served
+    }
+
+    /// Settles one applied event, whichever rule scored it: shapes the
+    /// verdict, feeds the drift monitor, offers a labelled record to the
+    /// reservoir and files a served flow's verdict.  Returns whether the
+    /// monitor tripped.
+    fn settle(
+        &self,
+        inner: &mut AdaptiveInner,
+        event: AdaptiveEvent,
+        (class, similarity): (usize, f32),
+    ) -> bool {
+        let novel = inner.thresholds.as_ref().is_some_and(|t| similarity < t[class]);
+        let tripped = match event.label {
+            Some(label) => {
+                let tripped = inner.monitor.record_labelled(class == label, novel);
+                self.reservoir_note(inner, &event.record, label);
+                tripped
+            }
+            None => inner.monitor.record_unlabelled(novel),
+        };
+        if event.feedback {
+            inner.stats.feedback_applied += 1;
+        } else {
+            inner.desk.file(Verdict { class, similarity, novel }, event.submitted.elapsed());
+        }
+        tripped
     }
 
     /// Offers one in-distribution `(record, label)` to the recalibration
@@ -1104,6 +1048,9 @@ impl AdaptiveLane {
                 inner.stats.publish_latency.record(start.elapsed());
                 inner.stats.publishes += 1;
                 inner.stats.last_published_version = Some(version);
+                if let Some(journal) = inner.journal.as_mut() {
+                    journal.log_publish(inner.stats.publishes, version)?;
+                }
                 Ok(version)
             }
             Err(e) => {
@@ -1138,47 +1085,25 @@ impl AdaptiveLane {
     /// Returns [`ServeError::UnknownTicket`] for a foreign or
     /// already-collected ticket.
     pub fn try_take(&self, ticket: &Ticket) -> ServeResult<Option<Verdict>> {
-        let mut inner = self.inner.lock().expect("adaptive lane lock");
-        if ticket.lane != self.id || ticket.tenant.as_ref() != self.tenant.as_ref() {
-            return Err(ServeError::UnknownTicket);
-        }
-        if let Some(verdict) = inner.completed.remove(&ticket.seq) {
-            return Ok(Some(verdict));
-        }
-        let pending = inner
-            .queue
-            .iter()
-            .any(|event| matches!(event, AdaptiveEvent::Flow { seq, .. } if *seq == ticket.seq));
-        if pending {
-            return Ok(None);
-        }
-        Err(ServeError::UnknownTicket)
+        self.inner.lock().expect("adaptive lane lock").desk.collect(ticket)
     }
 
-    /// Collects a ticket's verdict, flushing first if the flow is still
-    /// queued.
+    /// Collects a ticket's verdict, flushing first if **its** flow is
+    /// still queued (a journaled lane's forced flush is write-ahead like
+    /// any other).
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::UnknownTicket`] for a foreign or
-    /// already-collected ticket.
+    /// already-collected ticket, and a journaled lane's
+    /// [`ServeError::Durability`] when the forced flush cannot sync.
     pub fn take(&self, ticket: &Ticket) -> ServeResult<Verdict> {
         let mut inner = self.inner.lock().expect("adaptive lane lock");
-        if ticket.lane != self.id || ticket.tenant.as_ref() != self.tenant.as_ref() {
-            return Err(ServeError::UnknownTicket);
-        }
-        if let Some(verdict) = inner.completed.remove(&ticket.seq) {
+        if let Some(verdict) = inner.desk.collect(ticket)? {
             return Ok(verdict);
         }
-        let pending = inner
-            .queue
-            .iter()
-            .any(|event| matches!(event, AdaptiveEvent::Flow { seq, .. } if *seq == ticket.seq));
-        if pending {
-            self.flush_locked(&mut inner);
-            return inner.completed.remove(&ticket.seq).ok_or(ServeError::UnknownTicket);
-        }
-        Err(ServeError::UnknownTicket)
+        self.flush_locked(&mut inner)?;
+        inner.desk.collect(ticket)?.ok_or(ServeError::UnknownTicket)
     }
 
     /// Cumulative prequential (test-then-train) accuracy of the lane's
@@ -1195,18 +1120,18 @@ impl AdaptiveLane {
     /// A point-in-time snapshot of the lane's counters.
     pub fn stats(&self) -> AdaptiveStats {
         let inner = self.inner.lock().expect("adaptive lane lock");
-        let stats = &inner.stats;
+        let (desk, stats) = (&inner.desk, &inner.stats);
         AdaptiveStats {
             tenant: self.tenant.as_ref().into(),
-            flows_submitted: stats.flows_submitted,
-            flows_served: stats.flows_served,
+            flows_submitted: desk.flows_submitted,
+            flows_served: desk.flows_served,
             feedback_submitted: stats.feedback_submitted,
             feedback_applied: stats.feedback_applied,
-            rejected: stats.rejected,
+            rejected: desk.rejected,
             queue_depth: inner.queue.len(),
-            uncollected: inner.completed.len(),
+            uncollected: desk.uncollected(),
             retained: inner.retained.len(),
-            batches: stats.batches,
+            batches: desk.batches,
             samples_learned: inner.online.samples_seen(),
             prequential_accuracy: inner.online.prequential_accuracy(),
             window_accuracy: inner.monitor.window_accuracy(),
@@ -1223,9 +1148,9 @@ impl AdaptiveLane {
             publishes: stats.publishes,
             publish_failures: stats.publish_failures,
             last_published_version: stats.last_published_version,
-            mean_latency: stats.latency.mean(),
-            p50_latency: stats.latency.percentile(0.50),
-            p99_latency: stats.latency.percentile(0.99),
+            mean_latency: desk.latency.mean(),
+            p50_latency: desk.latency.percentile(0.50),
+            p99_latency: desk.latency.percentile(0.99),
             p50_publish_latency: stats.publish_latency.percentile(0.50),
             max_publish_latency: stats.publish_latency.max(),
         }
@@ -1289,6 +1214,22 @@ mod tests {
     use super::super::testkit::{dataset, detector};
     use super::super::{ServeConfig, ServeEngine};
     use super::*;
+
+    /// Every completed-but-uncollected verdict of `lane`, collected through
+    /// re-minted tickets in sequence order.
+    fn drain(lane: &AdaptiveLane) -> Vec<(u64, Verdict)> {
+        let issued = lane.inner.lock().unwrap().desk.next_seq();
+        (0..issued)
+            .filter_map(|seq| {
+                let verdict = lane.try_take(&lane.reissue_ticket(seq)).ok().flatten()?;
+                Some((seq, verdict))
+            })
+            .collect()
+    }
+
+    fn checkpoint(lane: &AdaptiveLane) -> LaneCheckpoint {
+        lane.checkpoint_state(&lane.inner.lock().unwrap())
+    }
 
     /// A monitor tuned to trip quickly in unit-sized streams.
     fn touchy_monitor() -> DriftMonitorConfig {
@@ -1408,7 +1349,7 @@ mod tests {
             lane.submit_feedback(&labelled, data.labels()[0]),
             Err(ServeError::FeedbackUnavailable(_))
         ));
-        let foreign = Ticket { tenant: "t0".into(), lane: lane.id + 1, seq: 0 };
+        let foreign = Ticket { lane: labelled.lane + 1, ..labelled.clone() };
         assert!(matches!(lane.submit_feedback(&foreign, 0), Err(ServeError::UnknownTicket)));
         let fresh = lane.submit(&data.records()[2]).unwrap();
         assert!(matches!(lane.submit_feedback(&fresh, 999), Err(ServeError::Rejected(_))));
@@ -1447,7 +1388,7 @@ mod tests {
         ));
         // A sequence the lane never issued stays UnknownTicket even with
         // the retention window empty.
-        let forged = no_feedback.ticket_for(999);
+        let forged = no_feedback.reissue_ticket(999);
         assert!(matches!(no_feedback.submit_feedback(&forged, 0), Err(ServeError::UnknownTicket)));
     }
 
@@ -1487,13 +1428,13 @@ mod tests {
         }
         lane.flush().unwrap();
         oracle.flush().unwrap();
-        lane.drain_completed();
-        oracle.drain_completed();
+        drain(&lane);
+        drain(&oracle);
 
         // Checkpoint the first lane and restore a fresh one from it.
-        let state = lane.checkpoint_state();
+        let state = checkpoint(&lane);
         let restored = AdaptiveLane::restore(config, None, state.clone()).unwrap();
-        assert_eq!(restored.checkpoint_state(), state, "restore must round-trip the checkpoint");
+        assert_eq!(checkpoint(&restored), state, "restore must round-trip the checkpoint");
 
         // The restored lane and the never-checkpointed oracle must agree
         // bit-for-bit on everything that follows.
@@ -1509,8 +1450,8 @@ mod tests {
         restored.flush().unwrap();
         oracle.flush().unwrap();
         assert_eq!(
-            restored.drain_completed(),
-            oracle.drain_completed(),
+            drain(&restored),
+            drain(&oracle),
             "post-restore verdicts must match the uncrashed lane"
         );
         assert_eq!(
@@ -1729,8 +1670,7 @@ mod tests {
                 expected.push(Verdict { class, similarity, novel });
             }
         }
-        let verdicts: Vec<Verdict> =
-            lane.drain_completed().into_iter().map(|(_, verdict)| verdict).collect();
+        let verdicts: Vec<Verdict> = drain(&lane).into_iter().map(|(_, verdict)| verdict).collect();
         assert_eq!(verdicts.len(), expected.len());
         for (seq, (got, want)) in verdicts.iter().zip(&expected).enumerate() {
             assert_eq!(got.class, want.class, "flow {seq}");

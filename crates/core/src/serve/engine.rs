@@ -1,39 +1,29 @@
 //! The frozen-artifact micro-batcher: per-tenant lanes, [`ServeEngine`]
 //! and its [`ServeStats`] (see the [`crate::serve`] module docs).
 
-use super::{next_lane_id, DetectorRegistry, ServeConfig, ServeError, ServeResult, Ticket};
+use super::desk::TicketDesk;
+use super::{DetectorRegistry, ServeConfig, ServeError, ServeResult, Ticket};
 use crate::detector::{Detector, Verdict};
 use crate::CyberHdError;
 use eval::timing::LatencyHistogram;
 use hdc::BatchBuffer;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-/// One queued flow: its ticket sequence number and submit timestamp.
-#[derive(Debug, Clone, Copy)]
-struct PendingFlow {
-    seq: u64,
-    submitted: Instant,
-}
-
-/// A tenant's micro-batch lane: the reusable preprocessed-row buffer, the
-/// pending tickets riding it, the artifact generation the rows were
-/// admitted under, completed verdicts awaiting collection, and stats.
+/// A tenant's micro-batch lane: its ticket desk, the reusable
+/// preprocessed-row buffer with the submit timestamps of the flows riding
+/// it, and the artifact generation the rows were admitted under.
 #[derive(Debug)]
 struct Lane {
-    /// Engine-unique lane id, stamped into every [`Ticket`] this lane
-    /// issues.
-    id: u64,
+    desk: TicketDesk,
     /// Set (under the lane mutex) when the lane is removed from the
     /// engine's map: a submitter that raced the eviction and still holds
     /// the orphaned `Arc` re-resolves instead of enqueueing into a lane
     /// nothing will ever flush.
     evicted: bool,
-    /// The lanes-map key, shared into every [`Ticket`] this lane issues
-    /// (a refcount bump, not a fresh allocation per flow).
-    tenant: Arc<str>,
     /// Artifact the pending rows were preprocessed by and will score on,
     /// plus its registry **generation**; `None` while the lane is empty.
     /// Pinning per batch is what makes a registry swap atomic from the
@@ -44,36 +34,11 @@ struct Lane {
     /// Preprocessed pending rows (reused across flushes — after warm-up
     /// the accumulate→flush cycle allocates nothing).
     buffer: BatchBuffer,
-    pending: Vec<PendingFlow>,
-    completed: HashMap<u64, Verdict>,
-    next_seq: u64,
-    stats: LaneStats,
-}
-
-/// Mutable per-tenant counters behind [`ServeStats`].
-#[derive(Debug)]
-struct LaneStats {
-    flows_submitted: u64,
-    flows_served: u64,
-    rejected: u64,
-    batches: u64,
+    /// Submit timestamp of every pending row, oldest first.
+    pending: Vec<Instant>,
     /// `batch_sizes[n]` counts flushes of exactly `n` flows
     /// (index 0 unused; sized `max_batch + 1`).
     batch_sizes: Vec<u64>,
-    latency: LatencyHistogram,
-}
-
-impl LaneStats {
-    fn new(max_batch: usize) -> Self {
-        Self {
-            flows_submitted: 0,
-            flows_served: 0,
-            rejected: 0,
-            batches: 0,
-            batch_sizes: vec![0; max_batch + 1],
-            latency: LatencyHistogram::new(),
-        }
-    }
 }
 
 /// A point-in-time snapshot of one tenant's serving counters.
@@ -192,13 +157,13 @@ pub struct ServeEngine {
     /// verdicts.  Maintained as a lock-free counter so admission control
     /// ([`admission::AdmissionController`]) can read a shard's occupancy
     /// without touching the lane map.
-    outstanding: std::sync::atomic::AtomicUsize,
+    outstanding: AtomicUsize,
 }
 
 /// What [`ServeEngine::poll_tenant`] found — the deadline wheel's
 /// per-lane verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LanePoll {
+pub(crate) enum LanePoll {
     /// The lane's oldest pending flow had waited at least `max_delay`;
     /// the batch was flushed and this many flows were scored.
     Flushed(usize),
@@ -221,7 +186,7 @@ impl ServeEngine {
             registry,
             config,
             lanes: RwLock::new(HashMap::new()),
-            outstanding: std::sync::atomic::AtomicUsize::new(0),
+            outstanding: AtomicUsize::new(0),
         })
     }
 
@@ -229,7 +194,7 @@ impl ServeEngine {
     /// completed-but-uncollected verdicts.  The overload signal admission
     /// control reads per submission — a relaxed atomic load, no locks.
     pub fn outstanding(&self) -> usize {
-        self.outstanding.load(std::sync::atomic::Ordering::Relaxed)
+        self.outstanding.load(Ordering::Relaxed)
     }
 
     /// The registry this engine routes through.
@@ -256,15 +221,12 @@ impl ServeEngine {
         let key: Arc<str> = tenant.into();
         let lane = lanes.entry(Arc::clone(&key)).or_insert_with(|| {
             Arc::new(Mutex::new(Lane {
-                id: next_lane_id(),
+                desk: TicketDesk::new(key, self.config.queue_capacity, self.config.max_delay),
                 evicted: false,
-                tenant: key,
                 pinned: None,
                 buffer: BatchBuffer::with_width(width).expect("output width is non-zero"),
                 pending: Vec::new(),
-                completed: HashMap::new(),
-                next_seq: 0,
-                stats: LaneStats::new(self.config.max_batch),
+                batch_sizes: vec![0; self.config.max_batch + 1],
             }))
         });
         Ok(Arc::clone(lane))
@@ -300,7 +262,11 @@ impl ServeEngine {
     /// # Errors
     ///
     /// As [`ServeEngine::submit`].
-    pub fn submit_counted(&self, tenant: &str, record: &[f32]) -> ServeResult<(Ticket, usize)> {
+    pub(crate) fn submit_counted(
+        &self,
+        tenant: &str,
+        record: &[f32],
+    ) -> ServeResult<(Ticket, usize)> {
         // Re-resolve if an eviction raced between looking the lane up and
         // locking it — enqueueing into an orphaned lane would strand the
         // flow (nothing ever flushes an evicted lane).
@@ -329,16 +295,7 @@ impl ServeEngine {
             flush_lane(lane);
         }
 
-        let depth = lane.pending.len() + lane.completed.len();
-        if depth >= self.config.queue_capacity {
-            lane.stats.rejected += 1;
-            return Err(ServeError::Backpressure {
-                tenant: tenant.into(),
-                capacity: self.config.queue_capacity,
-                depth,
-                retry_hint: self.config.max_delay,
-            });
-        }
+        lane.desk.admit(lane.pending.len())?;
 
         if lane.pinned.is_none() {
             // Re-read atomically with the artifact: a swap racing between
@@ -364,16 +321,14 @@ impl ServeEngine {
             lane.buffer.pop_row();
             return Err(ServeError::Rejected(CyberHdError::Data(e)));
         }
-        let seq = lane.next_seq;
-        lane.next_seq += 1;
-        lane.pending.push(PendingFlow { seq, submitted: Instant::now() });
-        lane.stats.flows_submitted += 1;
-        self.outstanding.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let ticket = lane.desk.issue();
+        lane.pending.push(Instant::now());
+        self.outstanding.fetch_add(1, Ordering::Relaxed);
 
         if lane.pending.len() >= self.config.max_batch {
             flush_lane(lane);
         }
-        Ok(Ticket { tenant: Arc::clone(&lane.tenant), lane: lane.id, seq })
+        Ok(ticket)
     }
 
     /// Flushes `tenant`'s pending flows now, returning how many were
@@ -411,32 +366,10 @@ impl ServeEngine {
     /// engine.
     pub fn poll(&self) -> usize {
         let now = Instant::now();
-        let lanes: Vec<(Arc<str>, Arc<Mutex<Lane>>)> = self
-            .lanes
-            .read()
-            .expect("lanes lock")
-            .iter()
-            .map(|(key, lane)| (Arc::clone(key), Arc::clone(lane)))
-            .collect();
         let mut served = 0usize;
-        for (key, lane) in lanes {
-            if self.registry.generation(&key).is_none() {
-                self.evict_if_unregistered(&key);
-                continue;
-            }
-            let mut lane = lane.lock().expect("lane lock");
-            if lane.evicted {
-                // An eviction raced the snapshot above: scoring the orphan
-                // would bury its verdicts (no ticket can collect from an
-                // evicted lane), so skip it — evict() already honoured the
-                // "outstanding tickets fail" guarantee.
-                continue;
-            }
-            let expired = lane.pending.first().is_some_and(|oldest| {
-                now.duration_since(oldest.submitted) >= self.config.max_delay
-            });
-            if expired {
-                served += flush_lane(&mut lane);
+        for (key, lane) in self.snapshot_lanes() {
+            if let LanePoll::Flushed(n) = self.poll_lane(&key, &lane, now) {
+                served += n;
             }
         }
         served
@@ -445,28 +378,35 @@ impl ServeEngine {
     /// [`ServeEngine::poll`] for a **single** tenant — the targeted form a
     /// deadline wheel drives when this tenant's batch deadline fires, so a
     /// timer tick touches one lane instead of scanning the whole map.
-    ///
-    /// Flushes the lane if its oldest pending flow has waited at least
-    /// `max_delay`; otherwise reports how much of the wait remains
-    /// ([`LanePoll::Due`]) so the caller can reschedule.  Like `poll`,
-    /// doubles as housekeeping: a lane whose tenant left the registry is
-    /// evicted and reported [`LanePoll::Idle`].
-    pub fn poll_tenant(&self, tenant: &str) -> LanePoll {
+    pub(crate) fn poll_tenant(&self, tenant: &str) -> LanePoll {
+        match self.existing_lane(tenant) {
+            Some(lane) => self.poll_lane(tenant, &lane, Instant::now()),
+            None => LanePoll::Idle,
+        }
+    }
+
+    /// The `max_delay` check on one lane: flushes it if its oldest pending
+    /// flow has waited at least `max_delay`, otherwise reports how much of
+    /// the wait remains ([`LanePoll::Due`]) so a deadline wheel can
+    /// reschedule.  A lane whose tenant left the registry is evicted and
+    /// reported [`LanePoll::Idle`].
+    fn poll_lane(&self, tenant: &str, lane: &Mutex<Lane>, now: Instant) -> LanePoll {
         if self.registry.generation(tenant).is_none() {
-            self.evict_if_unregistered(tenant);
+            self.evict_if(tenant, || self.registry.generation(tenant).is_none());
             return LanePoll::Idle;
         }
-        let Some(lane) = self.existing_lane(tenant) else {
-            return LanePoll::Idle;
-        };
         let mut lane = lane.lock().expect("lane lock");
+        // An eviction that raced the caller's lookup orphaned the lane:
+        // scoring it would bury its verdicts (no ticket can collect from
+        // an evicted lane), and evict() already honoured the "outstanding
+        // tickets fail" guarantee.
         if lane.evicted {
             return LanePoll::Idle;
         }
         match lane.pending.first() {
             None => LanePoll::Idle,
-            Some(oldest) => {
-                let waited = oldest.submitted.elapsed();
+            Some(&oldest) => {
+                let waited = now.duration_since(oldest);
                 if waited >= self.config.max_delay {
                     LanePoll::Flushed(flush_lane(&mut lane))
                 } else {
@@ -484,41 +424,29 @@ impl ServeEngine {
     /// (or let the next [`ServeEngine::poll`] do it).  Returns whether a
     /// lane existed.
     pub fn evict(&self, tenant: &str) -> bool {
-        let mut lanes = self.lanes.write().expect("lanes lock");
-        match lanes.remove(tenant) {
-            Some(lane) => {
-                // Flag under the lane mutex (inside the map's write lock,
-                // so no new lookup can hand the orphan out): a submitter
-                // that already holds this Arc re-resolves instead of
-                // enqueueing into a lane nothing will ever flush.
-                let mut lane = lane.lock().expect("lane lock");
-                lane.evicted = true;
-                self.outstanding.fetch_sub(
-                    lane.pending.len() + lane.completed.len(),
-                    std::sync::atomic::Ordering::Relaxed,
-                );
-                true
-            }
-            None => false,
-        }
+        self.evict_if(tenant, || true)
     }
 
-    /// [`ServeEngine::evict`] only if the tenant is (still) absent from
-    /// the registry — the housekeeping form, re-checked under the map's
-    /// write lock so a concurrent re-register + submit cannot have its
-    /// live lane swept away.
-    fn evict_if_unregistered(&self, tenant: &str) {
+    /// Removes `tenant`'s lane if `condition` holds **under the map's
+    /// write lock** — housekeeping re-checks there that the tenant is still
+    /// unregistered, so a concurrent re-register + submit cannot have its
+    /// live lane swept away.  Returns whether a lane was removed.
+    fn evict_if(&self, tenant: &str, condition: impl FnOnce() -> bool) -> bool {
         let mut lanes = self.lanes.write().expect("lanes lock");
-        if self.registry.generation(tenant).is_none() {
-            if let Some(lane) = lanes.remove(tenant) {
-                let mut lane = lane.lock().expect("lane lock");
-                lane.evicted = true;
-                self.outstanding.fetch_sub(
-                    lane.pending.len() + lane.completed.len(),
-                    std::sync::atomic::Ordering::Relaxed,
-                );
-            }
+        if !condition() {
+            return false;
         }
+        let Some(lane) = lanes.remove(tenant) else {
+            return false;
+        };
+        // Flag under the lane mutex (inside the map's write lock, so no
+        // new lookup can hand the orphan out): a submitter that already
+        // holds this Arc re-resolves instead of enqueueing into a lane
+        // nothing will ever flush.
+        let mut lane = lane.lock().expect("lane lock");
+        lane.evicted = true;
+        self.outstanding.fetch_sub(lane.pending.len() + lane.desk.uncollected(), Ordering::Relaxed);
+        true
     }
 
     /// Flushes every lane unconditionally, fanning the per-tenant flushes
@@ -528,16 +456,16 @@ impl ServeEngine {
     /// number of flows scored.
     pub fn flush_all(&self) -> usize {
         let lanes = self.snapshot_lanes();
-        let served = std::sync::atomic::AtomicUsize::new(0);
+        let served = AtomicUsize::new(0);
         let threads = hdc::parallel::engine_threads().min(lanes.len().max(1));
-        hdc::parallel::for_each_task(lanes, threads, |lane| {
+        hdc::parallel::for_each_task(lanes, threads, |(_, lane)| {
             let mut lane = lane.lock().expect("lane lock");
             if lane.evicted {
                 // Same eviction race as poll(): never score an orphan.
                 return;
             }
             let n = flush_lane(&mut lane);
-            served.fetch_add(n, std::sync::atomic::Ordering::Relaxed);
+            served.fetch_add(n, Ordering::Relaxed);
         });
         served.into_inner()
     }
@@ -570,24 +498,7 @@ impl ServeEngine {
     /// already-collected or evicted ticket and
     /// [`ServeError::UnknownTenant`] when the tenant is not registered.
     pub fn try_take(&self, ticket: &Ticket) -> ServeResult<Option<Verdict>> {
-        let lane =
-            self.existing_lane(&ticket.tenant).ok_or_else(|| self.no_lane_error(&ticket.tenant))?;
-        let mut lane = lane.lock().expect("lane lock");
-        if lane.evicted || lane.id != ticket.lane {
-            // Evicted lanes honour evict()'s "outstanding tickets fail"
-            // guarantee even when the collect raced the eviction; and
-            // sequence numbers restart in a recreated lane, so a ticket
-            // from a previous lane must not collect a recycled seq.
-            return Err(ServeError::UnknownTicket);
-        }
-        if let Some(verdict) = lane.completed.remove(&ticket.seq) {
-            self.outstanding.fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
-            return Ok(Some(verdict));
-        }
-        if lane.pending.iter().any(|p| p.seq == ticket.seq) {
-            return Ok(None);
-        }
-        Err(ServeError::UnknownTicket)
+        self.collect(ticket, false)
     }
 
     /// Collects a ticket's verdict, flushing its batch first if the flow
@@ -599,32 +510,38 @@ impl ServeEngine {
     /// already-collected or evicted ticket and
     /// [`ServeError::UnknownTenant`] when the tenant is not registered.
     pub fn take(&self, ticket: &Ticket) -> ServeResult<Verdict> {
+        self.collect(ticket, true)?.ok_or(ServeError::UnknownTicket)
+    }
+
+    /// Asks the lane's desk for `ticket`'s verdict, flushing the batch
+    /// first when `flush_pending` and the flow is still queued.
+    fn collect(&self, ticket: &Ticket, flush_pending: bool) -> ServeResult<Option<Verdict>> {
         let lane =
             self.existing_lane(&ticket.tenant).ok_or_else(|| self.no_lane_error(&ticket.tenant))?;
         let mut lane = lane.lock().expect("lane lock");
-        if lane.evicted || lane.id != ticket.lane {
+        if lane.evicted {
+            // Evicted lanes honour evict()'s "outstanding tickets fail"
+            // guarantee even when the collect raced the eviction.
             return Err(ServeError::UnknownTicket);
         }
-        if let Some(verdict) = lane.completed.remove(&ticket.seq) {
-            self.outstanding.fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
-            return Ok(verdict);
-        }
-        if lane.pending.iter().any(|p| p.seq == ticket.seq) {
+        let mut verdict = lane.desk.collect(ticket)?;
+        if flush_pending && verdict.is_none() {
             flush_lane(&mut lane);
-            let verdict = lane.completed.remove(&ticket.seq).ok_or(ServeError::UnknownTicket)?;
-            self.outstanding.fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
-            return Ok(verdict);
+            verdict = lane.desk.collect(ticket)?;
         }
-        Err(ServeError::UnknownTicket)
+        if verdict.is_some() {
+            self.outstanding.fetch_sub(1, Ordering::Relaxed);
+        }
+        Ok(verdict)
     }
 
     /// A snapshot of `tenant`'s serving counters, or `None` before its
     /// first submission.
     pub fn stats(&self, tenant: &str) -> Option<ServeStats> {
-        let lane = self.lanes.read().expect("lanes lock").get(tenant).map(Arc::clone)?;
+        let lane = self.existing_lane(tenant)?;
         let version = self.registry.version(tenant).unwrap_or(0);
         let lane = lane.lock().expect("lane lock");
-        let stats = &lane.stats;
+        let stats = &lane.desk;
         Some(ServeStats {
             tenant: tenant.to_string(),
             detector_version: version,
@@ -632,9 +549,9 @@ impl ServeEngine {
             flows_served: stats.flows_served,
             rejected: stats.rejected,
             queue_depth: lane.pending.len(),
-            uncollected: lane.completed.len(),
+            uncollected: stats.uncollected(),
             batches: stats.batches,
-            batch_size_histogram: stats
+            batch_size_histogram: lane
                 .batch_sizes
                 .iter()
                 .enumerate()
@@ -649,9 +566,10 @@ impl ServeEngine {
         })
     }
 
-    /// Every lane currently known to the engine.
-    fn snapshot_lanes(&self) -> Vec<Arc<Mutex<Lane>>> {
-        self.lanes.read().expect("lanes lock").values().map(Arc::clone).collect()
+    /// Every lane currently known to the engine, with its tenant id.
+    fn snapshot_lanes(&self) -> Vec<(Arc<str>, Arc<Mutex<Lane>>)> {
+        let lanes = self.lanes.read().expect("lanes lock");
+        lanes.iter().map(|(key, lane)| (Arc::clone(key), Arc::clone(lane))).collect()
     }
 
     /// Tenant ids with serving state on this engine (the stats fan-out
@@ -684,18 +602,16 @@ fn flush_lane(lane: &mut Lane) -> usize {
     debug_assert_eq!(verdicts.len(), lane.pending.len());
     let now = Instant::now();
     let size = lane.pending.len();
-    for (flow, verdict) in lane.pending.drain(..).zip(verdicts) {
-        lane.completed.insert(flow.seq, verdict);
-        lane.stats.latency.record(now.duration_since(flow.submitted));
+    for (submitted, verdict) in lane.pending.drain(..).zip(verdicts) {
+        lane.desk.file(verdict, now.duration_since(submitted));
     }
     lane.buffer.clear();
     lane.pinned = None;
-    lane.stats.flows_served += size as u64;
-    lane.stats.batches += 1;
+    lane.desk.batches += 1;
     // Sizes are capped at max_batch by the submit-time flush; guard
     // anyway so a future policy change cannot index out of bounds.
-    let bucket = size.min(lane.stats.batch_sizes.len() - 1);
-    lane.stats.batch_sizes[bucket] += 1;
+    let bucket = size.min(lane.batch_sizes.len() - 1);
+    lane.batch_sizes[bucket] += 1;
     size
 }
 

@@ -12,10 +12,10 @@
 //!   submission that takes a lane from empty to non-empty schedules one
 //!   entry on a shared [`DeadlineWheel`] at `now + max_delay`; per-shard
 //!   flusher threads sweep the wheel and flush exactly the lanes whose
-//!   deadline fired ([`ServeEngine::poll_tenant`]).  Flushers are
-//!   work-conserving: any flusher may dispatch any shard's due entries
-//!   (lanes are mutexed, and the determinism contract makes flush timing
-//!   irrelevant to verdicts).
+//!   deadline fired (the crate-internal `ServeEngine::poll_tenant`).
+//!   Flushers are work-conserving: any flusher may dispatch any shard's
+//!   due entries (lanes are mutexed, and the determinism contract makes
+//!   flush timing irrelevant to verdicts).
 //! * **Admission control** — an optional [`AdmissionController`] sheds
 //!   deterministically ([`ServeError::Shed`]) before any queue is
 //!   touched: per-tenant quota tokens and priority lanes against the
@@ -35,10 +35,10 @@
 use super::admission::{
     AdmissionConfig, AdmissionController, AdmissionStats, Priority, TenantQuota,
 };
+use super::engine::LanePoll;
 use super::timer::DeadlineWheel;
 use super::{
-    DetectorRegistry, LanePoll, ServeConfig, ServeEngine, ServeError, ServeResult, ServeStats,
-    Ticket,
+    DetectorRegistry, ServeConfig, ServeEngine, ServeError, ServeResult, ServeStats, Ticket,
 };
 use crate::detector::Verdict;
 use std::sync::atomic::{AtomicBool, Ordering};

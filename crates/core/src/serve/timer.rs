@@ -17,10 +17,10 @@
 //!
 //! Firing is **at-least-as-late**: an entry never pops before its
 //! deadline, and pops at the first sweep after it.  Duplicate or stale
-//! entries are harmless by design — the consumer
-//! ([`crate::serve::ServeEngine::poll_tenant`]) re-checks the lane's
-//! actual oldest-pending age and just reports idle/due when the wheel
-//! fired spuriously — so the wheel can stay lock-light instead of
+//! entries are harmless by design — the consumer (the sharded engine,
+//! through the crate-internal `ServeEngine::poll_tenant`) re-checks the
+//! lane's actual oldest-pending age and just reports idle/due when the
+//! wheel fired spuriously — so the wheel can stay lock-light instead of
 //! supporting cancellation.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

@@ -71,10 +71,10 @@ pub mod prelude {
         AdaptiveConfig, AdaptiveLane, AdaptiveStats, AdmissionConfig, AdmissionController,
         AdmissionStats, BaselineHd, CyberHdConfig, CyberHdModel, CyberHdTrainer, DeadlineWheel,
         DetectScratch, Detector, DetectorBuilder, DetectorInfo, DetectorRegistry, DriftMonitor,
-        DriftMonitorConfig, DurableConfig, DurableLane, EncoderKind, LanePoll, OnlineDetector,
-        OnlineLearner, OpenSetDetector, OpenSetPrediction, Priority, QuantizedModel,
-        RecoveryReport, ScoringBackend, ServeConfig, ServeEngine, ServeError, ServeStats,
-        ShardConfig, ShardedServeEngine, TenantQuota, Ticket, TrainingBatch, Verdict,
+        DriftMonitorConfig, DurableConfig, DurableLane, EncoderKind, OnlineDetector, OnlineLearner,
+        OpenSetDetector, OpenSetPrediction, Priority, QuantizedModel, RecoveryReport,
+        ScoringBackend, ServeConfig, ServeEngine, ServeError, ServeStats, ShardConfig,
+        ShardedServeEngine, TenantQuota, Ticket, TrainingBatch, Verdict,
     };
     pub use eval::detection::{DetectionCounts, RocCurve};
     pub use eval::metrics::{accuracy, ConfusionMatrix};
