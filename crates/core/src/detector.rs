@@ -71,11 +71,8 @@ const MAGIC: &[u8; 4] = b"CYHD";
 /// Version 2 appends a CRC-32 integrity trailer over everything before it,
 /// so silent on-disk corruption of a checkpointed artifact is detected at
 /// load instead of deserializing garbage that happens to parse.  Version 1
-/// artifacts (no trailer) are still readable.
+/// artifacts (no trailer, so no way to verify them) are rejected.
 const FORMAT_VERSION: u32 = 2;
-
-/// The pre-CRC artifact format, still accepted by [`Detector::from_bytes`].
-const LEGACY_FORMAT_VERSION: u32 = 1;
 
 /// Rows per streaming burst of the builder's `.online()` single-pass
 /// training mode: large enough to amortize the batched kernels, small
@@ -203,7 +200,7 @@ pub trait ScoringBackend: fmt::Debug + Send + Sync {
 
     /// Persists the engine payload (variant tag + body, **without** the
     /// threshold trailer — the [`Detector`] writes that from
-    /// [`ScoringBackend::thresholds`] to keep the v1 artifact layout).
+    /// [`ScoringBackend::thresholds`], after the engine payload).
     fn write_engine(&self, w: &mut Writer);
 
     /// Recovers the owned full-precision model for unsealing, or hands the
@@ -1096,9 +1093,8 @@ impl Detector {
         w.into_bytes()
     }
 
-    /// Deserializes an artifact produced by [`Detector::to_bytes`] —
-    /// version 2 (CRC-32 trailer, verified before parsing) or the legacy
-    /// version 1 (no trailer).
+    /// Deserializes an artifact produced by [`Detector::to_bytes`]; the
+    /// CRC-32 trailer is verified before anything is parsed.
     ///
     /// # Errors
     ///
@@ -1460,38 +1456,32 @@ fn read_detector(bytes: &[u8]) -> CodecResult<Detector> {
         )));
     }
     let version = head.u32()?;
-    let body = match version {
-        LEGACY_FORMAT_VERSION => &bytes[8..],
-        FORMAT_VERSION => {
-            // Verify the CRC-32 trailer over everything before it, so a
-            // corrupted artifact fails here instead of parsing garbage.
-            if bytes.len() < 12 {
-                return Err(CodecError::UnexpectedEof { needed: 12, remaining: bytes.len() });
-            }
-            let trailer_at = bytes.len() - 4;
-            let stored = u32::from_le_bytes([
-                bytes[trailer_at],
-                bytes[trailer_at + 1],
-                bytes[trailer_at + 2],
-                bytes[trailer_at + 3],
-            ]);
-            let computed = hdc::codec::crc32(&bytes[..trailer_at]);
-            if stored != computed {
-                return Err(CodecError::Invalid(format!(
-                    "artifact checksum mismatch (stored {stored:08X}, computed {computed:08X}): \
-                     the bytes were corrupted after sealing"
-                )));
-            }
-            &bytes[8..trailer_at]
-        }
-        other => {
-            return Err(CodecError::Invalid(format!(
-                "artifact format version {other} is not supported (this build reads versions \
-                 {LEGACY_FORMAT_VERSION} and {FORMAT_VERSION})"
-            )));
-        }
-    };
-    let r = &mut Reader::new(body);
+    if version != FORMAT_VERSION {
+        return Err(CodecError::Invalid(format!(
+            "artifact format version {version} is not supported (this build reads version \
+             {FORMAT_VERSION})"
+        )));
+    }
+    // Verify the CRC-32 trailer over everything before it, so a corrupted
+    // artifact fails here instead of parsing garbage.
+    if bytes.len() < 12 {
+        return Err(CodecError::UnexpectedEof { needed: 12, remaining: bytes.len() });
+    }
+    let trailer_at = bytes.len() - 4;
+    let stored = u32::from_le_bytes([
+        bytes[trailer_at],
+        bytes[trailer_at + 1],
+        bytes[trailer_at + 2],
+        bytes[trailer_at + 3],
+    ]);
+    let computed = hdc::codec::crc32(&bytes[..trailer_at]);
+    if stored != computed {
+        return Err(CodecError::Invalid(format!(
+            "artifact checksum mismatch (stored {stored:08X}, computed {computed:08X}): the \
+             bytes were corrupted after sealing"
+        )));
+    }
+    let r = &mut Reader::new(&bytes[8..trailer_at]);
     let preprocessor = Preprocessor::read_from(r)?;
     let config = read_config(r)?;
     if config.input_features != preprocessor.output_width() {
@@ -1803,32 +1793,19 @@ mod tests {
         assert!(err.to_string().contains("checksum"), "{err}");
     }
 
-    /// Strips the CRC trailer off a v2 frame and patches the version field
-    /// back to 1 — exactly the bytes a pre-CRC build would have written.
-    fn as_legacy_v1(v2_bytes: &[u8]) -> Vec<u8> {
-        let mut v1 = v2_bytes[..v2_bytes.len() - 4].to_vec();
-        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
-        v1
-    }
-
     #[test]
-    fn legacy_v1_artifacts_still_load_bit_identically() {
+    fn legacy_v1_artifacts_are_rejected_as_an_unsupported_version() {
         let data = dataset(300, 31);
         let detector = quick_builder().train(&data).unwrap();
-        let v1 = as_legacy_v1(&detector.to_bytes());
-        let loaded = Detector::from_bytes(&v1).unwrap();
-        for record in data.records().iter().take(25) {
-            assert_eq!(loaded.detect(record).unwrap(), detector.detect(record).unwrap());
-        }
-        // Re-serializing a legacy artifact upgrades it to the v2 frame.
-        let upgraded = loaded.to_bytes();
-        assert_eq!(upgraded, detector.to_bytes());
-        // The v1 reader still demands exhaustion (no trailer to absorb
-        // trailing garbage).
-        let mut trailing = v1;
-        trailing.push(0);
-        let err = Detector::from_bytes(&trailing).unwrap_err();
-        assert!(err.to_string().contains("trailing"), "{err}");
+        // Exactly the bytes a pre-CRC build would have written: the v2
+        // frame without its trailer, version field patched back to 1.
+        // They carry no checksum, so loading them would be the one way
+        // to deserialize unverified bytes.
+        let v2 = detector.to_bytes();
+        let mut v1 = v2[..v2.len() - 4].to_vec();
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let err = Detector::from_bytes(&v1).unwrap_err();
+        assert!(err.to_string().contains("version 1 is not supported"), "{err}");
     }
 
     #[test]
