@@ -88,8 +88,7 @@ pub use regeneration::{
 pub use serve::admission::{
     AdmissionConfig, AdmissionController, AdmissionStats, Priority, TenantQuota,
 };
-pub use serve::shard::{ShardConfig, ShardedServeEngine};
-pub use serve::timer::DeadlineWheel;
+pub use serve::shard::{FlusherStats, ShardConfig, ShardedServeEngine};
 pub use serve::{
     AdaptiveConfig, AdaptiveLane, AdaptiveStats, DetectorRegistry, ServeConfig, ServeEngine,
     ServeError, ServeStats, Ticket,

@@ -54,6 +54,9 @@
 //! engine in `serve/engine.rs`, the adaptive lane in `serve/adaptive.rs`;
 //! [`crate::durable`] turns an adaptive lane crash-durable by attaching a
 //! write-ahead journal *inside* it (same mutex, same flush boundaries).
+//! The sharded engine ([`shard`]) adds `serve/timer.rs` — one sorted
+//! deadline queue per shard, which that shard's flusher thread sleeps
+//! on — and [`admission`] in front of the lanes.
 //!
 //! # Determinism contract
 //!
@@ -71,8 +74,9 @@
 //! One [`ServeEngine`] is a **single shard**: one lane map, one lock, one
 //! caller-driven [`ServeEngine::poll`].  The [`shard`] submodule composes
 //! N of them into a [`shard::ShardedServeEngine`] that partitions tenants
-//! by hash, drives flushes from a shared deadline wheel ([`timer`])
-//! instead of caller polling, and sheds load deterministically under
+//! by hash, flushes from per-shard flusher threads that sleep until the
+//! next batch deadline (`serve/timer.rs`'s deadline queue) instead of
+//! caller polling, and sheds load deterministically under
 //! overload ([`admission`], [`ServeError::Shed`]).  The determinism
 //! contract below is shard-count-invariant: a tenant lives on exactly one
 //! shard, so its lane machinery — and therefore its verdicts — are
@@ -122,7 +126,7 @@ mod desk;
 mod engine;
 mod registry;
 pub mod shard;
-pub mod timer;
+mod timer;
 
 pub(crate) use adaptive::LaneCheckpoint;
 pub use adaptive::{AdaptiveConfig, AdaptiveLane, AdaptiveStats};
@@ -200,6 +204,8 @@ pub enum ServeError {
     /// The durable lane's on-disk state (write-ahead log or checkpoint)
     /// could not be read, written, or reconciled with the live lane.
     Durability(String),
+    /// The OS refused to start a sharded engine's flusher thread.
+    FlusherSpawn(std::io::Error),
 }
 
 impl fmt::Display for ServeError {
@@ -234,6 +240,7 @@ impl fmt::Display for ServeError {
                 )
             }
             ServeError::Durability(what) => write!(f, "durability error: {what}"),
+            ServeError::FlusherSpawn(e) => write!(f, "cannot spawn a flusher thread: {e}"),
         }
     }
 }
@@ -242,6 +249,7 @@ impl Error for ServeError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             ServeError::Rejected(e) => Some(e),
+            ServeError::FlusherSpawn(e) => Some(e),
             _ => None,
         }
     }

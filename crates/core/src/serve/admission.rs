@@ -25,6 +25,7 @@
 //! bit-identity *through* the shedding path.
 
 use super::{ServeError, ServeResult};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
@@ -122,6 +123,12 @@ impl AdmissionConfig {
 struct TenantState {
     priority: Priority,
     bucket: Option<Bucket>,
+    /// An operator put this state here on purpose
+    /// ([`AdmissionController::set_priority`] / `set_quota`), possibly
+    /// ahead of registering the tenant: it is never dropped.  State that
+    /// only exists because a submission was admitted is dropped again if
+    /// the tenant turns out to be unknown.
+    configured: bool,
 }
 
 /// Token-bucket state; tokens are whole admissions.
@@ -192,6 +199,10 @@ pub struct AdmissionStats {
     pub shed_quota: u64,
     /// Submissions shed by an overload watermark.
     pub shed_overload: u64,
+    /// Tenants the controller holds state for: those an operator
+    /// configured plus those with an admitted submission — ids nobody
+    /// registered leave nothing behind.
+    pub tracked_tenants: usize,
 }
 
 impl AdmissionStats {
@@ -238,7 +249,7 @@ impl AdmissionController {
     /// Sets a tenant's overload priority (defaults to
     /// [`Priority::Normal`] on first contact).
     pub fn set_priority(&self, tenant: &str, priority: Priority) {
-        self.with_state(tenant, |state| state.priority = priority);
+        self.configure(tenant, |state| state.priority = priority);
     }
 
     /// A tenant's current priority.
@@ -255,31 +266,29 @@ impl AdmissionController {
     /// bucket to a full burst.
     pub fn set_quota(&self, tenant: &str, quota: Option<TenantQuota>) {
         let now = Instant::now();
-        self.with_state(tenant, |state| {
+        self.configure(tenant, |state| {
             state.bucket = quota.map(|q| Bucket::new(q, now));
         });
     }
 
-    /// Runs `f` on the tenant's state, creating it on first contact.
-    fn with_state(&self, tenant: &str, f: impl FnOnce(&mut TenantState)) {
-        {
-            let tenants = self.tenants.read().expect("admission lock");
-            if let Some(state) = tenants.get(tenant) {
-                f(&mut state.lock().expect("tenant state lock"));
-                return;
-            }
-        }
+    /// Applies an operator's setting to the tenant's state, creating it
+    /// on first contact and marking it as configured on purpose.
+    fn configure(&self, tenant: &str, f: impl FnOnce(&mut TenantState)) {
         let mut tenants = self.tenants.write().expect("admission lock");
         let state = tenants
             .entry(tenant.to_string())
-            .or_insert_with(|| Mutex::new(self.fresh_state(Instant::now())));
-        f(state.get_mut().expect("tenant state lock"));
+            .or_insert_with(|| Mutex::new(self.fresh_state(Instant::now())))
+            .get_mut()
+            .expect("tenant state lock");
+        f(state);
+        state.configured = true;
     }
 
     fn fresh_state(&self, now: Instant) -> TenantState {
         TenantState {
             priority: Priority::default(),
             bucket: self.config.default_quota.map(|q| Bucket::new(q, now)),
+            configured: false,
         }
     }
 
@@ -287,64 +296,101 @@ impl AdmissionController {
     /// is the target shard's queued work at the moment of the call, `now`
     /// the submission timestamp (explicit so tests are wall-clock-free).
     ///
+    /// State for a tenant seen for the first time is kept only if the
+    /// submission is admitted, so shed traffic under ids nobody
+    /// registered cannot grow the controller.
+    ///
     /// # Errors
     ///
     /// Returns [`ServeError::Shed`] (with a retry hint) when the
     /// submission is shed; the flow was not queued and no token was
     /// consumed by an overload shed.
     pub fn admit(&self, tenant: &str, shard_outstanding: usize, now: Instant) -> ServeResult<()> {
-        // Overload watermarks first: they cost no token, so a shed burst
-        // does not also drain the tenant's quota.
-        let priority = self.priority_or_create(tenant, now);
-        let capacity = self.config.shard_capacity as f64;
-        let occupancy = shard_outstanding as f64 / capacity;
-        let overloaded = occupancy >= 1.0
-            || (priority <= Priority::Normal && occupancy >= self.config.normal_watermark)
-            || (priority == Priority::Low && occupancy >= self.config.low_watermark);
-        if overloaded {
-            self.shed_overload.fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::Shed {
-                tenant: tenant.to_string(),
-                retry_hint: self.config.retry_hint,
-            });
+        let known = {
+            let tenants = self.tenants.read().expect("admission lock");
+            tenants.get(tenant).map(|state| {
+                self.decide(&mut state.lock().expect("tenant state lock"), shard_outstanding, now)
+            })
+        };
+        let decision = known.unwrap_or_else(|| {
+            match self.tenants.write().expect("admission lock").entry(tenant.to_string()) {
+                // A racing first contact got here first.
+                Entry::Occupied(state) => self.decide(
+                    state.into_mut().get_mut().expect("tenant state lock"),
+                    shard_outstanding,
+                    now,
+                ),
+                Entry::Vacant(slot) => {
+                    let mut fresh = self.fresh_state(now);
+                    let decision = self.decide(&mut fresh, shard_outstanding, now);
+                    if decision.is_ok() {
+                        slot.insert(Mutex::new(fresh));
+                    }
+                    decision
+                }
+            }
+        });
+        match decision {
+            Ok(()) => {
+                self.admitted.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            }
+            Err((shed_counter, retry_hint)) => {
+                shed_counter.fetch_add(1, Ordering::Relaxed);
+                Err(ServeError::Shed { tenant: tenant.to_string(), retry_hint })
+            }
         }
+    }
 
-        // Then the tenant's token bucket.
-        let tenants = self.tenants.read().expect("admission lock");
-        let state = tenants.get(tenant).expect("created above");
-        let mut state = state.lock().expect("tenant state lock");
+    /// One submission against one tenant's state: the overload
+    /// watermarks first (they cost no token, so a shed burst does not
+    /// also drain the tenant's quota), then the token bucket.  A shed
+    /// names the counter it belongs to and the retry hint to hand back.
+    fn decide(
+        &self,
+        state: &mut TenantState,
+        shard_outstanding: usize,
+        now: Instant,
+    ) -> Result<(), (&AtomicU64, Duration)> {
+        let occupancy = shard_outstanding as f64 / self.config.shard_capacity as f64;
+        let overloaded = occupancy >= 1.0
+            || (state.priority <= Priority::Normal && occupancy >= self.config.normal_watermark)
+            || (state.priority == Priority::Low && occupancy >= self.config.low_watermark);
+        if overloaded {
+            return Err((&self.shed_overload, self.config.retry_hint));
+        }
         if let Some(bucket) = &mut state.bucket {
             bucket.refill(now);
             if bucket.tokens == 0 {
                 let retry_hint = bucket.next_token_in(now).unwrap_or(self.config.retry_hint);
-                drop(state);
-                drop(tenants);
-                self.shed_quota.fetch_add(1, Ordering::Relaxed);
-                return Err(ServeError::Shed { tenant: tenant.to_string(), retry_hint });
+                return Err((&self.shed_quota, retry_hint));
             }
             bucket.tokens -= 1;
         }
-        drop(state);
-        drop(tenants);
-        self.admitted.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// The tenant's priority, creating default state on first contact.
-    fn priority_or_create(&self, tenant: &str, now: Instant) -> Priority {
-        {
-            let tenants = self.tenants.read().expect("admission lock");
-            if let Some(state) = tenants.get(tenant) {
-                return state.lock().expect("tenant state lock").priority;
-            }
-        }
+    /// Takes back an admission whose submission the shard then refused
+    /// with [`ServeError::UnknownTenant`]: the `admitted` count, the
+    /// token, and — unless an operator configured the tenant on purpose —
+    /// the state itself, so unregistered ids leave nothing behind.
+    ///
+    /// A registration racing the refused submission can lose the token
+    /// level of a concurrently admitted flow with the dropped state (the
+    /// bucket restarts at a full burst); quotas are not exact across a
+    /// tenant's first registration.
+    pub(crate) fn retract_unknown(&self, tenant: &str) {
+        self.admitted.fetch_sub(1, Ordering::Relaxed);
         let mut tenants = self.tenants.write().expect("admission lock");
-        tenants
-            .entry(tenant.to_string())
-            .or_insert_with(|| Mutex::new(self.fresh_state(now)))
-            .get_mut()
-            .expect("tenant state lock")
-            .priority
+        let Some(state) = tenants.get_mut(tenant) else {
+            return;
+        };
+        let state = state.get_mut().expect("tenant state lock");
+        if !state.configured {
+            tenants.remove(tenant);
+        } else if let Some(bucket) = &mut state.bucket {
+            bucket.tokens = (bucket.tokens + 1).min(bucket.quota.burst);
+        }
     }
 
     /// A snapshot of the decision counters.
@@ -353,6 +399,7 @@ impl AdmissionController {
             admitted: self.admitted.load(Ordering::Relaxed),
             shed_quota: self.shed_quota.load(Ordering::Relaxed),
             shed_overload: self.shed_overload.load(Ordering::Relaxed),
+            tracked_tenants: self.tenants.read().expect("admission lock").len(),
         }
     }
 }
@@ -525,6 +572,39 @@ mod tests {
         // …the single burst token is still there.
         ctl.admit("t", 0, now).unwrap();
         assert!(ctl.admit("t", 0, now).is_err());
+    }
+
+    #[test]
+    fn only_admitted_or_configured_tenants_are_tracked() {
+        // Nothing admits: the shard is full and the default bucket is empty.
+        let ctl = controller(AdmissionConfig {
+            default_quota: Some(TenantQuota { rate_per_sec: 0, burst: 0 }),
+            shard_capacity: 10,
+            ..Default::default()
+        });
+        let now = Instant::now();
+        for i in 0..100 {
+            assert!(ctl.admit(&format!("overload-{i}"), 10, now).is_err());
+            assert!(ctl.admit(&format!("quota-{i}"), 0, now).is_err());
+        }
+        let stats = ctl.stats();
+        assert_eq!((stats.shed_overload, stats.shed_quota), (100, 100));
+        assert_eq!(stats.tracked_tenants, 0, "shed first contacts leave no state behind");
+
+        // Retracting an admission from state somebody configured keeps
+        // the state, refunds the token and uncounts the admission (state
+        // nobody configured is dropped: pinned through the engine in
+        // `shard.rs`, where only a refused submission can get there).
+        ctl.set_quota("metered", Some(TenantQuota { rate_per_sec: 0, burst: 1 }));
+        ctl.set_quota("open", None);
+        ctl.admit("metered", 0, now).unwrap();
+        ctl.retract_unknown("metered");
+        ctl.admit("metered", 0, now).expect("the token came back");
+        assert!(ctl.admit("metered", 0, now).is_err());
+        ctl.admit("open", 0, now).unwrap();
+        ctl.retract_unknown("open");
+        assert_eq!(ctl.stats().admitted, 1);
+        assert_eq!(ctl.stats().tracked_tenants, 2);
     }
 
     #[test]

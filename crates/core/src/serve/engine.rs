@@ -160,20 +160,6 @@ pub struct ServeEngine {
     outstanding: AtomicUsize,
 }
 
-/// What [`ServeEngine::poll_tenant`] found — the deadline wheel's
-/// per-lane verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LanePoll {
-    /// The lane's oldest pending flow had waited at least `max_delay`;
-    /// the batch was flushed and this many flows were scored.
-    Flushed(usize),
-    /// The lane has pending flows but the oldest is younger than
-    /// `max_delay`; it becomes due after this long (reschedule hint).
-    Due(Duration),
-    /// Nothing pending (no lane, an evicted lane, or an empty one).
-    Idle,
-}
-
 impl ServeEngine {
     /// Creates an engine routing through `registry`.
     ///
@@ -255,9 +241,9 @@ impl ServeEngine {
     /// [`ServeEngine::submit`], additionally reporting how many flows are
     /// pending in the tenant's lane **after** this submission (`0` when
     /// the submission itself filled and flushed the batch).  A sharded
-    /// engine uses the count to schedule exactly one deadline-wheel entry
-    /// per in-flight batch: the flow that takes a lane from empty to
-    /// non-empty (count 1) starts the batch's `max_delay` clock.
+    /// engine uses the count to arm exactly one deadline per in-flight
+    /// batch: the flow that takes a lane from empty to non-empty (count 1)
+    /// starts the batch's `max_delay` clock.
     ///
     /// # Errors
     ///
@@ -366,34 +352,28 @@ impl ServeEngine {
     /// engine.
     pub fn poll(&self) -> usize {
         let now = Instant::now();
-        let mut served = 0usize;
-        for (key, lane) in self.snapshot_lanes() {
-            if let LanePoll::Flushed(n) = self.poll_lane(&key, &lane, now) {
-                served += n;
-            }
-        }
-        served
+        self.snapshot_lanes().iter().map(|(key, lane)| self.poll_lane(key, lane, now)).sum()
     }
 
     /// [`ServeEngine::poll`] for a **single** tenant — the targeted form a
-    /// deadline wheel drives when this tenant's batch deadline fires, so a
-    /// timer tick touches one lane instead of scanning the whole map.
-    pub(crate) fn poll_tenant(&self, tenant: &str) -> LanePoll {
+    /// sharded engine's flusher drives when this tenant's batch deadline
+    /// fires, so a deadline touches one lane instead of scanning the whole
+    /// map.  Returns the number of flows scored: `0` means the deadline
+    /// was stale (no lane, an evicted or empty one, or a younger batch).
+    pub(crate) fn poll_tenant(&self, tenant: &str) -> usize {
         match self.existing_lane(tenant) {
             Some(lane) => self.poll_lane(tenant, &lane, Instant::now()),
-            None => LanePoll::Idle,
+            None => 0,
         }
     }
 
     /// The `max_delay` check on one lane: flushes it if its oldest pending
-    /// flow has waited at least `max_delay`, otherwise reports how much of
-    /// the wait remains ([`LanePoll::Due`]) so a deadline wheel can
-    /// reschedule.  A lane whose tenant left the registry is evicted and
-    /// reported [`LanePoll::Idle`].
-    fn poll_lane(&self, tenant: &str, lane: &Mutex<Lane>, now: Instant) -> LanePoll {
+    /// flow has waited at least `max_delay`, returning the number of flows
+    /// scored.  A lane whose tenant left the registry is evicted.
+    fn poll_lane(&self, tenant: &str, lane: &Mutex<Lane>, now: Instant) -> usize {
         if self.registry.generation(tenant).is_none() {
             self.evict_if(tenant, || self.registry.generation(tenant).is_none());
-            return LanePoll::Idle;
+            return 0;
         }
         let mut lane = lane.lock().expect("lane lock");
         // An eviction that raced the caller's lookup orphaned the lane:
@@ -401,18 +381,13 @@ impl ServeEngine {
         // an evicted lane), and evict() already honoured the "outstanding
         // tickets fail" guarantee.
         if lane.evicted {
-            return LanePoll::Idle;
+            return 0;
         }
         match lane.pending.first() {
-            None => LanePoll::Idle,
-            Some(&oldest) => {
-                let waited = now.duration_since(oldest);
-                if waited >= self.config.max_delay {
-                    LanePoll::Flushed(flush_lane(&mut lane))
-                } else {
-                    LanePoll::Due(self.config.max_delay - waited)
-                }
+            Some(&oldest) if now.duration_since(oldest) >= self.config.max_delay => {
+                flush_lane(&mut lane)
             }
+            _ => 0,
         }
     }
 

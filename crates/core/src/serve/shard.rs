@@ -8,14 +8,18 @@
 //! * **Tenant-hash partitioning** — every tenant id maps to exactly one
 //!   shard (FNV-1a over the id, mod N), so submits on different shards
 //!   touch disjoint lane maps and never contend on a shared lock.
-//! * **Deadline-wheel flushing** — instead of caller-driven polling, the
-//!   submission that takes a lane from empty to non-empty schedules one
-//!   entry on a shared [`DeadlineWheel`] at `now + max_delay`; per-shard
-//!   flusher threads sweep the wheel and flush exactly the lanes whose
-//!   deadline fired (the crate-internal `ServeEngine::poll_tenant`).
-//!   Flushers are work-conserving: any flusher may dispatch any shard's
-//!   due entries (lanes are mutexed, and the determinism contract makes
-//!   flush timing irrelevant to verdicts).
+//! * **Deadline flushing** — instead of caller-driven polling, the
+//!   submission that takes a lane from empty to non-empty arms one entry
+//!   at `now + max_delay` on its shard's deadline queue
+//!   (`serve/timer.rs`); the shard's flusher thread sleeps until the
+//!   queue's head is due and flushes exactly the lane whose deadline
+//!   fired (the crate-internal `ServeEngine::poll_tenant`), so a verdict
+//!   is late by a thread wake-up, not by a polling cadence.  Each flusher
+//!   serves its own shard only: a queue shared by all flushers would wake
+//!   every one of them per deadline, and dispatching another shard's
+//!   entries only ever helps while that shard's own flusher is saturated.
+//!   [`ShardedServeEngine::flusher_stats`] reports how late deadlines
+//!   fired.
 //! * **Admission control** — an optional [`AdmissionController`] sheds
 //!   deterministically ([`ServeError::Shed`]) before any queue is
 //!   touched: per-tenant quota tokens and priority lanes against the
@@ -35,15 +39,15 @@
 use super::admission::{
     AdmissionConfig, AdmissionController, AdmissionStats, Priority, TenantQuota,
 };
-use super::engine::LanePoll;
-use super::timer::DeadlineWheel;
+use super::timer::DeadlineQueue;
 use super::{
     DetectorRegistry, ServeConfig, ServeEngine, ServeError, ServeResult, ServeStats, Ticket,
 };
 use crate::detector::Verdict;
-use std::sync::atomic::{AtomicBool, Ordering};
+use eval::timing::LatencyHistogram;
+use std::fmt;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Configuration of a [`ShardedServeEngine`].
 #[derive(Debug, Clone)]
@@ -57,12 +61,10 @@ pub struct ShardConfig {
     /// Admission-control policy; `None` disables shedding entirely
     /// (submissions then only fail on [`ServeError::Backpressure`]).
     pub admission: Option<AdmissionConfig>,
-    /// Spawn per-shard flusher threads driven by the deadline wheel
+    /// Spawn one flusher thread per shard that enforces `max_delay`
     /// (requires the `parallel` feature; without it the engine falls back
     /// to caller-driven [`ShardedServeEngine::poll`]).
     pub background_flush: bool,
-    /// Slot count of the shared deadline wheel.
-    pub wheel_slots: usize,
 }
 
 impl Default for ShardConfig {
@@ -72,7 +74,6 @@ impl Default for ShardConfig {
             serve: ServeConfig::default(),
             admission: None,
             background_flush: true,
-            wheel_slots: 256,
         }
     }
 }
@@ -82,18 +83,17 @@ impl ShardConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::InvalidConfig`] for a zero shard or wheel
-    /// slot count, or an inconsistent nested config.
+    /// Returns [`ServeError::InvalidConfig`] for a zero shard count or
+    /// `max_delay`, or an inconsistent nested config.
     pub fn validate(&self) -> ServeResult<()> {
         if self.shards == 0 {
             return Err(ServeError::InvalidConfig("shards must be non-zero".into()));
         }
-        if self.wheel_slots == 0 {
-            return Err(ServeError::InvalidConfig("wheel_slots must be non-zero".into()));
-        }
         if self.serve.max_delay.is_zero() {
             return Err(ServeError::InvalidConfig(
-                "max_delay must be non-zero (the deadline wheel needs a cadence)".into(),
+                "max_delay must be non-zero (every batch would be due the moment it starts, and \
+                 the flushers would never sleep)"
+                    .into(),
             ));
         }
         if let Some(admission) = &self.admission {
@@ -114,6 +114,77 @@ fn fnv1a(tenant: &str) -> u64 {
     hash
 }
 
+/// How the background flushers are keeping `max_delay`
+/// ([`ShardedServeEngine::flusher_stats`]): every armed deadline fires
+/// once, and either flushes its batch or finds it already gone.
+#[derive(Debug, Clone, Default)]
+pub struct FlusherStats {
+    /// Deadlines armed (one per batch that started on an empty lane).
+    pub armed: u64,
+    /// Deadlines that have fired; `armed - fired` are still waiting.
+    pub fired: u64,
+    /// Fired deadlines that flushed nothing: their batch had already left
+    /// inline (`max_batch`), through an explicit flush or `take`, or with
+    /// an evicted lane.
+    pub stale: u64,
+    /// How long after its deadline each entry fired — the flusher's
+    /// wake-up latency plus whatever it was still flushing.
+    pub lateness: LatencyHistogram,
+}
+
+impl fmt::Display for FlusherStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} deadlines armed, {} fired ({} stale), fired late by p50 {:?} p99 {:?} max {:?}",
+            self.armed,
+            self.fired,
+            self.stale,
+            self.lateness.percentile(0.50),
+            self.lateness.percentile(0.99),
+            self.lateness.max(),
+        )
+    }
+}
+
+/// One shard's deadline queue and the thread sleeping on it.
+#[derive(Debug)]
+struct Flusher {
+    deadlines: Arc<DeadlineQueue<Arc<str>>>,
+    /// Written by the flusher thread only (`armed` stays zero here; the
+    /// queue counts it).
+    stats: Arc<Mutex<FlusherStats>>,
+    thread: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Flusher {
+    /// Spawns `shard`'s flusher on a thread built by `builder`.
+    fn spawn(builder: std::thread::Builder, shard: &Arc<ServeEngine>) -> ServeResult<Self> {
+        let deadlines = Arc::new(DeadlineQueue::new());
+        let stats = Arc::new(Mutex::new(FlusherStats::default()));
+        let thread = {
+            let (shard, deadlines, stats) =
+                (Arc::clone(shard), Arc::clone(&deadlines), Arc::clone(&stats));
+            builder
+                .spawn(move || flusher_loop(&shard, &deadlines, &stats))
+                .map_err(ServeError::FlusherSpawn)?
+        };
+        Ok(Self { deadlines, stats, thread: Some(thread) })
+    }
+}
+
+impl Drop for Flusher {
+    /// Wakes the parked thread and joins it, so dropping an engine — or
+    /// the flushers already spawned when a later spawn fails — returns
+    /// promptly and leaves no thread behind.
+    fn drop(&mut self) {
+        self.deadlines.close();
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
 /// The sharded serving engine (see the [module docs](self)).
 ///
 /// All methods take `&self`; the engine is `Send + Sync` and meant to be
@@ -123,10 +194,9 @@ pub struct ShardedServeEngine {
     registry: Arc<DetectorRegistry>,
     config: ShardConfig,
     shards: Vec<Arc<ServeEngine>>,
-    wheel: Arc<DeadlineWheel<(usize, Arc<str>)>>,
-    admission: Option<Arc<AdmissionController>>,
-    shutdown: Arc<AtomicBool>,
-    flushers: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// One per shard while background flushing is active, else empty.
+    flushers: Vec<Flusher>,
+    admission: Option<AdmissionController>,
 }
 
 impl ShardedServeEngine {
@@ -136,60 +206,31 @@ impl ShardedServeEngine {
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidConfig`] for an inconsistent
-    /// [`ShardConfig`].
+    /// [`ShardConfig`] and [`ServeError::FlusherSpawn`] when the OS
+    /// refuses a flusher thread (the ones already running are stopped).
     pub fn new(registry: Arc<DetectorRegistry>, config: ShardConfig) -> ServeResult<Self> {
         config.validate()?;
         let shards = (0..config.shards)
             .map(|_| Ok(Arc::new(ServeEngine::new(Arc::clone(&registry), config.serve)?)))
             .collect::<ServeResult<Vec<_>>>()?;
-        // Wheel granularity: fine enough that a deadline slips by at most
-        // ~a quarter of max_delay, bounded so flusher wake-ups stay sane.
-        let granularity = (config.serve.max_delay / 4)
-            .clamp(Duration::from_micros(50), Duration::from_millis(10));
-        let wheel = Arc::new(DeadlineWheel::new(granularity, config.wheel_slots));
-        let admission = match &config.admission {
-            Some(cfg) => Some(Arc::new(AdmissionController::new(*cfg)?)),
-            None => None,
+        let admission = config.admission.map(AdmissionController::new).transpose()?;
+        let flushers = if cfg!(feature = "parallel") && config.background_flush {
+            let named = |i| std::thread::Builder::new().name(format!("cyberhd-flusher-{i}"));
+            (0..)
+                .zip(&shards)
+                .map(|(i, shard)| Flusher::spawn(named(i), shard))
+                .collect::<ServeResult<_>>()?
+        } else {
+            Vec::new()
         };
-        let engine = Self {
-            registry,
-            config,
-            shards,
-            wheel,
-            admission,
-            shutdown: Arc::new(AtomicBool::new(false)),
-            flushers: Mutex::new(Vec::new()),
-        };
-        engine.spawn_flushers();
-        Ok(engine)
+        Ok(Self { registry, config, shards, flushers, admission })
     }
 
-    /// Whether submissions schedule deadline-wheel entries (background
-    /// flushers are running).  Without the `parallel` feature the engine
-    /// is caller-driven regardless of [`ShardConfig::background_flush`].
+    /// Whether submissions arm deadlines for background flushers.
+    /// Without the `parallel` feature the engine is caller-driven
+    /// regardless of [`ShardConfig::background_flush`].
     pub fn background_flush_active(&self) -> bool {
-        cfg!(feature = "parallel") && self.config.background_flush
-    }
-
-    /// Spawns one flusher thread per shard (no-op when background
-    /// flushing is inactive).
-    fn spawn_flushers(&self) {
-        if !self.background_flush_active() {
-            return;
-        }
-        let mut flushers = self.flushers.lock().expect("flusher registry lock");
-        for shard in 0..self.shards.len() {
-            let shards: Vec<Arc<ServeEngine>> = self.shards.iter().map(Arc::clone).collect();
-            let wheel = Arc::clone(&self.wheel);
-            let shutdown = Arc::clone(&self.shutdown);
-            let tick = wheel.granularity();
-            flushers.push(
-                std::thread::Builder::new()
-                    .name(format!("cyberhd-flusher-{shard}"))
-                    .spawn(move || flusher_loop(shard, &shards, &wheel, &shutdown, tick))
-                    .expect("spawn flusher thread"),
-            );
-        }
+        !self.flushers.is_empty()
     }
 
     /// The registry this engine routes through.
@@ -220,7 +261,7 @@ impl ShardedServeEngine {
 
     /// Submits one raw flow record for `tenant`, returning a [`Ticket`]
     /// for its verdict — [`ServeEngine::submit`] with sharding, admission
-    /// control, and deadline scheduling in front.
+    /// control, and deadline arming in front.
     ///
     /// # Errors
     ///
@@ -235,15 +276,32 @@ impl ShardedServeEngine {
         if let Some(admission) = &self.admission {
             admission.admit(tenant, shard.outstanding(), Instant::now())?;
         }
-        let (ticket, pending) = shard.submit_counted(tenant, record)?;
-        // Exactly one wheel entry per in-flight batch: the flow that
-        // started the batch (pending went 0 → 1) arms its deadline.  A
-        // batch that filled and flushed inline (pending == 0) needs none.
-        if pending == 1 && self.background_flush_active() {
-            self.wheel.schedule(
-                Instant::now() + self.config.serve.max_delay,
-                (shard_index, Arc::clone(&ticket.tenant)),
-            );
+        let (ticket, pending) = shard.submit_counted(tenant, record).inspect_err(|error| {
+            // Admission runs before the shard knows the tenant; an id
+            // nobody registered must not keep the state it just got.
+            if let (ServeError::UnknownTenant(_), Some(admission)) = (error, &self.admission) {
+                admission.retract_unknown(tenant);
+            }
+        })?;
+        // Exactly one deadline per in-flight batch: the flow that started
+        // the batch (pending went 0 → 1) arms it.  A batch that filled and
+        // flushed inline (pending == 0) needs none.
+        //
+        // An entry is never re-armed, and needs no cancelling.  The lane
+        // stamped this flow's arrival *before* the clock is read here, so
+        // the deadline is at least the batch's oldest flow + `max_delay`:
+        // when it fires, either that batch is still pending and has waited
+        // `max_delay` (`poll_tenant` flushes it), or it already left —
+        // inline, by an explicit flush or `take`, or on a generation
+        // change — and whatever is pending by then is a younger batch,
+        // which went 0 → 1 itself and armed its own entry.  A fired entry
+        // that finds an idle or younger lane is therefore stale and is
+        // dropped; the flusher's housekeeping `poll` backstops the rest.
+        if pending == 1 {
+            if let Some(flusher) = self.flushers.get(shard_index) {
+                let deadline = Instant::now() + self.config.serve.max_delay;
+                flusher.deadlines.arm(deadline, Arc::clone(&ticket.tenant));
+            }
         }
         Ok(ticket)
     }
@@ -292,12 +350,10 @@ impl ShardedServeEngine {
     /// Caller-driven deadline pass over every shard —
     /// [`ServeEngine::poll`] fanned across the fleet, for deployments
     /// without background flushers (e.g. builds without the `parallel`
-    /// feature).  Also sweeps any stale wheel entries so a disabled
-    /// flusher cannot leak them.  Returns the number of flows scored.
+    /// feature).  Harmless with flushers live: armed deadlines stay armed
+    /// and find their batch already flushed.  Returns the number of flows
+    /// scored.
     pub fn poll(&self) -> usize {
-        // Drain the wheel even in caller-driven mode: entries scheduled
-        // while flushers were active (or spuriously) must not pile up.
-        let _ = self.wheel.collect_expired(Instant::now());
         self.shards.iter().map(|shard| shard.poll()).sum()
     }
 
@@ -342,6 +398,21 @@ impl ShardedServeEngine {
         })
     }
 
+    /// The flushers' deadline accounting summed over every shard — the
+    /// engine's own answer to "why was that verdict late".  All zero
+    /// while the engine is caller-driven.
+    pub fn flusher_stats(&self) -> FlusherStats {
+        let mut fleet = FlusherStats::default();
+        for flusher in &self.flushers {
+            let stats = flusher.stats.lock().expect("flusher stats lock");
+            fleet.armed += flusher.deadlines.armed();
+            fleet.fired += stats.fired;
+            fleet.stale += stats.stale;
+            fleet.lateness.merge(&stats.lateness);
+        }
+        fleet
+    }
+
     /// Sets a tenant's overload priority.  No-op without admission
     /// control.
     pub fn set_priority(&self, tenant: &str, priority: Priority) {
@@ -365,49 +436,36 @@ impl ShardedServeEngine {
     }
 }
 
-impl Drop for ShardedServeEngine {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        let flushers = std::mem::take(&mut *self.flushers.lock().expect("flusher registry lock"));
-        for flusher in flushers {
-            let _ = flusher.join();
-        }
-    }
-}
+/// Housekeeping cadence of a flusher, in `max_delay`s.
+const HOUSEKEEPING_DELAYS: u32 = 16;
 
-/// Body of one shard's flusher thread: sweep the shared wheel, flush the
-/// due lanes, reschedule the not-yet-due ones, and run the owning shard's
-/// full [`ServeEngine::poll`] occasionally as a housekeeping backstop
-/// (evicts lanes of removed tenants, catches any deadline the wheel lost
-/// track of).
+/// Body of one shard's flusher thread: flush the lanes whose deadline has
+/// passed, then park until the next one — or until the shard's full
+/// [`ServeEngine::poll`] is due as a housekeeping backstop (evicts lanes
+/// of removed tenants, catches any batch whose deadline went missing).
 fn flusher_loop(
-    own_shard: usize,
-    shards: &[Arc<ServeEngine>],
-    wheel: &DeadlineWheel<(usize, Arc<str>)>,
-    shutdown: &AtomicBool,
-    tick: Duration,
+    shard: &ServeEngine,
+    deadlines: &DeadlineQueue<Arc<str>>,
+    stats: &Mutex<FlusherStats>,
 ) {
-    let mut ticks = 0u32;
-    while !shutdown.load(Ordering::Acquire) {
-        std::thread::sleep(tick);
-        let now = Instant::now();
-        // Work-conserving: this thread dispatches *any* shard's due
-        // entries.  Lanes are mutexed and verdicts are flush-timing
-        // invariant, so cross-shard dispatch is free concurrency, not a
-        // correctness risk.
-        for (shard, tenant) in wheel.collect_expired(now) {
-            match shards[shard].poll_tenant(&tenant) {
-                LanePoll::Flushed(_) | LanePoll::Idle => {}
-                LanePoll::Due(remaining) => {
-                    wheel.schedule(Instant::now() + remaining, (shard, tenant));
-                }
-            }
+    let housekeeping = shard.config().max_delay * HOUSEKEEPING_DELAYS;
+    let mut next_housekeeping = Instant::now() + housekeeping;
+    loop {
+        let mut now = Instant::now();
+        while let Some((deadline, tenant)) = deadlines.pop_due(now) {
+            let flushed = shard.poll_tenant(&tenant);
+            let mut stats = stats.lock().expect("flusher stats lock");
+            stats.fired += 1;
+            stats.stale += u64::from(flushed == 0);
+            stats.lateness.record(now - deadline);
+            now = Instant::now();
         }
-        ticks = ticks.wrapping_add(1);
-        // Housekeeping backstop every ~64 ticks, on the owning shard only
-        // (each shard gets exactly one janitor).
-        if ticks.is_multiple_of(64) {
-            shards[own_shard].poll();
+        if now >= next_housekeeping {
+            shard.poll();
+            next_housekeeping = Instant::now() + housekeeping;
+        }
+        if !deadlines.wait(next_housekeeping) {
+            return;
         }
     }
 }
@@ -418,6 +476,7 @@ mod tests {
     use crate::Detector;
     use nids_data::synth::SyntheticConfig;
     use nids_data::DatasetKind;
+    use std::time::Duration;
 
     fn small_detector() -> (Detector, nids_data::Dataset) {
         let dataset =
@@ -434,12 +493,73 @@ mod tests {
     fn config_validation_rejects_nonsense() {
         assert!(ShardConfig::default().validate().is_ok());
         assert!(ShardConfig { shards: 0, ..Default::default() }.validate().is_err());
-        assert!(ShardConfig { wheel_slots: 0, ..Default::default() }.validate().is_err());
         let bad_delay = ShardConfig {
             serve: ServeConfig { max_delay: Duration::ZERO, ..Default::default() },
             ..Default::default()
         };
         assert!(bad_delay.validate().is_err());
+    }
+
+    #[test]
+    fn a_refused_flusher_thread_is_a_typed_error_and_stops_the_ones_already_running() {
+        let registry = Arc::new(DetectorRegistry::new());
+        let parked = ServeConfig { max_delay: Duration::from_secs(10), ..Default::default() };
+        let shards =
+            [(); 2].map(|()| Arc::new(ServeEngine::new(Arc::clone(&registry), parked).unwrap()));
+        // No address space holds this stack: the OS refuses the second thread.
+        let builders =
+            [std::thread::Builder::new(), std::thread::Builder::new().stack_size(usize::MAX / 4)];
+        let start = Instant::now();
+        let flushers: ServeResult<Vec<Flusher>> = shards
+            .iter()
+            .zip(builders)
+            .map(|(shard, builder)| Flusher::spawn(builder, shard))
+            .collect();
+        assert!(matches!(flushers, Err(ServeError::FlusherSpawn(_))), "{flushers:?}");
+        assert_eq!(Arc::strong_count(&shards[0]), 1, "the running flusher was closed and joined");
+        assert!(start.elapsed() < Duration::from_secs(5), "…without sleeping out its max_delay");
+    }
+
+    #[test]
+    fn unknown_tenants_leave_no_admission_state_behind() {
+        let (detector, dataset) = small_detector();
+        let record = &dataset.records()[0];
+        let registry = Arc::new(DetectorRegistry::new());
+        let engine = ShardedServeEngine::new(
+            Arc::clone(&registry),
+            ShardConfig {
+                shards: 2,
+                background_flush: false,
+                admission: Some(AdmissionConfig {
+                    default_quota: Some(TenantQuota { rate_per_sec: 0, burst: 2 }),
+                    ..Default::default()
+                }),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        // An operator may configure a tenant ahead of registering it.
+        engine.set_priority("vip", Priority::High);
+
+        for i in 0..10_000 {
+            let refused = engine.submit(&format!("garbage-{i}"), record);
+            assert!(matches!(refused, Err(ServeError::UnknownTenant(_))), "{refused:?}");
+        }
+        for _ in 0..5 {
+            assert!(matches!(engine.submit("vip", record), Err(ServeError::UnknownTenant(_))));
+        }
+        let stats = engine.admission_stats();
+        assert_eq!(stats.tracked_tenants, 1, "only the tenant configured on purpose is tracked");
+        assert_eq!(stats.admitted, 0, "a refused submission was not admitted");
+        assert_eq!(engine.admission.as_ref().unwrap().priority("vip"), Priority::High);
+
+        // The refused submissions gave their quota tokens back: once
+        // registered, the tenant still has its whole burst.
+        registry.register("vip", detector).unwrap();
+        engine.submit("vip", record).unwrap();
+        engine.submit("vip", record).unwrap();
+        assert!(matches!(engine.submit("vip", record), Err(ServeError::Shed { .. })));
+        assert_eq!(engine.admission_stats().admitted, 2);
     }
 
     #[test]
@@ -507,8 +627,8 @@ mod tests {
         )
         .unwrap();
         assert!(engine.background_flush_active());
-        // Submit fewer than max_batch flows, then wait: only the deadline
-        // wheel can flush them (no poll, no explicit flush).
+        // Submit fewer than max_batch flows, then wait: only the flusher
+        // can flush them (no poll, no explicit flush).
         let tickets: Vec<Ticket> =
             dataset.records()[..5].iter().map(|r| engine.submit("t0", r).unwrap()).collect();
         let deadline = Instant::now() + Duration::from_secs(5);

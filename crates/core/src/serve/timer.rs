@@ -1,306 +1,277 @@
-//! `cyberhd::serve::timer` — a hashed timing wheel over batch deadlines.
+//! `cyberhd::serve::timer` — a sorted queue of batch deadlines a flusher
+//! thread can sleep on.
 //!
 //! The single-shard [`crate::serve::ServeEngine`] leaves deadline
 //! enforcement to the caller: somebody has to remember to call
 //! [`crate::serve::ServeEngine::poll`], and every poll scans the whole
-//! lane map even when nothing is due.  The sharded engine replaces that
-//! with a [`DeadlineWheel`]: when a submission takes a lane from empty to
-//! non-empty it schedules one entry at `now + max_delay`, and the flusher
-//! threads pop **only the entries whose deadline has passed** — O(due)
-//! per tick instead of O(lanes).
+//! lane map even when nothing is due.  The sharded engine gives every
+//! shard one `DeadlineQueue` instead: the submission that takes a lane
+//! from empty to non-empty arms one entry at `now + max_delay`, and the
+//! shard's flusher thread **parks until the head entry's deadline** —
+//! no polling cadence, so a due batch waits for a thread wake-up and
+//! nothing else.
 //!
-//! The wheel is *hashed*: an entry lands in slot `tick % slots`, where a
-//! tick is one `granularity` of time since the wheel was built.  Entries
-//! whose deadline is more than one wheel revolution away simply stay in
-//! their slot until their tick comes round (each sweep compares absolute
-//! deadlines, not slot membership).
+//! Every lane of a sharded engine shares one `max_delay`, so deadlines
+//! arrive in (almost) non-decreasing order and the queue is a plain
+//! `VecDeque` kept sorted by inserting from the back: O(1) for in-order
+//! input, and an entry a racing submitter delivers slightly out of order
+//! is simply walked to its place.
 //!
-//! Firing is **at-least-as-late**: an entry never pops before its
-//! deadline, and pops at the first sweep after it.  Duplicate or stale
-//! entries are harmless by design — the consumer (the sharded engine,
-//! through the crate-internal `ServeEngine::poll_tenant`) re-checks the
-//! lane's actual oldest-pending age and just reports idle/due when the
-//! wheel fired spuriously — so the wheel can stay lock-light instead of
-//! supporting cancellation.
+//! Firing is **never early**: an entry pops only once its deadline has
+//! passed.  There is no cancellation — an entry whose batch was already
+//! flushed inline stays queued until its deadline and is then found stale
+//! by the consumer (the crate-internal `ServeEngine::poll_tenant`
+//! re-checks the lane's actual oldest-pending age), which keeps the
+//! submit-side cost at one short critical section.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::collections::VecDeque;
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// One scheduled item: its absolute deadline in wheel ticks.
 #[derive(Debug)]
-struct Entry<T> {
-    deadline_tick: u64,
-    item: T,
+struct State<T> {
+    /// `(deadline, item)`, earliest deadline at the front.
+    entries: VecDeque<(Instant, T)>,
+    /// Entries ever armed (observability).
+    armed: u64,
+    closed: bool,
 }
 
-/// A hashed timing wheel (see the [module docs](self)).
-///
-/// All methods take `&self`; slots are individually mutexed so schedulers
-/// on different slots never contend, and sweeps serialize on a dedicated
-/// sweep lock without blocking schedulers.
-#[derive(Debug)]
-pub struct DeadlineWheel<T> {
-    slots: Vec<Mutex<Vec<Entry<T>>>>,
-    granularity: Duration,
-    epoch: Instant,
-    /// The next tick [`DeadlineWheel::collect_expired`] will sweep (every
-    /// lower tick has been swept).  Read by schedulers to clamp deadlines
-    /// that already passed into the upcoming sweep instead of a full
-    /// revolution away.
-    cursor: AtomicU64,
-    /// Serializes sweeps so two flusher threads cannot double-pop.
-    sweep: Mutex<()>,
-    /// Entries currently scheduled (observability and tests).
-    len: AtomicUsize,
+impl<T> State<T> {
+    /// How long until the head entry is due — the consumer's sleep hint
+    /// (`None` when nothing is armed, zero when the head is overdue).
+    fn next_due_in(&self, now: Instant) -> Option<Duration> {
+        self.entries.front().map(|(deadline, _)| deadline.saturating_duration_since(now))
+    }
 }
 
-impl<T> DeadlineWheel<T> {
-    /// Creates a wheel of `slots` buckets, each `granularity` of time
-    /// wide, with its epoch at "now".
-    ///
-    /// `granularity` is the firing resolution: entries pop at most one
-    /// granularity after their deadline (plus however long the caller
-    /// waits between sweeps).  `slots × granularity` is the wheel period;
-    /// longer deadlines still work, they just share slots with earlier
-    /// revolutions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots` is zero or `granularity` is zero.
-    pub fn new(granularity: Duration, slots: usize) -> Self {
-        assert!(slots > 0, "a wheel needs at least one slot");
-        assert!(granularity > Duration::ZERO, "granularity must be non-zero");
+/// A deadline-ordered queue with a parking consumer (see the
+/// [module docs](self)).  Any number of threads may arm; one thread is
+/// expected to pop and wait.
+#[derive(Debug)]
+pub(crate) struct DeadlineQueue<T> {
+    state: Mutex<State<T>>,
+    wake: Condvar,
+}
+
+impl<T> DeadlineQueue<T> {
+    pub(crate) fn new() -> Self {
         Self {
-            slots: (0..slots).map(|_| Mutex::new(Vec::new())).collect(),
-            granularity,
-            epoch: Instant::now(),
-            cursor: AtomicU64::new(0),
-            sweep: Mutex::new(()),
-            len: AtomicUsize::new(0),
+            state: Mutex::new(State { entries: VecDeque::new(), armed: 0, closed: false }),
+            wake: Condvar::new(),
         }
     }
 
-    /// The wheel's firing resolution.
-    pub fn granularity(&self) -> Duration {
-        self.granularity
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        self.state.lock().expect("deadline queue lock")
     }
 
-    /// Number of slots.
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Entries currently scheduled.
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
-    }
-
-    /// Whether no entries are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The tick containing `instant` (ticks before the epoch clamp to 0).
-    fn tick_of(&self, instant: Instant) -> u64 {
-        let elapsed = instant.saturating_duration_since(self.epoch);
-        (elapsed.as_nanos() / self.granularity.as_nanos()) as u64
-    }
-
-    /// Schedules `item` to pop at the first sweep at or after `deadline`.
-    pub fn schedule(&self, deadline: Instant, item: T) {
-        // Round *up*: firing at tick t means `epoch + t·granularity` has
-        // passed, so an entry stored at the ceiling tick never pops early.
-        let elapsed = deadline.saturating_duration_since(self.epoch).as_nanos();
-        let gran = self.granularity.as_nanos();
-        let mut tick = elapsed.div_ceil(gran) as u64;
-        // A deadline that already slipped behind the sweep cursor would
-        // otherwise wait a full revolution for its slot to come round
-        // again; clamp it onto the next sweep instead.
-        tick = tick.max(self.cursor.load(Ordering::Acquire));
-        let slot = (tick % self.slots.len() as u64) as usize;
-        self.slots[slot].lock().expect("wheel slot lock").push(Entry { deadline_tick: tick, item });
-        self.len.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Pops every entry whose deadline tick has been reached by `now`,
-    /// in an unspecified order.  Entries scheduled for later revolutions
-    /// of the same slots stay put.
-    ///
-    /// Sweeps serialize (a second concurrent caller pops nothing the
-    /// first would); schedulers are only blocked per-slot.
-    pub fn collect_expired(&self, now: Instant) -> Vec<T> {
-        let _sweep = self.sweep.lock().expect("wheel sweep lock");
-        let now_tick = self.tick_of(now);
-        let from = self.cursor.load(Ordering::Acquire);
-        if now_tick < from {
-            return Vec::new();
+    /// Queues `item` to pop once `deadline` has passed, waking the
+    /// consumer only if the entry became the new head (otherwise it is
+    /// already sleeping towards an earlier deadline).
+    pub(crate) fn arm(&self, deadline: Instant, item: T) {
+        let mut state = self.lock();
+        let at = state.entries.iter().rposition(|(d, _)| *d <= deadline).map_or(0, |i| i + 1);
+        state.entries.insert(at, (deadline, item));
+        state.armed += 1;
+        drop(state);
+        if at == 0 {
+            self.wake.notify_one();
         }
-        let slots = self.slots.len() as u64;
-        // Visit each slot at most once even when the sweep spans more
-        // than one revolution (entries are filtered by absolute tick, so
-        // one visit per slot covers every revolution at once).
-        let span = (now_tick - from + 1).min(slots);
-        let mut due = Vec::new();
-        for offset in 0..span {
-            let slot = ((from + offset) % slots) as usize;
-            let mut entries = self.slots[slot].lock().expect("wheel slot lock");
-            let mut i = 0;
-            while i < entries.len() {
-                if entries[i].deadline_tick <= now_tick {
-                    due.push(entries.swap_remove(i).item);
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        self.len.fetch_sub(due.len(), Ordering::Relaxed);
-        // Publish before releasing the sweep lock so schedulers clamp
-        // against the ticks this sweep already covered.
-        self.cursor.store(now_tick + 1, Ordering::Release);
-        due
     }
 
-    /// How long until the next scheduled entry could fire, or `None` when
-    /// the wheel is empty — a sleep hint for the sweeping thread.  The
-    /// hint is conservative (never longer than the true next deadline
-    /// plus one granularity).
-    pub fn next_due_in(&self, now: Instant) -> Option<Duration> {
-        if self.is_empty() {
-            return None;
+    /// Pops the head entry if its deadline is at or before `now`
+    /// (nothing pops from a closed queue: the consumer is shutting down).
+    pub(crate) fn pop_due(&self, now: Instant) -> Option<(Instant, T)> {
+        let mut state = self.lock();
+        let due = !state.closed && state.next_due_in(now) == Some(Duration::ZERO);
+        if due {
+            state.entries.pop_front()
+        } else {
+            None
         }
-        let now_tick = self.tick_of(now);
-        let mut earliest: Option<u64> = None;
-        for slot in &self.slots {
-            for entry in slot.lock().expect("wheel slot lock").iter() {
-                earliest =
-                    Some(earliest.map_or(entry.deadline_tick, |e| e.min(entry.deadline_tick)));
-            }
+    }
+
+    /// Parks the caller until the head entry's deadline or `until`,
+    /// whichever is first, or until a new head is armed or the queue is
+    /// closed.  May also return spuriously — callers loop.  Returns
+    /// `false` once the queue is closed.
+    pub(crate) fn wait(&self, until: Instant) -> bool {
+        let state = self.lock();
+        if state.closed {
+            return false;
         }
-        let tick = earliest?;
-        if tick <= now_tick {
-            return Some(Duration::ZERO);
-        }
-        let nanos = self.granularity.as_nanos().saturating_mul((tick - now_tick) as u128);
-        Some(Duration::from_nanos(u64::try_from(nanos).unwrap_or(u64::MAX)))
+        let now = Instant::now();
+        let cap = until.saturating_duration_since(now);
+        let timeout = state.next_due_in(now).map_or(cap, |due| due.min(cap));
+        let (state, _) = self.wake.wait_timeout(state, timeout).expect("deadline queue lock");
+        !state.closed
+    }
+
+    /// Closes the queue and wakes the consumer.  The flag is set under
+    /// the mutex `wait` checks it under, so the wake-up cannot be lost.
+    pub(crate) fn close(&self) {
+        self.lock().closed = true;
+        self.wake.notify_all();
+    }
+
+    /// Entries ever armed.
+    pub(crate) fn armed(&self) -> u64 {
+        self.lock().armed
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
+    const MS: Duration = Duration::from_millis(1);
+
+    fn drain<T>(queue: &DeadlineQueue<T>, now: Instant) -> Vec<T> {
+        std::iter::from_fn(|| queue.pop_due(now)).map(|(_, item)| item).collect()
+    }
 
     #[test]
     fn entries_fire_after_their_deadline_and_not_before() {
-        let wheel = DeadlineWheel::new(Duration::from_millis(1), 16);
+        let queue = DeadlineQueue::new();
         let now = Instant::now();
-        wheel.schedule(now + Duration::from_millis(5), "late");
-        wheel.schedule(now, "immediate");
-        assert_eq!(wheel.len(), 2);
+        queue.arm(now, "immediate");
+        queue.arm(now + 5 * MS, "late");
+        assert_eq!(queue.armed(), 2);
 
-        // Nothing due "now" except the immediate entry (its ceiling tick
-        // is at most one granularity away; sweep one granularity later).
-        let soon = now + Duration::from_millis(1);
-        let popped = wheel.collect_expired(soon);
-        assert_eq!(popped, vec!["immediate"]);
-        assert_eq!(wheel.len(), 1);
-
-        // The 5 ms entry survives sweeps before its deadline…
-        assert!(wheel.collect_expired(now + Duration::from_millis(3)).is_empty());
-        // …and pops once the deadline passes.
-        let popped = wheel.collect_expired(now + Duration::from_millis(7));
-        assert_eq!(popped, vec!["late"]);
-        assert!(wheel.is_empty());
+        // An entry is due at its deadline exactly, not a nanosecond sooner.
+        assert_eq!(drain(&queue, now), vec!["immediate"]);
+        assert!(drain(&queue, now + 5 * MS - Duration::from_nanos(1)).is_empty());
+        assert_eq!(queue.pop_due(now + 5 * MS), Some((now + 5 * MS, "late")));
+        assert_eq!(queue.pop_due(now + 9 * MS), None);
     }
 
     #[test]
     fn entries_beyond_one_revolution_wait_for_their_tick() {
-        // 4 slots × 1 ms: a 10 ms deadline shares a slot with tick ~2 but
-        // must not pop until 10 ms have passed.
-        let wheel = DeadlineWheel::new(Duration::from_millis(1), 4);
+        // A far deadline armed *before* a near one waits its turn: the
+        // late-arriving near entry is placed ahead of it.
+        let queue = DeadlineQueue::new();
         let now = Instant::now();
-        wheel.schedule(now + Duration::from_millis(10), "far");
-        wheel.schedule(now + Duration::from_millis(2), "near");
-        let popped = wheel.collect_expired(now + Duration::from_millis(3));
-        assert_eq!(popped, vec!["near"]);
-        assert!(wheel.collect_expired(now + Duration::from_millis(8)).is_empty());
-        assert_eq!(wheel.collect_expired(now + Duration::from_millis(11)), vec!["far"]);
+        queue.arm(now + 10 * MS, "far");
+        queue.arm(now + 2 * MS, "near");
+        assert_eq!(drain(&queue, now + 3 * MS), vec!["near"]);
+        assert!(drain(&queue, now + 8 * MS).is_empty());
+        assert_eq!(drain(&queue, now + 11 * MS), vec!["far"]);
     }
 
     #[test]
     fn one_sweep_covers_multiple_revolutions() {
-        let wheel = DeadlineWheel::new(Duration::from_millis(1), 4);
+        let queue = DeadlineQueue::new();
         let now = Instant::now();
-        for ms in [1u64, 3, 6, 9, 12] {
-            wheel.schedule(now + Duration::from_millis(ms), ms);
+        for ms in [3u32, 1, 12, 6, 9, 6] {
+            queue.arm(now + ms * MS, ms);
         }
-        // A single late sweep (several revolutions after the last
-        // deadline) pops everything exactly once.
-        let mut popped = wheel.collect_expired(now + Duration::from_millis(40));
-        popped.sort_unstable();
-        assert_eq!(popped, vec![1, 3, 6, 9, 12]);
-        assert!(wheel.collect_expired(now + Duration::from_millis(41)).is_empty());
+        // One late drain pops everything due exactly once, in deadline
+        // order (equal deadlines in arming order).
+        assert_eq!(drain(&queue, now + 40 * MS), vec![1, 3, 6, 6, 9, 12]);
+        assert!(drain(&queue, now + 41 * MS).is_empty());
     }
 
     #[test]
     fn deadlines_behind_the_cursor_pop_on_the_next_sweep() {
-        let wheel = DeadlineWheel::new(Duration::from_millis(1), 8);
+        let queue = DeadlineQueue::new();
         let now = Instant::now();
-        // Advance the cursor well past tick 2.
-        wheel.collect_expired(now + Duration::from_millis(6));
-        // Scheduling "in the past" clamps onto the upcoming sweep instead
-        // of waiting a full revolution.
-        wheel.schedule(now + Duration::from_millis(2), "stale");
-        assert_eq!(wheel.collect_expired(now + Duration::from_millis(7)), vec!["stale"]);
+        queue.arm(now + 6 * MS, "on time");
+        assert_eq!(drain(&queue, now + 6 * MS), vec!["on time"]);
+        // A deadline already in the past when it is armed pops on the
+        // very next pop_due — ahead of everything still in the future.
+        queue.arm(now + 20 * MS, "future");
+        queue.arm(now + 2 * MS, "overdue");
+        assert_eq!(drain(&queue, now + 7 * MS), vec!["overdue"]);
     }
 
     #[test]
     fn next_due_in_is_a_sane_sleep_hint() {
-        let wheel: DeadlineWheel<u32> = DeadlineWheel::new(Duration::from_millis(1), 16);
+        let queue: DeadlineQueue<u32> = DeadlineQueue::new();
+        let hint = |now| queue.lock().next_due_in(now);
         let now = Instant::now();
-        assert_eq!(wheel.next_due_in(now), None);
-        wheel.schedule(now + Duration::from_millis(5), 1);
-        let hint = wheel.next_due_in(now).unwrap();
-        assert!(hint >= Duration::from_millis(4) && hint <= Duration::from_millis(7), "{hint:?}");
-        wheel.schedule(now, 2);
-        let hint = wheel.next_due_in(now + Duration::from_millis(2)).unwrap();
-        assert_eq!(hint, Duration::ZERO);
+        assert_eq!(hint(now), None);
+        queue.arm(now + 5 * MS, 1);
+        assert_eq!(hint(now), Some(5 * MS), "the hint is head − now");
+        queue.arm(now + MS, 2);
+        assert_eq!(hint(now), Some(MS), "an earlier entry becomes the head");
+        assert_eq!(hint(now + 2 * MS), Some(Duration::ZERO), "an overdue head is due now");
     }
 
     #[test]
     fn sweeps_are_exclusive_and_schedulers_parallel() {
-        // Concurrency smoke: N threads scheduling + sweeping concurrently
-        // neither lose nor duplicate entries.
-        let wheel: std::sync::Arc<DeadlineWheel<usize>> =
-            std::sync::Arc::new(DeadlineWheel::new(Duration::from_micros(100), 32));
+        // Concurrency smoke: 4 threads arming while 2 pop neither lose
+        // nor duplicate entries.
+        let queue: DeadlineQueue<usize> = DeadlineQueue::new();
         let now = Instant::now();
-        let popped = std::sync::Mutex::new(Vec::new());
+        let popped = Mutex::new(Vec::new());
         std::thread::scope(|scope| {
             for t in 0..4 {
-                let wheel = std::sync::Arc::clone(&wheel);
+                let queue = &queue;
                 scope.spawn(move || {
                     for i in 0..250 {
-                        wheel.schedule(now, t * 1000 + i);
+                        queue.arm(now, t * 1000 + i);
                     }
                 });
             }
             for _ in 0..2 {
-                let wheel = std::sync::Arc::clone(&wheel);
-                let popped = &popped;
-                scope.spawn(move || {
+                scope.spawn(|| {
                     for _ in 0..50 {
-                        let due = wheel.collect_expired(Instant::now());
-                        popped.lock().unwrap().extend(due);
+                        popped.lock().unwrap().extend(drain(&queue, Instant::now()));
                         std::thread::yield_now();
                     }
                 });
             }
         });
         let mut all = popped.into_inner().unwrap();
-        all.extend(wheel.collect_expired(Instant::now() + Duration::from_secs(1)));
+        all.extend(drain(&queue, Instant::now()));
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), 1000, "every entry pops exactly once");
-        assert!(wheel.is_empty());
+        assert_eq!(queue.armed(), 1000);
+    }
+
+    #[test]
+    fn wait_parks_until_the_head_deadline_a_new_head_or_close() {
+        let queue: Arc<DeadlineQueue<u32>> = Arc::new(DeadlineQueue::new());
+        let far = Instant::now() + Duration::from_secs(30);
+
+        // The head's deadline ends the wait long before `until`, and not
+        // before the deadline itself.
+        let deadline = Instant::now() + 20 * MS;
+        queue.arm(deadline, 1);
+        while queue.pop_due(Instant::now()).is_none() {
+            assert!(queue.wait(far));
+        }
+        assert!(Instant::now() >= deadline);
+        assert!(
+            Instant::now() < deadline + Duration::from_secs(5),
+            "woke for the head, not `until`"
+        );
+
+        // A waiter parked on an empty queue is woken by the entry that
+        // becomes the head, and by close(); the channel makes sure the
+        // waiter is (about to be) parked before either happens.
+        let (parked, is_parked) = std::sync::mpsc::channel();
+        let waiter = {
+            let queue = Arc::clone(&queue);
+            std::thread::spawn(move || {
+                parked.send(()).unwrap();
+                while queue.pop_due(Instant::now()).is_none() {
+                    assert!(queue.wait(far), "not closed yet");
+                }
+                parked.send(()).unwrap();
+                while queue.wait(far) {}
+            })
+        };
+        is_parked.recv().unwrap();
+        queue.arm(Instant::now(), 2);
+        is_parked.recv().unwrap();
+        queue.close();
+        waiter.join().unwrap();
+        assert!(!queue.wait(far), "a closed queue never parks");
+        queue.arm(Instant::now(), 3);
+        assert_eq!(queue.pop_due(Instant::now()), None, "and never pops");
     }
 }

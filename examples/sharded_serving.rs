@@ -4,9 +4,10 @@
 //! hundreds of edge tenants wants more. This example runs the scale-out
 //! shape: 24 tenants with heavy-tailed (Zipf) traffic submit raw flows
 //! one at a time into a [`ShardedServeEngine`] that partitions them
-//! across 4 shards by tenant hash, flushes lanes from a deadline wheel
-//! (background flusher threads under the `parallel` feature, a
-//! caller-driven [`ShardedServeEngine::poll`] loop without it), and
+//! across 4 shards by tenant hash, flushes each lane on its batch
+//! deadline (per-shard flusher threads that sleep until the next deadline
+//! under the `parallel` feature, a caller-driven
+//! [`ShardedServeEngine::poll`] loop without it), and
 //! sheds the hottest tenant with a token-bucket quota so the head of the
 //! Zipf curve cannot starve the tail.
 //!
@@ -56,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "sharded engine: {} shards, background flushers {}",
         engine.shard_count(),
-        if engine.background_flush_active() { "on (deadline wheel)" } else { "off (caller polls)" }
+        if engine.background_flush_active() { "on (deadline queue)" } else { "off (caller polls)" }
     );
     let mut per_shard = vec![0usize; engine.shard_count()];
     for tenant in &tenants {
@@ -138,6 +139,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let fleet = engine.fleet_stats().expect("the fleet served traffic");
     println!("\nfleet: {fleet}");
+    // How well the flushers kept max_delay: every batch that started on an
+    // empty lane armed one deadline; a stale one found its batch already
+    // gone (flushed inline at max_batch, or by the final flush_all).
+    println!("flushers: {}", engine.flusher_stats());
     println!(
         "verdict check: all {} served verdicts are bit-identical to detect_batch ({} alerts)",
         fleet.flows_served, alerts

@@ -11,7 +11,7 @@
 //!   regeneration), the static baselineHD, the streaming learner, the
 //!   sealed `Detector` artifact and the `cyberhd::serve` micro-batching
 //!   serving engine (multi-tenant registry, hot-swap, tickets, and the
-//!   sharded many-tenant engine with deadline-wheel flushing and
+//!   sharded many-tenant engine with deadline-sleeping flushers and
 //!   admission control),
 //! * [`nids_data`] — NSL-KDD / UNSW-NB15 / CIC-IDS-2017 / CIC-IDS-2018
 //!   schemas, synthetic traffic generators, CSV loaders, preprocessing and
@@ -69,12 +69,12 @@ pub mod prelude {
     pub use baselines::Classifier;
     pub use cyberhd::{
         AdaptiveConfig, AdaptiveLane, AdaptiveStats, AdmissionConfig, AdmissionController,
-        AdmissionStats, BaselineHd, CyberHdConfig, CyberHdModel, CyberHdTrainer, DeadlineWheel,
-        DetectScratch, Detector, DetectorBuilder, DetectorInfo, DetectorRegistry, DriftMonitor,
-        DriftMonitorConfig, DurableConfig, DurableLane, EncoderKind, OnlineDetector, OnlineLearner,
-        OpenSetDetector, OpenSetPrediction, Priority, QuantizedModel, RecoveryReport,
-        ScoringBackend, ServeConfig, ServeEngine, ServeError, ServeStats, ShardConfig,
-        ShardedServeEngine, TenantQuota, Ticket, TrainingBatch, Verdict,
+        AdmissionStats, BaselineHd, CyberHdConfig, CyberHdModel, CyberHdTrainer, DetectScratch,
+        Detector, DetectorBuilder, DetectorInfo, DetectorRegistry, DriftMonitor,
+        DriftMonitorConfig, DurableConfig, DurableLane, EncoderKind, FlusherStats, OnlineDetector,
+        OnlineLearner, OpenSetDetector, OpenSetPrediction, Priority, QuantizedModel,
+        RecoveryReport, ScoringBackend, ServeConfig, ServeEngine, ServeError, ServeStats,
+        ShardConfig, ShardedServeEngine, TenantQuota, Ticket, TrainingBatch, Verdict,
     };
     pub use eval::detection::{DetectionCounts, RocCurve};
     pub use eval::metrics::{accuracy, ConfusionMatrix};

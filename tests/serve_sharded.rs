@@ -14,7 +14,7 @@ use cyberhd::serve::ServeError;
 use cyberhd_suite::prelude::*;
 use hdc::rng::HdcRng;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn generate(kind: DatasetKind, samples: usize, seed: u64) -> Dataset {
     kind.generate(&SyntheticConfig::new(samples, seed).difficulty(1.3))
@@ -65,7 +65,7 @@ fn verdicts_are_bit_identical_across_shard_counts_and_interleavings() {
         for shards in [1usize, 2, 8] {
             // >= 3 seeded interleavings per (kind, shard count), each with
             // randomized micro-batch watermarks and flush boundaries, with
-            // background deadline-wheel flushers live (under `parallel`).
+            // the background flushers live (under `parallel`).
             for trial in 0..3u64 {
                 let mut rng = HdcRng::seed_from(10_000 * trial + 100 * shards as u64 + kind as u64);
                 let registry = Arc::new(DetectorRegistry::new());
@@ -79,7 +79,6 @@ fn verdicts_are_bit_identical_across_shard_counts_and_interleavings() {
                         max_delay: Duration::from_millis(20),
                         ..ServeConfig::default()
                     },
-                    wheel_slots: 64,
                     ..ShardConfig::default()
                 };
                 let engine = ShardedServeEngine::new(Arc::clone(&registry), config).unwrap();
@@ -269,7 +268,6 @@ fn admission_sheds_are_typed_and_served_flows_stay_bit_identical() {
             background_flush: false,
             serve: ServeConfig { max_batch: 64, ..ServeConfig::default() },
             admission: Some(AdmissionConfig { shard_capacity: 8, ..AdmissionConfig::default() }),
-            ..ShardConfig::default()
         },
     )
     .unwrap();
@@ -490,4 +488,207 @@ fn fleet_stats_merges_lanes_across_shards_coherently() {
     // the usual ordering.
     assert!(fleet.p50_latency <= fleet.p99_latency);
     assert!(fleet.mean_latency <= fleet.max_latency);
+}
+
+/// The flusher threads keep `max_delay` on their own: these tests never
+/// flush, and poll only where the poll is the point.
+#[cfg(feature = "parallel")]
+mod flushers {
+    use super::*;
+
+    fn engine_with(
+        detector: &Detector,
+        tenants: &[&str],
+        shards: usize,
+        max_batch: usize,
+        max_delay: Duration,
+    ) -> ShardedServeEngine {
+        let registry = Arc::new(DetectorRegistry::new());
+        for tenant in tenants {
+            registry.register(tenant, detector.clone()).unwrap();
+        }
+        let config = ShardConfig {
+            shards,
+            serve: ServeConfig { max_batch, max_delay, ..ServeConfig::default() },
+            ..ShardConfig::default()
+        };
+        let engine = ShardedServeEngine::new(registry, config).unwrap();
+        assert!(engine.background_flush_active());
+        engine
+    }
+
+    /// Waits for the flushers to serve `ticket`; returns the verdict and
+    /// when it was first seen.
+    fn served(engine: &ShardedServeEngine, ticket: &Ticket) -> (Verdict, Instant) {
+        let give_up = Instant::now() + Duration::from_secs(20);
+        loop {
+            if let Some(verdict) = engine.try_take(ticket).unwrap() {
+                return (verdict, Instant::now());
+            }
+            assert!(Instant::now() < give_up, "the flusher never served {ticket:?}");
+            std::thread::sleep(Duration::from_micros(100));
+        }
+    }
+
+    /// The flusher counts a deadline as fired just *after* its verdicts
+    /// become visible; waits for the count to catch up.
+    fn settled(engine: &ShardedServeEngine, fired: u64) -> FlusherStats {
+        let give_up = Instant::now() + Duration::from_secs(20);
+        loop {
+            let stats = engine.flusher_stats();
+            if stats.fired >= fired {
+                return stats;
+            }
+            assert!(Instant::now() < give_up, "{fired} deadlines never fired: {stats:?}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn small_detector(seed: u64) -> (Detector, Dataset) {
+        let data = generate(DatasetKind::NslKdd, 300, 67);
+        let detector =
+            Detector::builder().dimension(128).retrain_epochs(1).seed(seed).train(&data).unwrap();
+        (detector, data)
+    }
+
+    #[test]
+    fn a_lone_flow_is_served_on_its_deadline() {
+        let (detector, data) = small_detector(3);
+        let max_delay = Duration::from_millis(40);
+        let engine = engine_with(&detector, &["lone"], 2, 64, max_delay);
+        let oracle = detector.detect_batch(&data.records()[..9]).unwrap();
+        let mut waits: Vec<Duration> = (0..9)
+            .map(|i| {
+                let start = Instant::now();
+                let ticket = engine.submit("lone", &data.records()[i]).unwrap();
+                let (verdict, seen) = served(&engine, &ticket);
+                assert_eq!(verdict, oracle[i]);
+                seen - start
+            })
+            .collect();
+        waits.sort_unstable();
+        assert!(waits[0] >= max_delay, "a deadline never fires early: {waits:?}");
+        assert!(
+            waits[4] <= max_delay + Duration::from_millis(4),
+            "the flusher sleeps to the deadline instead of polling towards it: {waits:?}"
+        );
+        let stats = settled(&engine, 9);
+        assert_eq!((stats.armed, stats.fired, stats.stale), (9, 9, 0));
+        assert_eq!(stats.lateness.count(), 9);
+    }
+
+    #[test]
+    fn a_stale_deadline_flushes_nothing_and_the_younger_batch_keeps_its_own() {
+        let (detector, data) = small_detector(5);
+        let max_delay = Duration::from_millis(60);
+        let engine = engine_with(&detector, &["t"], 1, 4, max_delay);
+        let oracle = detector.detect_batch(&data.records()[..5]).unwrap();
+
+        // Four flows fill the batch: it flushes inline and leaves its
+        // armed deadline behind.
+        let full: Vec<Ticket> =
+            data.records()[..4].iter().map(|r| engine.submit("t", r).unwrap()).collect();
+        assert_eq!(engine.stats("t").unwrap().batches, 1);
+        // Half a deadline later a younger batch starts and arms its own.
+        std::thread::sleep(max_delay / 2);
+        let start = Instant::now();
+        let young = engine.submit("t", &data.records()[4]).unwrap();
+        let (verdict, seen) = served(&engine, &young);
+
+        assert_eq!(verdict, oracle[4]);
+        let waited = seen - start;
+        assert!(waited >= max_delay, "the older batch's deadline flushed it early: {waited:?}");
+        assert!(waited < max_delay * 4, "left to housekeeping: {waited:?}");
+        assert_eq!(engine.stats("t").unwrap().batches, 2, "the younger batch flushed exactly once");
+        for (ticket, want) in full.iter().zip(&oracle) {
+            assert_eq!(engine.try_take(ticket).unwrap(), Some(*want));
+        }
+        // Both deadlines fire; exactly one of them found nothing to do.
+        let stats = settled(&engine, 2);
+        assert_eq!((stats.armed, stats.fired, stats.stale), (2, 2, 1));
+    }
+
+    #[test]
+    fn dropping_the_engine_wakes_parked_flushers() {
+        let (detector, data) = small_detector(7);
+        let engine = engine_with(&detector, &["t"], 4, 64, Duration::from_secs(10));
+        engine.submit("t", &data.records()[0]).unwrap();
+        assert_eq!(engine.flusher_stats().armed, 1);
+        let start = Instant::now();
+        drop(engine);
+        let took = start.elapsed();
+        assert!(took < Duration::from_millis(50), "drop waited for a sleeping flusher: {took:?}");
+    }
+
+    #[test]
+    fn a_caller_poll_leaves_armed_deadlines_alone() {
+        let (detector, data) = small_detector(9);
+        let max_delay = Duration::from_millis(30);
+        let engine = engine_with(&detector, &["t"], 2, 64, max_delay);
+        let start = Instant::now();
+        let ticket = engine.submit("t", &data.records()[0]).unwrap();
+        assert_eq!(engine.poll(), 0, "nothing is due yet");
+        let (verdict, seen) = served(&engine, &ticket);
+        assert_eq!(verdict, detector.detect_batch(&data.records()[..1]).unwrap()[0]);
+        let waited = seen - start;
+        assert!(waited >= max_delay, "{waited:?}");
+        assert!(waited < max_delay * 4, "the poll lost the deadline: {waited:?}");
+        assert_eq!(settled(&engine, 1).fired, 1);
+    }
+
+    #[test]
+    fn swaps_and_reregistrations_with_deadlines_armed_keep_generations_apart() {
+        let data = generate(DatasetKind::NslKdd, 400, 71);
+        let train = |dimension, seed| {
+            Detector::builder()
+                .dimension(dimension)
+                .retrain_epochs(1)
+                .seed(seed)
+                .train(&data)
+                .unwrap()
+        };
+        let (v1, v2, v3) = (train(128, 1), train(160, 2), train(192, 3));
+        let flows = data.records();
+        let max_delay = Duration::from_millis(25);
+        let engine = engine_with(&v1, &["t"], 2, 8, max_delay);
+        let registry = Arc::clone(engine.registry());
+        let submit = |range: std::ops::Range<usize>| -> Vec<Ticket> {
+            flows[range].iter().map(|r| engine.submit("t", r).unwrap()).collect()
+        };
+
+        // Each generation change seals the pending batch on its own
+        // artifact and starts (and arms) a new one; nothing is flushed by
+        // hand, so every batch is served by an armed deadline — its own,
+        // or an older one that fires once the batch is old enough.
+        let on_v1 = submit(0..3);
+        registry.swap("t", v2.clone()).unwrap();
+        let on_v2 = submit(3..6);
+        registry.remove("t").unwrap();
+        registry.register("t", v3.clone()).unwrap();
+        let on_v3 = submit(6..8);
+        for (tickets, detector, range) in
+            [(&on_v1, &v1, 0..3), (&on_v2, &v2, 3..6), (&on_v3, &v3, 6..8)]
+        {
+            let oracle = detector.detect_batch(&flows[range]).unwrap();
+            for (ticket, want) in tickets.iter().zip(&oracle) {
+                assert_eq!(served(&engine, ticket).0, *want);
+            }
+        }
+
+        // An evicted lane's armed deadline fires into nothing; the lane
+        // that replaces it is served on a deadline of its own.
+        let orphan = engine.submit("t", &flows[8]).unwrap();
+        registry.remove("t").unwrap();
+        assert!(engine.evict("t"));
+        registry.register("t", v1.clone()).unwrap();
+        let start = Instant::now();
+        let fresh = engine.submit("t", &flows[9]).unwrap();
+        let (verdict, seen) = served(&engine, &fresh);
+        assert_eq!(verdict, v1.detect_batch(&flows[9..10]).unwrap()[0]);
+        assert!(seen - start >= max_delay);
+        assert!(matches!(engine.try_take(&orphan), Err(ServeError::UnknownTicket)));
+
+        let stats = settled(&engine, 5);
+        assert_eq!((stats.armed, stats.fired), (5, 5), "every armed deadline fires exactly once");
+    }
 }
