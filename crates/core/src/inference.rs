@@ -29,14 +29,11 @@
 //! Every entry point returns `(winner, similarity)` pairs so the open-set
 //! detector layer can threshold without a second scoring pass.
 //!
-//! **Parity contract** (asserted by the `tests/batch_parity.rs` suite):
-//! the IdLevel/Record encoders and every quantized width evaluate the same
-//! expressions as the serial path, so their batched results match
-//! bit-for-bit.  The RBF batch kernel reassociates the projection sum and
-//! uses a polynomial cosine, so its batched scores agree with serial
-//! scores to within 1e-6 — predictions can differ only on ties closer
-//! than that, and only for inputs in the encoder's documented range
-//! (normalized features; see `fast_cos` in `hdc`'s `rbf.rs`).
+//! **Parity contract** (asserted by the `tests/batch_parity.rs` suite and
+//! `tests/detector.rs`): for every encoder and every quantized width the
+//! batched engine evaluates the same expressions as the serial path — the
+//! RBF encoder's single-row encode *is* its batch kernel at `n = 1` — so
+//! batched predictions and scores match the serial ones bit for bit.
 
 use crate::model::AnyEncoder;
 use crate::{CyberHdError, Result};
@@ -90,8 +87,8 @@ pub(crate) fn flatten_rows(batch: &[Vec<f32>], features: usize) -> Result<Vec<f3
 /// Fused batched prediction against a dense [`AssociativeMemory`],
 /// returning `(winner, cosine similarity)` per row of `batch`.
 ///
-/// Winners are identical to calling the serial `encode` → `nearest` pair
-/// per sample (up to the documented RBF rounding).
+/// Winners and similarities are identical to calling the serial `encode` →
+/// `nearest` pair per sample.
 pub(crate) fn predict_dense(
     encoder: &AnyEncoder,
     memory: &AssociativeMemory,
@@ -136,10 +133,10 @@ pub(crate) fn predict_dense(
 /// words by the encoder's fused kernel (bit-exact with encode-then-quantize
 /// by the `Encoder::encode_signs_into` contract), and each query is scored
 /// with whole-word XOR + popcount instead of a `dim`-element integer dot
-/// product.  Given the same quantization levels, the score formula matches
-/// the serial [`QuantizedHypervector::cosine`] to within one ulp of the
-/// f64→f32 rounding; end-to-end parity additionally inherits the
-/// encoder-side contract described in the module docs.
+/// product.  The score is the serial [`QuantizedHypervector::cosine`]'s
+/// expression — exact integer dot product and norms in f64, the same
+/// division, clamp and f32 rounding — and the levels come from the same
+/// encoding, so scores match the serial path bit for bit.
 pub(crate) fn predict_quantized(
     encoder: &AnyEncoder,
     classes: &[QuantizedHypervector],

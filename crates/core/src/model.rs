@@ -376,10 +376,8 @@ impl CyberHdModel {
     /// The legacy [`CyberHdModel::predict_batch`] wrapper flattens
     /// `&[Vec<f32>]` rows into this path.
     ///
-    /// Predictions match mapping [`CyberHdModel::predict`] over the batch —
-    /// exactly for the IdLevel/Record encoders, and up to the RBF batch
-    /// kernel's 1e-6 score rounding for RBF models (the winner can differ
-    /// only when the top two class scores are closer than that).
+    /// Predictions match mapping [`CyberHdModel::predict`] over the batch
+    /// exactly, for every encoder.
     ///
     /// # Errors
     ///

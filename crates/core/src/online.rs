@@ -187,8 +187,8 @@ impl OnlineLearner {
     /// class norms computed once per call, so a burst of flows costs far
     /// less than the same flows through [`OnlineLearner::observe`]; the
     /// trade-off is that samples within the batch do not see each other's
-    /// updates (for the RBF encoder the batched kernel also carries its
-    /// documented ~1e-6 rounding difference from the serial encode).
+    /// updates (the encodings themselves are bit-identical to the serial
+    /// encode).
     ///
     /// # Errors
     ///

@@ -169,9 +169,8 @@ impl OpenSetDetector {
 /// serial `predict_with_scores` round trip per sample.
 ///
 /// Shared by [`OpenSetDetector`] and the sealed `Detector` artifact
-/// builder.  For RBF models the batched encoding carries the engine's
-/// documented ~1e-6 rounding relative to the serial path, which shifts
-/// thresholds by at most that much.
+/// builder.  The batched similarities are bit-identical to the serial
+/// path's, so the thresholds are too.
 ///
 /// # Errors
 ///

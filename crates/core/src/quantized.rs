@@ -166,12 +166,9 @@ impl QuantizedModel {
     /// cosine and the f32 query matrix is never materialized) and scored
     /// with whole-word XOR + popcount on the runtime-dispatched
     /// [`hdc::kernel`] layer (bit-exact across SIMD paths, so predictions
-    /// do not depend on the host ISA).  Predictions match mapping
-    /// [`QuantizedModel::predict`] over the batch — exactly for
-    /// IdLevel/Record-encoded models; for RBF models the batched encoding
-    /// feeding the quantizer carries the RBF batch kernel's ~1e-6 rounding,
-    /// so winners can differ only when a level boundary or class tie falls
-    /// inside that margin.
+    /// do not depend on the host ISA).  Predictions and similarities match
+    /// mapping [`QuantizedModel::predict_with_similarity`] over the batch
+    /// bit for bit, for every encoder.
     ///
     /// # Errors
     ///

@@ -769,18 +769,44 @@ mod tests {
         let sequential = EncodedMatrix::encode(&encoder, buffer.view(), 1, false).unwrap();
         let parallel = EncodedMatrix::encode(&encoder, buffer.view(), 4, false).unwrap();
         assert_eq!(sequential.data, parallel.data);
-        // The matrix rows are the per-sample encodings (up to the batched
-        // kernel's float-rounding difference from the serial path).
+        // The matrix rows are the per-sample encodings, bit for bit.
         for (i, x) in xs.iter().enumerate() {
             let reference = encoder.encode(x).unwrap();
-            for (a, b) in sequential.row(i).iter().zip(reference.iter()) {
-                assert!((a - b).abs() < 5e-6, "sample {i}: {a} vs {b}");
-            }
+            assert_eq!(sequential.row(i), reference.as_slice(), "sample {i}");
         }
         // Width errors surface before the fan-out.
         let narrow = [0.0f32; 3];
         let bad = BatchView::new(&narrow, 3).unwrap();
         assert!(EncodedMatrix::encode(&encoder, bad, 2, false).is_err());
+    }
+
+    #[test]
+    fn regeneration_patch_equals_a_fresh_encode_bit_for_bit() {
+        // A wide, zero-sprinkled input and a multi-tile dimension: the
+        // patched columns must be the values the batch kernel would write.
+        let (mut xs, ys) = blobs(3, 30, 11, 0.3, 14);
+        for (i, x) in xs.iter_mut().enumerate() {
+            x[i % 11] = 0.0;
+        }
+        let config = CyberHdConfig::builder(11, 3).dimension(2100).seed(4).build().unwrap();
+        let mut encoder = AnyEncoder::from_config(&config).unwrap();
+        let buffer = hdc::BatchBuffer::from_rows(&xs, 11).unwrap();
+        let mut encoded = EncodedMatrix::encode(&encoder, buffer.view(), 1, true).unwrap();
+        let mut memory = AssociativeMemory::new(3, 2100).unwrap();
+        for (i, &y) in ys.iter().enumerate() {
+            memory.accumulate(y, &Hypervector::from_vec(encoded.row(i).to_vec())).unwrap();
+        }
+        let plan = RegenerationPlan::analyze(&memory, 0.2);
+        assert!(plan.drop.iter().any(|&d| d >= 2048), "a dropped dim in the second tile");
+        apply_regeneration(&mut encoder, &mut memory, &mut encoded, buffer.view(), &plan).unwrap();
+        let fresh = EncodedMatrix::encode(&encoder, buffer.view(), 1, true).unwrap();
+        for i in 0..xs.len() {
+            let (patched, expected) = (encoded.row(i), fresh.row(i));
+            for (d, (a, b)) in patched.iter().zip(expected).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "sample {i} dim {d}: {a} vs {b}");
+            }
+            assert_eq!(encoded.row_norm(i).to_bits(), fresh.row_norm(i).to_bits(), "sample {i}");
+        }
     }
 
     #[test]

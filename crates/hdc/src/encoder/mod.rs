@@ -37,10 +37,13 @@ use crate::{HdcError, Result};
 /// Implementations must be deterministic: encoding the same features twice
 /// (without regeneration in between) yields the same hypervector.
 ///
-/// The primitive operation is [`Encoder::encode_into`], which writes into a
-/// caller-provided buffer; [`Encoder::encode`] and the batch entry points
-/// are layered on top of it, so the hot batched path performs **zero
-/// per-sample allocations**.
+/// Every entry point writes into caller-provided buffers, so the hot
+/// batched path performs **zero per-sample allocations**.  By default the
+/// batch entry points are layered on the single-row
+/// [`Encoder::encode_into`]; an encoder with a batched kernel may instead
+/// make that kernel its one arithmetic and [`Encoder::encode_into`] its
+/// `n = 1` case (the RBF encoder does).  Either way, single-row, batched
+/// and sign encodings of the same input are bit-identical.
 pub trait Encoder: Send + Sync {
     /// Number of input features expected by [`Encoder::encode`].
     fn input_features(&self) -> usize;
@@ -232,16 +235,62 @@ mod tests {
         assert_eq!(encoded[0], e.encode(batch.row(0)).unwrap());
         assert_eq!(encoded[1], e.encode(batch.row(1)).unwrap());
 
-        // The RBF override trades bit-identity for the tiled kernel:
-        // agreement to float rounding.
+        // The RBF override is the same arithmetic: exact equality too.
         let e = RbfEncoder::new(2, 32, 1).unwrap();
         let data = [0.1f32, 0.2, -0.5, 0.9];
         let batch = BatchView::new(&data, 2).unwrap();
         let encoded = e.encode_batch(batch).unwrap();
         for (row, features) in encoded.iter().zip(batch.iter_rows()) {
-            let reference = e.encode(features).unwrap();
-            for (a, b) in row.iter().zip(reference.iter()) {
-                assert!((a - b).abs() < 5e-6);
+            assert_eq!(*row, e.encode(features).unwrap());
+        }
+    }
+
+    #[test]
+    fn single_row_batch_and_sign_encodings_are_bit_identical_for_every_encoder() {
+        // 37 rows span several RBF (16-row) and sign (8-row) blocks; the RBF
+        // dimensionality spans two output tiles.
+        const ROWS: usize = 37;
+        let real = |width: usize| -> Vec<f32> {
+            (0..ROWS * width)
+                .map(|i| if i % 5 == 0 { 0.0 } else { (i as f32 * 0.37).sin() * 1.5 })
+                .collect()
+        };
+        let sequence: Vec<f32> = (0..ROWS * 16).map(|i| ((i * 7 + i / 16) % 8) as f32).collect();
+        let table: Vec<f32> = (0..ROWS)
+            .flat_map(|r| [(r % 3) as f32, (r * 2 % 5) as f32, (r as f32 * 0.13).fract()])
+            .collect();
+        let cases: Vec<(Box<dyn Encoder>, Vec<f32>)> = vec![
+            (Box::new(RbfEncoder::with_sigma(9, 2100, 1.5, 3).unwrap()), real(9)),
+            (Box::new(IdLevelEncoder::new(9, 700, 16, 3).unwrap()), real(9)),
+            (Box::new(RecordEncoder::new(9, 700, 3).unwrap()), real(9)),
+            (Box::new(NGramEncoder::new(16, 8, 3, 700, 3).unwrap()), sequence),
+            (Box::new(SymbolRecordEncoder::new(&[3, 5, 0], 700, 16, 3).unwrap()), table),
+        ];
+        for (index, (e, data)) in cases.iter().enumerate() {
+            let (width, dim) = (e.input_features(), e.output_dim());
+            let batch = BatchView::new(data, width).unwrap();
+            assert_eq!(batch.rows(), ROWS);
+            let mut matrix = vec![f32::NAN; ROWS * dim];
+            e.encode_batch_into(batch, &mut matrix).unwrap();
+            let words_per_row = crate::binary::words_for_dim(dim);
+            let mut words = vec![u64::MAX; ROWS * words_per_row];
+            let mut zero_rows = vec![true; ROWS];
+            e.encode_signs_into(batch, &mut words, &mut zero_rows).unwrap();
+            let mut row = vec![f32::NAN; dim];
+            let mut packed = vec![0u64; words_per_row];
+            for i in 0..ROWS {
+                e.encode_into(batch.row(i), &mut row).unwrap();
+                let batched = &matrix[i * dim..(i + 1) * dim];
+                for (d, (a, b)) in row.iter().zip(batched).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "encoder {index} row {i} dim {d}");
+                }
+                let zero = crate::binary::pack_f32_signs_checked(&row, &mut packed);
+                assert_eq!(
+                    packed.as_slice(),
+                    &words[i * words_per_row..(i + 1) * words_per_row],
+                    "encoder {index} row {i}"
+                );
+                assert_eq!(zero, zero_rows[i], "encoder {index} row {i}");
             }
         }
     }

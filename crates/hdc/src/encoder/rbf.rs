@@ -45,12 +45,11 @@ pub struct RbfEncoder {
     /// Row-major base matrix: `dim` rows of `features` Gaussian entries.
     bases: Vec<f32>,
     /// Feature-major transpose of `bases` (`features` rows of `dim`
-    /// entries), kept in sync on regeneration.  The batched kernel
+    /// entries), kept in sync on regeneration.  The batch kernel
     /// accumulates projections *vertically* across output dimensions, which
-    /// turns the inner loop into a pure element-wise FMA the
-    /// auto-vectorizer handles far better than the horizontal dot
-    /// reductions of the per-sample path.
-    bases_t: Vec<f32>,
+    /// turns the inner loop into a pure element-wise multiply-add the
+    /// auto-vectorizer handles far better than horizontal dot reductions.
+    bases_t: LineAligned,
     /// Per-dimension phase offsets, uniform in `[0, 2π)`.
     phases: Vec<f32>,
     features: usize,
@@ -138,7 +137,9 @@ impl RbfEncoder {
     ///
     /// The CyberHD trainer uses this to re-encode only the regenerated
     /// dimensions of its cached training matrix instead of re-running the
-    /// full encoder after every regeneration round.
+    /// full encoder after every regeneration round.  The value is
+    /// bit-identical to column `d` of [`Encoder::encode_batch_into`]: it
+    /// replays the batch kernel's operation order for that one column.
     ///
     /// # Errors
     ///
@@ -154,8 +155,19 @@ impl RbfEncoder {
                 actual: features.len(),
             });
         }
+        // The batch kernel's order: start at the phase, then for each
+        // nonzero feature in ascending order one multiply and one separate
+        // add (`Kernels::axpy` never contracts to FMA on any path).  A zero
+        // feature adds +0.0 instead of being skipped: that leaves `acc`
+        // unchanged except -0.0 → +0.0, which the next nonzero term or
+        // `fast_cos` (even in its argument) erases — the same bits, without
+        // a data-dependent branch on the latency-bound add chain.
         let row = &self.bases[d * self.features..(d + 1) * self.features];
-        Ok((crate::similarity::dot(row, features) + self.phases[d]).cos())
+        let mut acc = self.phases[d];
+        for (&value, &base) in features.iter().zip(row) {
+            acc += if value != 0.0 { value * base } else { 0.0 };
+        }
+        Ok(fast_cos(acc))
     }
 
     /// Replaces the base vector and phase of dimension `d` with a fresh
@@ -180,8 +192,9 @@ impl RbfEncoder {
         for b in &mut self.bases[d * self.features..(d + 1) * self.features] {
             *b = rng.normal(0.0, sigma) as f32;
         }
+        let bases_t = self.bases_t.as_mut_slice();
         for f in 0..self.features {
-            self.bases_t[f * self.dim + d] = self.bases[d * self.features + f];
+            bases_t[f * self.dim + d] = self.bases[d * self.features + f];
         }
         self.phases[d] = rng.uniform(0.0, std::f64::consts::TAU) as f32;
         self.regenerated += 1;
@@ -254,9 +267,67 @@ const RBF_SAMPLE_BLOCK: usize = 16;
 
 /// Output-dimension tile width of the blocked batch kernel.  One tile row
 /// (`RBF_DIM_TILE` f32 = 8 KiB) stays L1-resident while it is applied to
-/// every sample of the block, and the block's output tiles
+/// every sample of the block, and the block's projection tiles
 /// (`RBF_SAMPLE_BLOCK × 8 KiB`) stay L2-resident across the feature loop.
 const RBF_DIM_TILE: usize = 2048;
+
+/// Bytes in a cache line.
+const LINE_BYTES: usize = 64;
+
+/// `f32` storage whose first element sits on a cache-line boundary: the
+/// transposed base matrix every encode streams, and the projection
+/// accumulators of both kernels.
+///
+/// The kernels accumulate in this storage they own, not in the caller's
+/// buffer: a heap `Vec<f32>` or a stack array is only 16-byte aligned, and
+/// the offset a process happens to get decides whether every 64-byte vector
+/// access of the hot loop splits across two lines — 7.6 against 9.2 µs for
+/// one single-row encode at D=2048, varying from run to run.
+#[derive(Debug)]
+struct LineAligned {
+    /// Padding up to the boundary, then the elements.
+    buf: Vec<f32>,
+    start: usize,
+}
+
+impl LineAligned {
+    /// `f32` elements per cache line.
+    const LANES: usize = LINE_BYTES / std::mem::size_of::<f32>();
+
+    /// An empty buffer with room for `len` elements past its first line
+    /// boundary, and the index of that boundary.
+    fn with_room(len: usize) -> (Vec<f32>, usize) {
+        let buf = Vec::<f32>::with_capacity(len + Self::LANES - 1);
+        // `align_offset` may decline (usize::MAX); that costs speed only.
+        let start = buf.as_ptr().align_offset(LINE_BYTES).min(Self::LANES - 1);
+        (buf, start)
+    }
+
+    fn zeroed(len: usize) -> Self {
+        let (mut buf, start) = Self::with_room(len);
+        buf.resize(start + len, 0.0);
+        Self { buf, start }
+    }
+
+    fn as_slice(&self) -> &[f32] {
+        &self.buf[self.start..]
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [f32] {
+        &mut self.buf[self.start..]
+    }
+}
+
+impl Clone for LineAligned {
+    /// The copy lives at a new address, so it is aligned afresh.
+    fn clone(&self) -> Self {
+        let values = self.as_slice();
+        let (mut buf, start) = Self::with_room(values.len());
+        buf.resize(start, 0.0);
+        buf.extend_from_slice(values);
+        Self { buf, start }
+    }
+}
 
 /// Samples per block of the fused sign-encode kernel.
 const SIGN_SAMPLE_BLOCK: usize = 8;
@@ -271,14 +342,15 @@ const SIGN_DIM_TILE: usize = 512;
 
 /// Builds the feature-major transpose of a row-major `dim × features`
 /// matrix.
-fn transpose(bases: &[f32], dim: usize, features: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; bases.len()];
+fn transpose(bases: &[f32], dim: usize, features: usize) -> LineAligned {
+    let mut transposed = LineAligned::zeroed(bases.len());
+    let out = transposed.as_mut_slice();
     for d in 0..dim {
         for f in 0..features {
             out[f * dim + d] = bases[d * features + f];
         }
     }
-    out
+    transposed
 }
 
 // Two-step Cody–Waite range reduction of `x` to `r ∈ [-π, π]` (modulo 2π),
@@ -304,15 +376,15 @@ fn cos_poly(r2: f32) -> f32 {
     p * r2 + 1.0
 }
 
-/// Branch-free cosine for the batched kernel: [`reduce_to_pi`] followed by
-/// `cos_poly`.
+/// Branch-free cosine of every RBF encode path: [`reduce_to_pi`] followed
+/// by `cos_poly`.
 ///
 /// Every operation (`round`, multiplies, adds) lowers to straight-line SIMD,
 /// so the final `cos` pass over an encode tile auto-vectorizes — `libm`'s
-/// scalar `cosf` call is the single largest cost of the batched encode
-/// otherwise.  Absolute error stays below ~1e-6 for the |x| ≲ 100 range RBF
-/// projections occupy (‖x‖₂·σ·√features plus a phase), which is inside the
-/// engine's documented 1e-6 score-parity budget.
+/// scalar `cosf` call would be the single largest cost of the encode
+/// otherwise.  Absolute error against the exact cosine stays below ~1e-6
+/// for the |x| ≲ 100 range RBF projections occupy (‖x‖₂·σ·√features plus a
+/// phase).
 #[inline]
 fn fast_cos(x: f32) -> f32 {
     let r = reduce_to_pi(x);
@@ -338,70 +410,81 @@ impl Encoder for RbfEncoder {
         self.dim
     }
 
+    /// The batch kernel at `n = 1`: single-row and batched encodings are
+    /// bit-identical by construction.
     fn encode_into(&self, features: &[f32], out: &mut [f32]) -> Result<()> {
+        // A wrong `features` length must not be re-read as a multi-row
+        // view; a wrong `out` length is reported by the kernel's own shape
+        // check as the same `DimensionMismatch { expected: dim, .. }`.
         if features.len() != self.features {
             return Err(HdcError::FeatureMismatch {
                 expected: self.features,
                 actual: features.len(),
             });
         }
-        if out.len() != self.dim {
-            return Err(HdcError::DimensionMismatch { expected: self.dim, actual: out.len() });
-        }
-        for (d, slot) in out.iter_mut().enumerate() {
-            let row = &self.bases[d * self.features..(d + 1) * self.features];
-            *slot = (crate::similarity::dot(row, features) + self.phases[d]).cos();
-        }
-        Ok(())
+        self.encode_batch_into(BatchView::new(features, self.features)?, out)
     }
 
     /// Tiled, transposed batch kernel (GEMM-style): projections are
     /// accumulated *vertically* over `RBF_DIM_TILE`-wide output tiles
     /// using the feature-major transpose of the base matrix, so
     ///
-    /// * the inner loop is a pure element-wise FMA with unit stride (the
-    ///   auto-vectorizer's best case, no horizontal reductions),
+    /// * the inner loop is a pure element-wise multiply-add with unit
+    ///   stride (the auto-vectorizer's best case, no horizontal
+    ///   reductions),
     /// * each transposed base row is loaded into cache once per
     ///   `RBF_SAMPLE_BLOCK`-sample block instead of once per sample.
     ///
-    /// The projection of each output element sums the same `x_f · b_{d,f}`
-    /// terms as [`Encoder::encode_into`] in a different association order,
-    /// so batched scores agree with the per-sample path to float rounding
-    /// (~1e-7) rather than bit-for-bit; the parity suite pins this bound.
+    /// This is the encoder's only f32 arithmetic: [`Encoder::encode_into`]
+    /// is this kernel at `n = 1` and [`RbfEncoder::encode_dimension`]
+    /// replays its operation order for one column, so every encode path
+    /// agrees bit for bit.  Each element starts at its phase and adds the
+    /// `x_f · b_{d,f}` terms in ascending feature order, which also makes
+    /// the output independent of how a batch is split into blocks.
     ///
     /// Exactly-zero features are skipped, like in the fused sign kernel:
     /// their products are ±0.0 and the accumulators are never −0.0 (they
     /// start at non-negative phases and IEEE round-to-nearest cancellation
     /// yields +0.0), so the skip is bit-exact — and one-hot-expanded NIDS
     /// features are mostly zeros.
+    ///
+    /// Projections accumulate in cache-line-aligned storage the kernel owns
+    /// and reach `out` once, as cosines, so the cost does not depend on
+    /// how the caller's buffer happens to be aligned.
     fn encode_batch_into(&self, batch: BatchView<'_>, out: &mut [f32]) -> Result<()> {
         crate::encoder::check_batch_shape(self.features, self.dim, batch, out)?;
         let dim = self.dim;
         let kernels = crate::kernel::active();
+        let stride = dim.min(RBF_DIM_TILE);
+        let mut proj = LineAligned::zeroed(batch.rows().min(RBF_SAMPLE_BLOCK) * stride);
+        let proj = proj.as_mut_slice();
         for (block, tile) in
             batch.chunk_rows(RBF_SAMPLE_BLOCK).zip(out.chunks_mut(RBF_SAMPLE_BLOCK * dim))
         {
-            // proj[s][d] starts at the phase and accumulates the projection.
-            for row in tile.chunks_exact_mut(dim) {
-                row.copy_from_slice(&self.phases);
-            }
             for d0 in (0..dim).step_by(RBF_DIM_TILE) {
                 let d1 = (d0 + RBF_DIM_TILE).min(dim);
-                for (f, base_row) in self.bases_t.chunks_exact(dim).enumerate() {
+                let width = d1 - d0;
+                // proj[s][d] starts at the phase and accumulates the projection.
+                for acc in proj.chunks_exact_mut(stride).take(block.rows()) {
+                    acc[..width].copy_from_slice(&self.phases[d0..d1]);
+                }
+                for (f, base_row) in self.bases_t.as_slice().chunks_exact(dim).enumerate() {
                     let base_tile = &base_row[d0..d1];
-                    for (s, sample) in block.iter_rows().enumerate() {
+                    for (acc, sample) in proj.chunks_exact_mut(stride).zip(block.iter_rows()) {
                         let value = sample[f];
                         if value == 0.0 {
                             continue;
                         }
-                        // Kernel axpy (`out += value * base`): element-wise
+                        // Kernel axpy (`acc += value * base`): element-wise
                         // mul + add, bit-exact on every dispatch path.
-                        kernels.axpy(&mut tile[s * dim + d0..s * dim + d1], value, base_tile);
+                        kernels.axpy(&mut acc[..width], value, base_tile);
                     }
                 }
-            }
-            for v in tile.iter_mut() {
-                *v = fast_cos(*v);
+                for (acc, row) in proj.chunks_exact(stride).zip(tile.chunks_exact_mut(dim)) {
+                    for (v, &p) in row[d0..d1].iter_mut().zip(&acc[..width]) {
+                        *v = fast_cos(p);
+                    }
+                }
             }
         }
         Ok(())
@@ -433,7 +516,8 @@ impl Encoder for RbfEncoder {
         let kernels = crate::kernel::active();
         let words_per_row = crate::binary::words_for_dim(dim);
         zero_rows.fill(true);
-        let mut acc = [0.0f32; SIGN_SAMPLE_BLOCK * SIGN_DIM_TILE];
+        let mut acc = LineAligned::zeroed(SIGN_SAMPLE_BLOCK * SIGN_DIM_TILE);
+        let acc = acc.as_mut_slice();
         for (block_index, block) in batch.chunk_rows(SIGN_SAMPLE_BLOCK).enumerate() {
             let row0 = block_index * SIGN_SAMPLE_BLOCK;
             for d0 in (0..dim).step_by(SIGN_DIM_TILE) {
@@ -446,7 +530,7 @@ impl Encoder for RbfEncoder {
                     acc[s * SIGN_DIM_TILE..s * SIGN_DIM_TILE + tile_width]
                         .copy_from_slice(&self.phases[d0..d1]);
                 }
-                for (f, base_row) in self.bases_t.chunks_exact(dim).enumerate() {
+                for (f, base_row) in self.bases_t.as_slice().chunks_exact(dim).enumerate() {
                     let base_tile = &base_row[d0..d1];
                     for (s, sample) in block.iter_rows().enumerate() {
                         let value = sample[f];
@@ -606,13 +690,30 @@ mod tests {
 
     #[test]
     fn encode_dimension_matches_full_encoding() {
-        let e = RbfEncoder::new(4, 32, 13).unwrap();
-        let x = [0.4, -0.6, 0.2, 0.8];
-        let full = e.encode(&x).unwrap();
-        for d in 0..32 {
-            assert_eq!(e.encode_dimension(&x, d).unwrap(), full[d]);
+        let mut e = RbfEncoder::with_sigma(9, RBF_DIM_TILE + 40, 1.3, 13).unwrap();
+        e.regenerate_dimensions(&[0, 5, RBF_DIM_TILE + 3]).unwrap();
+        // A -0.0 phase (only a loaded artifact can carry one) meets leading
+        // zero features in row 1 and an all-zero row 3.
+        e.phases[1] = -0.0;
+        // Exact zeros exercise the kernel's zero-feature skip; four rows
+        // put the batch column at a nonzero row offset.
+        let data: Vec<f32> = (0..36)
+            .map(|i| if i % 4 == 1 || i >= 27 { 0.0 } else { (i as f32 * 0.71).cos() * 2.0 })
+            .collect();
+        let batch = crate::BatchView::new(&data, 9).unwrap();
+        let mut matrix = vec![f32::NAN; 4 * e.output_dim()];
+        e.encode_batch_into(batch, &mut matrix).unwrap();
+        for (i, (x, batched)) in
+            batch.iter_rows().zip(matrix.chunks_exact(e.output_dim())).enumerate()
+        {
+            let full = e.encode(x).unwrap();
+            for d in 0..e.output_dim() {
+                let column = e.encode_dimension(x, d).unwrap();
+                assert_eq!(column.to_bits(), full[d].to_bits(), "row {i} dim {d}");
+                assert_eq!(column.to_bits(), batched[d].to_bits(), "row {i} dim {d}");
+            }
         }
-        assert!(e.encode_dimension(&x, 32).is_err());
+        assert!(e.encode_dimension(&data[..9], e.output_dim()).is_err());
         assert!(e.encode_dimension(&[0.0], 0).is_err());
     }
 
@@ -624,21 +725,27 @@ mod tests {
         let e = RbfEncoder::with_sigma(7, dim, 0.8, 17).unwrap();
         let rows = RBF_SAMPLE_BLOCK * 2 + 3;
         // Sprinkle exact zeros between the nonzero values so the dense
-        // kernel's zero-feature skip is exercised against the serial path.
+        // kernel's zero-feature skip is exercised.
         let data: Vec<f32> =
             (0..rows * 7).map(|i| if i % 3 == 0 { 0.0 } else { (i as f32 * 0.37).sin() }).collect();
         let batch = crate::BatchView::new(&data, 7).unwrap();
         let mut matrix = vec![f32::NAN; rows * dim];
         e.encode_batch_into(batch, &mut matrix).unwrap();
         for (i, row) in matrix.chunks_exact(dim).enumerate() {
-            let reference = e.encode(batch.row(i)).unwrap();
-            for (d, (a, b)) in row.iter().zip(reference.iter()).enumerate() {
-                // Association-order rounding plus the ~1e-6 fast_cos error:
-                // per-element agreement to 5e-6.  Score-level parity (the
-                // engine's contract) is tighter because independent element
-                // errors average out in the cosine — tests/batch_parity.rs
-                // pins that at 1e-6.
-                assert!((a - b).abs() < 5e-6, "sample {i} dim {d}: {a} vs {b}");
+            let x = batch.row(i);
+            for (d, &a) in row.iter().enumerate() {
+                // Accuracy oracle: the exact formula in f64.  f32
+                // accumulation rounding plus the ~1e-6 fast_cos error stay
+                // within 5e-6 per element.
+                let projection = e.phases[d] as f64
+                    + e.base_row(d)
+                        .unwrap()
+                        .iter()
+                        .zip(x)
+                        .map(|(&b, &v)| b as f64 * v as f64)
+                        .sum::<f64>();
+                let exact = projection.cos();
+                assert!((a as f64 - exact).abs() < 5e-6, "sample {i} dim {d}: {a} vs {exact}");
             }
         }
     }
@@ -769,8 +876,23 @@ mod tests {
         e.regenerate_dimensions(&[0, 7, 47, 7]).unwrap();
         for d in 0..48 {
             for f in 0..5 {
-                assert_eq!(e.bases_t[f * 48 + d], e.bases[d * 5 + f], "d={d} f={f}");
+                assert_eq!(e.bases_t.as_slice()[f * 48 + d], e.bases[d * 5 + f], "d={d} f={f}");
             }
+        }
+    }
+
+    #[test]
+    fn transposed_bases_stay_cache_line_aligned() {
+        let mut e = RbfEncoder::new(5, 48, 23).unwrap();
+        e.regenerate_dimensions(&[3, 47]).unwrap();
+        let mut w = crate::codec::Writer::new();
+        e.write_to(&mut w);
+        let bytes = w.into_bytes();
+        let loaded = RbfEncoder::read_from(&mut crate::codec::Reader::new(&bytes)).unwrap();
+        for encoder in [&e, &e.clone(), &loaded] {
+            let bases_t = encoder.bases_t.as_slice();
+            assert_eq!(bases_t.as_ptr() as usize % LINE_BYTES, 0);
+            assert_eq!(bases_t, e.bases_t.as_slice());
         }
     }
 

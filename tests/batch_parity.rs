@@ -2,9 +2,10 @@
 //!
 //! The engine's contract: for every encoder and for the quantized
 //! deployment path, `predict_batch` produces **identical predictions** to
-//! the per-sample loop, and batched scores agree with the serial scoring
-//! path to within 1e-6.  Cases are generated deterministically from seeds,
-//! so every run checks the same (many) inputs.
+//! the per-sample loop, and batched scores are **bit-identical** to the
+//! serial scoring path (every encoder's single-row encode is its batch
+//! arithmetic at `n = 1`).  Cases are generated deterministically from
+//! seeds, so every run checks the same (many) inputs.
 //!
 //! The whole suite runs twice in CI — once with the default `parallel`
 //! feature (chunk fan-out across scoped threads) and once with
@@ -80,8 +81,9 @@ fn batched_scores_match_serial_scores_within_1e6() {
             let serial = memory.similarities(&encoded).expect("serial scoring");
             let row = &scores[i * memory.num_classes()..(i + 1) * memory.num_classes()];
             for (k, (a, b)) in row.iter().zip(&serial).enumerate() {
-                assert!(
-                    (a - b).abs() < 1e-6,
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
                     "{encoder:?} sample {i} class {k}: batched {a} vs serial {b}"
                 );
             }

@@ -9,6 +9,8 @@
 //! 2. **Persistence round trip** — `to_bytes` → `from_bytes` reproduces
 //!    every prediction and score bit for bit, for dense, B1- and
 //!    B2-quantized class memories, and for calibrated open-set thresholds.
+//! 3. **Single flow = batch** — `detect` equals `detect_batch` verdict for
+//!    verdict, similarity bits included.
 
 use cyberhd_suite::prelude::*;
 
@@ -79,6 +81,43 @@ fn view_batch_path_equals_row_batch_path() {
         quantized.predict_batch_view(view).unwrap(),
         quantized.predict_batch(&rows).unwrap()
     );
+}
+
+#[test]
+fn detect_matches_detect_batch_bit_for_bit() {
+    // Single-flow and batched verdicts share one encode arithmetic, so they
+    // agree to the last bit — with regeneration on, so the trainer's
+    // patched columns are part of the model being checked.
+    let data = corpus(DatasetKind::NslKdd, 800, 71);
+    for dim in [512, 2048] {
+        for width in [None, Some(BitWidth::B1), Some(BitWidth::B4)] {
+            let builder = Detector::builder()
+                .dimension(dim)
+                .retrain_epochs(2)
+                .learning_rate(0.05)
+                .regeneration_rate(0.2)
+                .seed(73);
+            let builder = match width {
+                Some(width) => builder.quantize(width),
+                None => builder,
+            };
+            let detector = builder.train(&data).unwrap();
+            let label = format!("D={dim} {width:?}");
+            let batched = detector.detect_batch(data.records()).unwrap();
+            for (i, (record, expected)) in data.records().iter().zip(&batched).enumerate() {
+                let single = detector.detect(record).unwrap();
+                assert_eq!(single.class, expected.class, "{label} flow {i}");
+                assert_eq!(
+                    single.similarity.to_bits(),
+                    expected.similarity.to_bits(),
+                    "{label} flow {i}: {} vs {}",
+                    single.similarity,
+                    expected.similarity
+                );
+                assert_eq!(single.novel, expected.novel, "{label} flow {i}");
+            }
+        }
+    }
 }
 
 /// Asserts a saved→loaded artifact reproduces verdicts (class, similarity

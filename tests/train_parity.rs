@@ -194,12 +194,9 @@ fn fused_sign_encode_is_bit_exact_on_every_encoder() {
         let fused = deployed.predict_batch(&test_x).unwrap();
         let reference = predict_b1_encode_then_quantize(&model, &test_x);
         assert_eq!(fused, reference, "{kind:?}: fused B1 predictions diverged");
-        // For the exact-kernel encoders the serial per-sample path agrees
-        // bit for bit as well.
-        if kind != EncoderKind::Rbf {
-            for (i, x) in test_x.iter().enumerate() {
-                assert_eq!(fused[i], deployed.predict(x).unwrap(), "{kind:?} sample {i}");
-            }
+        // The serial per-sample path agrees bit for bit as well.
+        for (i, x) in test_x.iter().enumerate() {
+            assert_eq!(fused[i], deployed.predict(x).unwrap(), "{kind:?} sample {i}");
         }
     }
 }
