@@ -13,10 +13,11 @@
 //!
 //! The library part of the crate holds the shared plumbing: dataset
 //! preparation (generate → split → preprocess) and uniformly timed
-//! train/evaluate wrappers for every model.  Experiment scale is controlled
-//! by [`ExperimentScale`] so the default `cargo run -p bench --bin figN
-//! --release` finishes in minutes on a laptop; set `CYBERHD_SCALE=paper` for
-//! larger corpora.
+//! train/evaluate wrappers for every model, plus the seeded harnesses the
+//! integration suites share ([`crash`], [`scenario`], [`zipf`]).
+//! Experiment scale is controlled by [`ExperimentScale`] so the default
+//! `cargo run -p bench --bin figN --release` finishes in minutes on a
+//! laptop; set `CYBERHD_SCALE=paper` for larger corpora.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -85,217 +86,6 @@ impl ExperimentScale {
             ExperimentScale::Quick => 15,
             ExperimentScale::Paper => 30,
         }
-    }
-}
-
-/// Machine-readable benchmark snapshots (`BENCH_*.json` at the workspace
-/// root), emitted by the criterion bench binaries so the perf trajectory of
-/// the engine survives across PRs without scraping stdout.
-///
-/// The vendored `serde` is an API-subset stub, so the JSON is formatted by
-/// hand; every field is a flat string-keyed number and arm names are plain
-/// ASCII identifiers.
-pub mod snapshot {
-    use eval::ThroughputReport;
-    use std::fmt::Write as _;
-    use std::path::{Path, PathBuf};
-
-    /// One measured arm of a benchmark: a label plus its throughput report.
-    #[derive(Debug, Clone)]
-    pub struct Arm {
-        /// Arm label (plain ASCII, no quotes).
-        pub name: String,
-        /// Wall-clock + sample count of the arm's best pass.
-        pub report: ThroughputReport,
-    }
-
-    impl Arm {
-        /// Convenience constructor.
-        pub fn new(name: &str, report: ThroughputReport) -> Self {
-            Self { name: name.to_string(), report }
-        }
-    }
-
-    /// Workspace-root path for a snapshot file.
-    pub fn workspace_path(file_name: &str) -> PathBuf {
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..").join(file_name)
-    }
-
-    /// Renders one snapshot as pretty-printed JSON.
-    ///
-    /// `labels` are flat string-valued fields (plain ASCII, no quotes in
-    /// either key or value — e.g. the selected `kernel_isa`), emitted right
-    /// after the bench name; `params` are the numeric fields.
-    pub fn render(
-        bench: &str,
-        labels: &[(&str, &str)],
-        params: &[(&str, f64)],
-        arms: &[Arm],
-        speedups: &[(&str, f64)],
-    ) -> String {
-        fn number(value: f64) -> String {
-            if value.is_finite() {
-                format!("{value}")
-            } else {
-                // JSON has no Infinity/NaN; degenerate timings become null.
-                "null".to_string()
-            }
-        }
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"bench\": \"{bench}\",");
-        for (key, value) in labels {
-            let _ = writeln!(out, "  \"{key}\": \"{value}\",");
-        }
-        for (key, value) in params {
-            let _ = writeln!(out, "  \"{key}\": {},", number(*value));
-        }
-        let _ = writeln!(out, "  \"arms\": [");
-        for (i, arm) in arms.iter().enumerate() {
-            let comma = if i + 1 < arms.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{\"name\": \"{}\", \"seconds\": {}, \"samples\": {}, \
-                 \"samples_per_second\": {}}}{comma}",
-                arm.name,
-                number(arm.report.seconds),
-                arm.report.samples,
-                number(arm.report.samples_per_second()),
-            );
-        }
-        let _ = writeln!(out, "  ],");
-        let _ = writeln!(out, "  \"speedups\": {{");
-        for (i, (key, value)) in speedups.iter().enumerate() {
-            let comma = if i + 1 < speedups.len() { "," } else { "" };
-            let _ = writeln!(out, "    \"{key}\": {}{comma}", number(*value));
-        }
-        let _ = writeln!(out, "  }}");
-        let _ = writeln!(out, "}}");
-        out
-    }
-
-    /// Writes a snapshot to the workspace root and returns its path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors from the write.
-    pub fn write(
-        file_name: &str,
-        bench: &str,
-        labels: &[(&str, &str)],
-        params: &[(&str, f64)],
-        arms: &[Arm],
-        speedups: &[(&str, f64)],
-    ) -> std::io::Result<PathBuf> {
-        let path = workspace_path(file_name);
-        std::fs::write(&path, render(bench, labels, params, arms, speedups))?;
-        Ok(path)
-    }
-}
-
-/// Reference reconstructions of superseded engine pipelines, kept runnable
-/// so benches can measure against them and parity suites can use them as
-/// oracles — one copy, shared by both.
-pub mod reference {
-    use cyberhd::model::AnyEncoder;
-    use cyberhd::QuantizedModel;
-    use hdc::binary::{pack_f32_signs_into, words_for_dim, BinaryHypervector};
-    use hdc::encoder::Encoder;
-    use hdc::parallel::{engine_threads, for_each_chunk};
-    use hdc::{AssociativeMemory, BatchView};
-
-    /// The dense batched scoring loop `predict_batch` ran before the
-    /// interleaved multi-class dot kernel: batched f32 encode into a chunk
-    /// matrix, then **one full query pass per class** (`cosine_with_norm`
-    /// per class, class norms cached per batch).  Predictions are
-    /// bit-identical to the interleaved kernel — the kernel replicates this
-    /// loop's per-class accumulation order exactly — so benches assert
-    /// equality and measure only the memory-traffic difference.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the view's row width does not match the encoder's feature
-    /// arity or the memory's dimensionality differs from the encoder output
-    /// (callers validate).
-    pub fn predict_dense_per_class_scoring(
-        encoder: &AnyEncoder,
-        memory: &AssociativeMemory,
-        batch: BatchView<'_>,
-    ) -> Vec<usize> {
-        let dim = memory.dim();
-        let norms = memory.class_norms();
-        let mut predictions = vec![0usize; batch.rows()];
-        for_each_chunk(batch.rows(), 64, &mut predictions, 1, engine_threads(), |chunk, out| {
-            let rows = batch.rows_range(chunk.start, chunk.end);
-            let mut matrix = vec![0.0f32; rows.rows() * dim];
-            encoder.encode_batch_into(rows, &mut matrix).expect("shapes validated by the caller");
-            let mut scores = vec![0.0f32; memory.num_classes()];
-            for (local, slot) in out.iter_mut().enumerate() {
-                let query = &matrix[local * dim..(local + 1) * dim];
-                let qn = hdc::similarity::norm(query);
-                for ((score, class), &cn) in scores.iter_mut().zip(memory.classes()).zip(&norms) {
-                    *score = hdc::similarity::cosine_with_norm(query, qn, class.as_slice(), cn);
-                }
-                *slot = hdc::argmax(&scores).expect("at least one class").0;
-            }
-        });
-        predictions
-    }
-
-    /// The 1-bit encode-then-quantize pipeline `predict_batch` ran before
-    /// the fused sign-encode kernel: batched f32 encode into a chunk
-    /// matrix, per-row sign packing, packed-word Hamming scoring with the
-    /// engine's cosine convention.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the view's row width does not match the encoder's feature
-    /// arity or the deployed model is not 1-bit-compatible (callers
-    /// validate).
-    pub fn predict_b1_encode_then_quantize(
-        encoder: &AnyEncoder,
-        deployed: &QuantizedModel,
-        batch: BatchView<'_>,
-    ) -> Vec<usize> {
-        let dim = deployed.dimension();
-        let packed: Vec<BinaryHypervector> = deployed
-            .classes()
-            .iter()
-            .map(|c| BinaryHypervector::from_level_signs(c.levels()))
-            .collect();
-        let class_norms: Vec<f64> = deployed
-            .classes()
-            .iter()
-            .map(|c| c.levels().iter().map(|&l| (l as f64) * (l as f64)).sum::<f64>().sqrt())
-            .collect();
-        let mut predictions = vec![0usize; batch.rows()];
-        for_each_chunk(batch.rows(), 64, &mut predictions, 1, engine_threads(), |chunk, out| {
-            let rows = batch.rows_range(chunk.start, chunk.end);
-            let mut matrix = vec![0.0f32; rows.rows() * dim];
-            encoder.encode_batch_into(rows, &mut matrix).expect("shapes validated by the caller");
-            let mut words = vec![0u64; words_for_dim(dim)];
-            let mut scores = vec![0.0f32; packed.len()];
-            let qn = (dim as f64).sqrt();
-            for (local, slot) in out.iter_mut().enumerate() {
-                let query = &matrix[local * dim..(local + 1) * dim];
-                if query.iter().all(|&v| v == 0.0) {
-                    scores.fill(0.0);
-                } else {
-                    pack_f32_signs_into(query, &mut words);
-                    for ((score, class), cn) in scores.iter_mut().zip(&packed).zip(&class_norms) {
-                        let h = hdc::hamming_distance(&words, class.as_words());
-                        let dot = dim as f64 - 2.0 * h as f64;
-                        *score = if qn == 0.0 || *cn == 0.0 {
-                            0.0
-                        } else {
-                            (dot / (qn * *cn)).clamp(-1.0, 1.0) as f32
-                        };
-                    }
-                }
-                *slot = hdc::argmax(&scores).expect("at least one class").0;
-            }
-        });
-        predictions
     }
 }
 
@@ -371,57 +161,6 @@ pub fn prepare_dataset(
 /// every `CYBERHD_*` bench knob.
 pub fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-/// Best-of-`reps` wall-clock throughput of one full pass over `samples`,
-/// plus the last pass's result (so callers can assert on the output
-/// without paying for an extra untimed pass) — the timing convention all
-/// heavy bench arms share.
-pub fn timed_pass<T>(
-    samples: usize,
-    reps: usize,
-    mut f: impl FnMut() -> T,
-) -> (ThroughputReport, T) {
-    let mut best: Option<ThroughputReport> = None;
-    let mut last: Option<T> = None;
-    for _ in 0..reps.max(1) {
-        let (result, report) = ThroughputReport::measure(samples, &mut f);
-        last = Some(std::hint::black_box(result));
-        if best.is_none_or(|b| report.seconds < b.seconds) {
-            best = Some(report);
-        }
-    }
-    (best.expect("at least one rep"), last.expect("at least one rep"))
-}
-
-/// Generates a raw dataset restricted to its first `classes` classes —
-/// the serve bench's reference configuration (the `Detector` pipeline
-/// derives its label space from the schema, so the schema itself is
-/// narrowed, not just the flows filtered).
-///
-/// # Errors
-///
-/// Propagates generation errors, and schema/dataset construction errors
-/// for a `classes` the kind cannot satisfy.
-pub fn limited_class_dataset(
-    kind: DatasetKind,
-    classes: usize,
-    samples: usize,
-    seed: u64,
-) -> Result<nids_data::Dataset, Box<dyn std::error::Error>> {
-    let full = kind.generate(&SyntheticConfig::new(samples, seed).difficulty(2.4))?;
-    let schema = nids_data::Schema::new(
-        full.schema().name(),
-        full.schema().features().to_vec(),
-        full.schema().classes()[..classes.min(full.num_classes())].to_vec(),
-    )?;
-    let mut narrowed = nids_data::Dataset::empty(schema);
-    for (record, &label) in full.records().iter().zip(full.labels()) {
-        if label < classes {
-            narrowed.push(record.clone(), label)?;
-        }
-    }
-    Ok(narrowed)
 }
 
 /// Accuracy plus timed training/inference of one model on one dataset.
@@ -570,37 +309,6 @@ mod tests {
         assert!(ExperimentScale::Paper.hdc_epochs() >= ExperimentScale::Quick.hdc_epochs());
         assert!(ExperimentScale::Paper.mlp_epochs() >= ExperimentScale::Quick.mlp_epochs());
         assert!(ExperimentScale::Paper.svm_epochs() >= ExperimentScale::Quick.svm_epochs());
-    }
-
-    #[test]
-    fn snapshot_render_produces_structurally_sound_json() {
-        let arms = vec![
-            snapshot::Arm::new("serial", ThroughputReport { seconds: 2.0, samples: 1000 }),
-            snapshot::Arm::new("batched", ThroughputReport { seconds: 0.5, samples: 1000 }),
-        ];
-        let json = snapshot::render(
-            "inference",
-            &[("kernel_isa", "avx2")],
-            &[("dim", 10_000.0), ("samples", 1000.0)],
-            &arms,
-            &[("batched_vs_serial", 4.0), ("degenerate", f64::INFINITY)],
-        );
-        // Balanced braces/brackets, all fields present, non-finite speedups
-        // mapped to null.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        for needle in [
-            "\"bench\": \"inference\"",
-            "\"kernel_isa\": \"avx2\"",
-            "\"dim\": 10000",
-            "\"name\": \"serial\"",
-            "\"samples_per_second\": 2000",
-            "\"batched_vs_serial\": 4",
-            "\"degenerate\": null",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in {json}");
-        }
-        assert!(snapshot::workspace_path("BENCH_infer.json").ends_with("BENCH_infer.json"));
     }
 
     #[test]

@@ -15,8 +15,14 @@
 //! Like `batch_parity.rs`, the suite runs in CI both with the default
 //! `parallel` feature and with `--no-default-features`.
 
+use cyberhd::model::AnyEncoder;
+use cyberhd::QuantizedModel;
 use cyberhd_suite::prelude::*;
+use hdc::binary::{pack_f32_signs_into, words_for_dim, BinaryHypervector};
+use hdc::encoder::Encoder;
+use hdc::parallel::{engine_threads, for_each_chunk};
 use hdc::rng::HdcRng;
+use hdc::BatchView;
 use nids_data::DatasetKind;
 
 /// Builds an NSL-KDD-shaped train/test pair.
@@ -160,18 +166,68 @@ fn minibatch_training_keeps_detection_accuracy() {
     );
 }
 
-/// The 1-bit encode-then-quantize reference — the pipeline `predict_batch`
-/// ran before the fused kernel — shared with the inference bench's baseline
-/// arm via `bench::reference` so the oracle and the measured baseline can
-/// never drift apart.
-fn predict_b1_encode_then_quantize(model: &CyberHdModel, batch: &[Vec<f32>]) -> Vec<usize> {
+/// The 1-bit encode-then-quantize pipeline `predict_batch` ran before
+/// the fused sign-encode kernel: batched f32 encode into a chunk
+/// matrix, per-row sign packing, packed-word Hamming scoring with the
+/// engine's cosine convention.
+///
+/// # Panics
+///
+/// Panics if the view's row width does not match the encoder's feature
+/// arity or the deployed model is not 1-bit-compatible (callers
+/// validate).
+fn predict_b1_encode_then_quantize(
+    encoder: &AnyEncoder,
+    deployed: &QuantizedModel,
+    batch: BatchView<'_>,
+) -> Vec<usize> {
+    let dim = deployed.dimension();
+    let packed: Vec<BinaryHypervector> = deployed
+        .classes()
+        .iter()
+        .map(|c| BinaryHypervector::from_level_signs(c.levels()))
+        .collect();
+    let class_norms: Vec<f64> = deployed
+        .classes()
+        .iter()
+        .map(|c| c.levels().iter().map(|&l| (l as f64) * (l as f64)).sum::<f64>().sqrt())
+        .collect();
+    let mut predictions = vec![0usize; batch.rows()];
+    for_each_chunk(batch.rows(), 64, &mut predictions, 1, engine_threads(), |chunk, out| {
+        let rows = batch.rows_range(chunk.start, chunk.end);
+        let mut matrix = vec![0.0f32; rows.rows() * dim];
+        encoder.encode_batch_into(rows, &mut matrix).expect("shapes validated by the caller");
+        let mut words = vec![0u64; words_for_dim(dim)];
+        let mut scores = vec![0.0f32; packed.len()];
+        let qn = (dim as f64).sqrt();
+        for (local, slot) in out.iter_mut().enumerate() {
+            let query = &matrix[local * dim..(local + 1) * dim];
+            if query.iter().all(|&v| v == 0.0) {
+                scores.fill(0.0);
+            } else {
+                pack_f32_signs_into(query, &mut words);
+                for ((score, class), cn) in scores.iter_mut().zip(&packed).zip(&class_norms) {
+                    let h = hdc::hamming_distance(&words, class.as_words());
+                    let dot = dim as f64 - 2.0 * h as f64;
+                    *score = if qn == 0.0 || *cn == 0.0 {
+                        0.0
+                    } else {
+                        (dot / (qn * *cn)).clamp(-1.0, 1.0) as f32
+                    };
+                }
+            }
+            *slot = hdc::argmax(&scores).expect("at least one class").0;
+        }
+    });
+    predictions
+}
+
+/// Runs [`predict_b1_encode_then_quantize`] over a row batch with the
+/// model's own encoder and its 1-bit deployment.
+fn b1_reference(model: &CyberHdModel, batch: &[Vec<f32>]) -> Vec<usize> {
     let width = batch.first().map_or(1, Vec::len);
     let buffer = hdc::BatchBuffer::from_rows(batch, width).expect("consistent rows");
-    bench::reference::predict_b1_encode_then_quantize(
-        model.encoder(),
-        &model.quantize(BitWidth::B1),
-        buffer.view(),
-    )
+    predict_b1_encode_then_quantize(model.encoder(), &model.quantize(BitWidth::B1), buffer.view())
 }
 
 #[test]
@@ -192,7 +248,7 @@ fn fused_sign_encode_is_bit_exact_on_every_encoder() {
         let model = CyberHdTrainer::new(config).unwrap().fit(&train_x, &train_y).unwrap();
         let deployed = model.quantize(BitWidth::B1);
         let fused = deployed.predict_batch(&test_x).unwrap();
-        let reference = predict_b1_encode_then_quantize(&model, &test_x);
+        let reference = b1_reference(&model, &test_x);
         assert_eq!(fused, reference, "{kind:?}: fused B1 predictions diverged");
         // The serial per-sample path agrees bit for bit as well.
         for (i, x) in test_x.iter().enumerate() {
@@ -229,6 +285,6 @@ fn fused_sign_encode_parity_survives_randomized_feature_sweeps() {
     let queries: Vec<Vec<f32>> =
         (0..400).map(|_| (0..width).map(|_| rng.normal(0.0, 3.0) as f32).collect()).collect();
     let fused = deployed.predict_batch(&queries).unwrap();
-    let reference = predict_b1_encode_then_quantize(&model, &queries);
+    let reference = b1_reference(&model, &queries);
     assert_eq!(fused, reference);
 }
