@@ -38,9 +38,10 @@
 //! bit-exact [`hdc::codec`].  Batch work rides the zero-copy
 //! [`hdc::BatchView`] engines end to end.
 //!
-//! Internally the scoring shapes (full-precision, quantized, open-set
-//! thresholded) live behind the object-safe [`ScoringBackend`] trait, and
-//! the sealed state is [`std::sync::Arc`]-shared — cloning a `Detector`
+//! Internally one closed engine scores every flow: a dense class memory
+//! (optionally with open-set thresholds) or a quantized one, and every
+//! verb — single-flow `detect` included — runs the batched kernels.  The
+//! sealed state is [`std::sync::Arc`]-shared — cloning a `Detector`
 //! costs one reference count, which is what lets the [`crate::serve`]
 //! layer pin an artifact per in-flight micro-batch and hot-swap artifacts
 //! under live traffic without copying class memories around.
@@ -53,8 +54,6 @@ use crate::trainer::CyberHdTrainer;
 use crate::{CyberHdConfig, CyberHdError, EncoderKind, Result, TrainingBatch};
 use eval::metrics::ConfusionMatrix;
 use hdc::codec::{CodecError, CodecResult, Reader, Writer};
-use hdc::encoder::Encoder;
-use hdc::similarity;
 use hdc::{AssociativeMemory, BatchView, BitWidth, QuantizedHypervector};
 use nids_data::preprocess::{Normalization, Preprocessor};
 use nids_data::{Dataset, Schema};
@@ -101,368 +100,53 @@ impl Verdict {
     }
 }
 
-/// Reusable scratch buffers for the allocation-free single-flow hot path
-/// ([`Detector::detect_with`]).
+/// The scoring engine behind a sealed [`Detector`]: a full-precision class
+/// memory, optionally with calibrated per-class open-set thresholds, or a
+/// class memory stored at a reduced bitwidth.  Thresholds are calibrated on
+/// the dense cosine scale, so a quantized engine cannot carry them.  The
+/// dense model is boxed because it is far larger than the quantized one.
 #[derive(Debug, Clone)]
-pub struct DetectScratch {
-    features: Vec<f32>,
-    encoded: Vec<f32>,
-    scores: Vec<f32>,
+enum Engine {
+    Dense { model: Box<CyberHdModel>, thresholds: Option<Vec<f32>> },
+    Quantized(QuantizedModel),
 }
 
-/// The scoring surface behind a sealed [`Detector`]: one object-safe
-/// dispatch point unifying full-precision ([`DenseBackend`]), quantized
-/// ([`QuantizedBackend`]) and open-set-thresholded ([`OpenSetBackend`])
-/// scoring.
-///
-/// The serving layer ([`crate::serve`]) and the detector verbs only ever
-/// talk to this trait; the engine-selection branching that used to live
-/// inside every `Detector` method now happens once, at build/load time,
-/// when the backend is constructed.  Inputs to both scoring verbs are
-/// **preprocessed** feature vectors (rows of [`Preprocessor`] output, not
-/// raw records) — the `Detector` owns the raw→feature step.
-pub trait ScoringBackend: fmt::Debug + Send + Sync {
-    /// Number of trained classes.
-    fn num_classes(&self) -> usize;
-
-    /// Hypervector dimensionality of the class memory.
-    fn dimension(&self) -> usize;
-
-    /// The (full-precision) encoder feeding the class memory.
-    fn encoder(&self) -> &AnyEncoder;
-
-    /// Element bitwidth of the class memory; `None` for full precision.
-    fn bit_width(&self) -> Option<BitWidth> {
-        None
+impl Engine {
+    /// A dense engine without thresholds.
+    fn dense(model: CyberHdModel) -> Self {
+        Self::Dense { model: Box::new(model), thresholds: None }
     }
 
-    /// Calibrated per-class open-set thresholds, if this backend flags
-    /// novel traffic.
-    fn thresholds(&self) -> Option<&[f32]> {
-        None
-    }
-
-    /// The underlying full-precision model, when there is one.
-    fn as_dense(&self) -> Option<&CyberHdModel> {
-        None
-    }
-
-    /// The underlying quantized deployment model, when there is one.
-    fn as_quantized(&self) -> Option<&QuantizedModel> {
-        None
-    }
-
-    /// Length of the encode scratch buffer [`ScoringBackend::detect_one`]
-    /// needs (zero when the backend does not use caller scratch).
-    fn scratch_dim(&self) -> usize {
-        0
-    }
-
-    /// Scores one preprocessed feature vector using caller-provided
-    /// scratch (`encoded` of [`ScoringBackend::scratch_dim`] elements,
-    /// `scores` of one slot per class).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CyberHdError::InvalidData`] for a feature vector of the
-    /// wrong arity.
-    fn detect_one(
-        &self,
-        features: &[f32],
-        encoded: &mut [f32],
-        scores: &mut [f32],
-    ) -> Result<Verdict>;
-
-    /// Scores a zero-copy batch of preprocessed feature rows through the
-    /// fused [`BatchView`] engines.
-    ///
-    /// Per-row verdicts are **batch-composition invariant**: every kernel
-    /// on this path processes rows independently and the per-batch
-    /// precomputation (class norms, packed class words) depends only on
-    /// the class memory, so splitting a batch at any boundary produces
-    /// bit-identical verdicts — the determinism contract the micro-batching
-    /// serve engine is built on.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CyberHdError::InvalidData`] if the view's row width does
-    /// not match the encoder arity.
-    fn detect_view(&self, batch: BatchView<'_>) -> Result<Vec<Verdict>>;
-
-    /// Evaluates the backend on a labelled batch view (closed-set: novelty
-    /// flags are ignored, every row scores against its nearest class).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CyberHdError::InvalidData`] for mismatched lengths and
-    /// propagates prediction errors.
-    fn evaluate_view(&self, batch: BatchView<'_>, labels: &[usize]) -> Result<ConfusionMatrix>;
-
-    /// Persists the engine payload (variant tag + body, **without** the
-    /// threshold trailer — the [`Detector`] writes that from
-    /// [`ScoringBackend::thresholds`], after the engine payload).
-    fn write_engine(&self, w: &mut Writer);
-
-    /// Recovers the owned full-precision model for unsealing, or hands the
-    /// backend back when it cannot continue learning.
-    fn into_dense_model(
-        self: Box<Self>,
-    ) -> std::result::Result<CyberHdModel, Box<dyn ScoringBackend>>;
-}
-
-/// [`ScoringBackend`] over full-precision class hypervectors.
-#[derive(Debug, Clone)]
-pub struct DenseBackend {
-    model: CyberHdModel,
-    /// Cached `similarity::norm` of every class, computed once at
-    /// build/load time — the per-query recomputation of the serial path
-    /// never happens.
-    class_norms: Vec<f32>,
-}
-
-impl DenseBackend {
-    /// Seals a trained model as a scoring backend, caching class norms.
-    pub fn new(model: CyberHdModel) -> Self {
-        let class_norms = model.memory().class_norms();
-        Self { model, class_norms }
-    }
-
-    /// Scores `features`, returning the winning class and its similarity.
-    fn score_one(
-        &self,
-        features: &[f32],
-        encoded: &mut [f32],
-        scores: &mut [f32],
-    ) -> Result<(usize, f32)> {
-        self.model.encoder().encode_into(features, encoded)?;
-        self.model.memory().similarities_into(encoded, &self.class_norms, scores)?;
-        Ok(similarity::argmax(scores).expect("at least one class"))
-    }
-}
-
-impl ScoringBackend for DenseBackend {
-    fn num_classes(&self) -> usize {
-        self.model.num_classes()
-    }
-
-    fn dimension(&self) -> usize {
-        self.model.dimension()
-    }
-
-    fn encoder(&self) -> &AnyEncoder {
-        self.model.encoder()
-    }
-
-    fn as_dense(&self) -> Option<&CyberHdModel> {
-        Some(&self.model)
-    }
-
-    fn scratch_dim(&self) -> usize {
-        self.model.dimension()
-    }
-
-    fn detect_one(
-        &self,
-        features: &[f32],
-        encoded: &mut [f32],
-        scores: &mut [f32],
-    ) -> Result<Verdict> {
-        let (class, similarity) = self.score_one(features, encoded, scores)?;
-        Ok(Verdict { class, similarity, novel: false })
-    }
-
-    fn detect_view(&self, batch: BatchView<'_>) -> Result<Vec<Verdict>> {
-        Ok(self
-            .model
-            .predict_batch_view_scored(batch)?
-            .into_iter()
-            .map(|(class, similarity)| Verdict { class, similarity, novel: false })
-            .collect())
-    }
-
-    fn evaluate_view(&self, batch: BatchView<'_>, labels: &[usize]) -> Result<ConfusionMatrix> {
-        self.model.evaluate_view(batch, labels)
-    }
-
-    fn write_engine(&self, w: &mut Writer) {
-        w.u8(0);
-        self.model.encoder().write_to(w);
-        self.model.memory().write_to(w);
-        write_report(w, self.model.report());
-    }
-
-    fn into_dense_model(
-        self: Box<Self>,
-    ) -> std::result::Result<CyberHdModel, Box<dyn ScoringBackend>> {
-        Ok(self.model)
-    }
-}
-
-/// [`ScoringBackend`] over class hypervectors stored at a reduced
-/// bitwidth.
-#[derive(Debug, Clone)]
-pub struct QuantizedBackend {
-    model: QuantizedModel,
-}
-
-impl QuantizedBackend {
-    /// Wraps a quantized deployment model as a scoring backend.
-    pub fn new(model: QuantizedModel) -> Self {
-        Self { model }
-    }
-}
-
-impl ScoringBackend for QuantizedBackend {
-    fn num_classes(&self) -> usize {
-        self.model.num_classes()
-    }
-
-    fn dimension(&self) -> usize {
-        self.model.dimension()
-    }
-
-    fn encoder(&self) -> &AnyEncoder {
-        self.model.encoder()
-    }
-
-    fn bit_width(&self) -> Option<BitWidth> {
-        Some(self.model.width())
-    }
-
-    fn as_quantized(&self) -> Option<&QuantizedModel> {
-        Some(&self.model)
-    }
-
-    fn detect_one(
-        &self,
-        features: &[f32],
-        _encoded: &mut [f32],
-        _scores: &mut [f32],
-    ) -> Result<Verdict> {
-        // The quantized single-flow path quantizes through the model's own
-        // (allocating) predictor; caller scratch is unused.
-        let (class, similarity) = self.model.predict_with_similarity(features)?;
-        Ok(Verdict { class, similarity, novel: false })
-    }
-
-    fn detect_view(&self, batch: BatchView<'_>) -> Result<Vec<Verdict>> {
-        Ok(self
-            .model
-            .predict_batch_view_scored(batch)?
-            .into_iter()
-            .map(|(class, similarity)| Verdict { class, similarity, novel: false })
-            .collect())
-    }
-
-    fn evaluate_view(&self, batch: BatchView<'_>, labels: &[usize]) -> Result<ConfusionMatrix> {
-        self.model.evaluate_view(batch, labels)
-    }
-
-    fn write_engine(&self, w: &mut Writer) {
-        w.u8(1);
-        self.model.encoder().write_to(w);
-        w.u8(self.model.width().bits() as u8);
-        w.usize(self.model.classes().len());
-        for class in self.model.classes() {
-            class.write_to(w);
+    /// A dense engine flagging a winner that scores below its class
+    /// threshold as [`Verdict::novel`] — the one place a threshold vector is
+    /// validated, whether it comes from calibration or from an artifact.
+    /// The error is the reason alone; callers wrap it in their own error type.
+    fn open_set(model: CyberHdModel, thresholds: Vec<f32>) -> std::result::Result<Self, String> {
+        if thresholds.len() != model.num_classes() {
+            return Err(format!(
+                "{} thresholds for {} classes",
+                thresholds.len(),
+                model.num_classes()
+            ));
         }
-    }
-
-    fn into_dense_model(
-        self: Box<Self>,
-    ) -> std::result::Result<CyberHdModel, Box<dyn ScoringBackend>> {
-        Err(self)
-    }
-}
-
-/// [`ScoringBackend`] decorating dense scoring with calibrated per-class
-/// open-set thresholds: a winner scoring below its class threshold is
-/// flagged [`Verdict::novel`].
-#[derive(Debug, Clone)]
-pub struct OpenSetBackend {
-    inner: DenseBackend,
-    thresholds: Vec<f32>,
-}
-
-impl OpenSetBackend {
-    /// Wraps a dense backend with per-class thresholds (one per class).
-    pub fn new(inner: DenseBackend, thresholds: Vec<f32>) -> Self {
-        debug_assert_eq!(thresholds.len(), inner.num_classes());
-        Self { inner, thresholds }
-    }
-
-    fn verdict(&self, class: usize, similarity: f32) -> Verdict {
-        Verdict { class, similarity, novel: similarity < self.thresholds[class] }
-    }
-}
-
-impl ScoringBackend for OpenSetBackend {
-    fn num_classes(&self) -> usize {
-        self.inner.num_classes()
-    }
-
-    fn dimension(&self) -> usize {
-        self.inner.dimension()
-    }
-
-    fn encoder(&self) -> &AnyEncoder {
-        self.inner.encoder()
-    }
-
-    fn thresholds(&self) -> Option<&[f32]> {
-        Some(&self.thresholds)
-    }
-
-    fn as_dense(&self) -> Option<&CyberHdModel> {
-        self.inner.as_dense()
-    }
-
-    fn scratch_dim(&self) -> usize {
-        self.inner.scratch_dim()
-    }
-
-    fn detect_one(
-        &self,
-        features: &[f32],
-        encoded: &mut [f32],
-        scores: &mut [f32],
-    ) -> Result<Verdict> {
-        let (class, similarity) = self.inner.score_one(features, encoded, scores)?;
-        Ok(self.verdict(class, similarity))
-    }
-
-    fn detect_view(&self, batch: BatchView<'_>) -> Result<Vec<Verdict>> {
-        Ok(self
-            .inner
-            .model
-            .predict_batch_view_scored(batch)?
-            .into_iter()
-            .map(|(class, similarity)| self.verdict(class, similarity))
-            .collect())
-    }
-
-    fn evaluate_view(&self, batch: BatchView<'_>, labels: &[usize]) -> Result<ConfusionMatrix> {
-        self.inner.evaluate_view(batch, labels)
-    }
-
-    fn write_engine(&self, w: &mut Writer) {
-        self.inner.write_engine(w);
-    }
-
-    fn into_dense_model(
-        self: Box<Self>,
-    ) -> std::result::Result<CyberHdModel, Box<dyn ScoringBackend>> {
-        // Unsealing drops the thresholds (see `Detector::into_online`).
-        Ok(self.inner.model)
+        // `similarity < NaN` is always false: a NaN threshold would never
+        // flag anything, and an infinite one would flag everything or nothing.
+        if let Some(class) = thresholds.iter().position(|t| !t.is_finite()) {
+            return Err(format!(
+                "open-set threshold of class {class} is {}, not a finite similarity",
+                thresholds[class]
+            ));
+        }
+        Ok(Self::Dense { model: Box::new(model), thresholds: Some(thresholds) })
     }
 }
 
 /// The Arc-shared sealed state of a [`Detector`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct DetectorState {
     preprocessor: Preprocessor,
     config: CyberHdConfig,
-    backend: Box<dyn ScoringBackend>,
+    engine: Engine,
 }
 
 /// A sealed, deployable intrusion detector (see the [module docs](self)).
@@ -754,14 +438,14 @@ impl DetectorBuilder {
         };
 
         let config = model.config().clone();
-        let backend: Box<dyn ScoringBackend> = match (self.quantize, thresholds) {
-            (Some(width), _) => Box::new(QuantizedBackend::new(model.quantize(width))),
+        let engine = match (self.quantize, thresholds) {
+            (Some(width), _) => Engine::Quantized(model.quantize(width)),
             (None, Some(thresholds)) => {
-                Box::new(OpenSetBackend::new(DenseBackend::new(model), thresholds))
+                Engine::open_set(model, thresholds).map_err(CyberHdError::InvalidData)?
             }
-            (None, None) => Box::new(DenseBackend::new(model)),
+            (None, None) => Engine::dense(model),
         };
-        Ok(Detector::from_parts(preprocessor, config, backend))
+        Ok(Detector::from_parts(preprocessor, config, engine))
     }
 }
 
@@ -817,13 +501,9 @@ impl Detector {
         DetectorBuilder::default()
     }
 
-    /// Seals preprocessor + backend into a shared artifact.
-    fn from_parts(
-        preprocessor: Preprocessor,
-        config: CyberHdConfig,
-        backend: Box<dyn ScoringBackend>,
-    ) -> Self {
-        Self { state: Arc::new(DetectorState { preprocessor, config, backend }) }
+    /// Seals preprocessor + engine into a shared artifact.
+    fn from_parts(preprocessor: Preprocessor, config: CyberHdConfig, engine: Engine) -> Self {
+        Self { state: Arc::new(DetectorState { preprocessor, config, engine }) }
     }
 
     /// The fitted preprocessing pipeline.
@@ -841,133 +521,107 @@ impl Detector {
         &self.state.config
     }
 
-    /// The scoring backend behind the artifact — the dispatch surface the
-    /// serving layer drives directly.
-    pub fn backend(&self) -> &dyn ScoringBackend {
-        self.state.backend.as_ref()
-    }
-
     /// Number of trained classes.
     pub fn num_classes(&self) -> usize {
-        self.state.backend.num_classes()
+        match &self.state.engine {
+            Engine::Dense { model, .. } => model.num_classes(),
+            Engine::Quantized(model) => model.num_classes(),
+        }
     }
 
     /// Element bitwidth of the class memory, `None` for full precision.
     pub fn bit_width(&self) -> Option<BitWidth> {
-        self.state.backend.bit_width()
+        self.quantized_model().map(QuantizedModel::width)
     }
 
     /// The calibrated per-class open-set thresholds, if any.
     pub fn thresholds(&self) -> Option<&[f32]> {
-        self.state.backend.thresholds()
+        match &self.state.engine {
+            Engine::Dense { thresholds, .. } => thresholds.as_deref(),
+            Engine::Quantized(_) => None,
+        }
     }
 
     /// The full-precision model, when this is a dense detector.
     pub fn model(&self) -> Option<&CyberHdModel> {
-        self.state.backend.as_dense()
+        match &self.state.engine {
+            Engine::Dense { model, .. } => Some(model.as_ref()),
+            Engine::Quantized(_) => None,
+        }
     }
 
     /// The quantized deployment model, when this is a quantized detector.
     pub fn quantized_model(&self) -> Option<&QuantizedModel> {
-        self.state.backend.as_quantized()
+        match &self.state.engine {
+            Engine::Dense { .. } => None,
+            Engine::Quantized(model) => Some(model),
+        }
     }
 
     /// Reseals this artifact with calibrated per-class open-set thresholds
     /// attached: the preprocessor, config and dense model carry over
-    /// verbatim and only the scoring backend gains the threshold
-    /// decoration, so the result persists (and hot-swaps) as an open-set
-    /// artifact.  The adaptive lane's publish path uses this to keep a
-    /// snapshot resealed after drift regeneration emitting open-set
-    /// verdicts instead of silently dropping to closed-set.
+    /// verbatim and only the scoring engine gains the thresholds, so the
+    /// result persists (and hot-swaps) as an open-set artifact.  The
+    /// adaptive lane's publish path uses this to keep a snapshot resealed
+    /// after drift regeneration emitting open-set verdicts instead of
+    /// silently dropping to closed-set.
     ///
     /// # Errors
     ///
     /// Returns [`CyberHdError::InvalidConfig`] for a quantized artifact
     /// (thresholds are calibrated on the dense cosine scale) and
     /// [`CyberHdError::InvalidData`] when `thresholds.len()` differs from
-    /// the number of classes.
+    /// the number of classes or a threshold is not finite.
     pub fn with_thresholds(&self, thresholds: Vec<f32>) -> Result<Detector> {
-        let model = self.state.backend.as_dense().ok_or_else(|| {
+        let model = self.model().ok_or_else(|| {
             CyberHdError::InvalidConfig(
                 "open-set thresholds require a dense (full-precision) artifact".into(),
             )
         })?;
-        if thresholds.len() != model.num_classes() {
-            return Err(CyberHdError::InvalidData(format!(
-                "{} thresholds for {} classes",
-                thresholds.len(),
-                model.num_classes()
-            )));
-        }
         Ok(Self::from_parts(
             self.state.preprocessor.clone(),
             self.state.config.clone(),
-            Box::new(OpenSetBackend::new(DenseBackend::new(model.clone()), thresholds)),
+            Engine::open_set(model.clone(), thresholds).map_err(CyberHdError::InvalidData)?,
         ))
     }
 
     /// Artifact metadata in one read: what the registry checks before
     /// admitting a hot-swap, and what operators print next to serve stats.
     pub fn info(&self) -> DetectorInfo {
-        let backend = self.state.backend.as_ref();
+        let dimension = match &self.state.engine {
+            Engine::Dense { model, .. } => model.dimension(),
+            Engine::Quantized(model) => model.dimension(),
+        };
         DetectorInfo {
             schema: self.schema().name().to_string(),
             record_arity: self.schema().num_features(),
             input_width: self.state.preprocessor.output_width(),
-            dimension: backend.dimension(),
-            classes: backend.num_classes(),
+            dimension,
+            classes: self.num_classes(),
             encoder: self.state.config.encoder,
-            bit_width: backend.bit_width(),
+            bit_width: self.bit_width(),
             codec_version: FORMAT_VERSION,
-            open_set: backend.thresholds().is_some(),
-            online_capable: backend.as_dense().is_some(),
-        }
-    }
-
-    /// Allocates scratch buffers sized for this detector, for the
-    /// allocation-free [`Detector::detect_with`] hot path.
-    pub fn scratch(&self) -> DetectScratch {
-        DetectScratch {
-            features: vec![0.0; self.state.preprocessor.output_width()],
-            encoded: vec![0.0; self.state.backend.scratch_dim()],
-            scores: vec![0.0; self.num_classes()],
+            open_set: self.thresholds().is_some(),
+            online_capable: self.model().is_some(),
         }
     }
 
     /// Classifies one **raw record** (schema values, not preprocessed
     /// vectors), returning the verdict.
     ///
-    /// Convenience form of [`Detector::detect_with`] that allocates its own
-    /// scratch; serving loops should allocate one [`DetectScratch`] and
-    /// reuse it.
+    /// This is [`Detector::detect_preprocessed`] on a one-row batch, so the
+    /// verdict equals the record's verdict from [`Detector::detect_batch`]
+    /// bit for bit; score many flows with `detect_batch` instead.
     ///
     /// # Errors
     ///
     /// Returns [`CyberHdError::Data`] if the record does not conform to the
     /// schema.
     pub fn detect(&self, record: &[f32]) -> Result<Verdict> {
-        self.detect_with(record, &mut self.scratch())
-    }
-
-    /// Classifies one raw record using caller-provided scratch buffers —
-    /// the allocation-free hot path for dense detectors (preprocess →
-    /// encode → score entirely in `scratch`).
-    ///
-    /// Predictions are bit-exact with preprocessing the record manually and
-    /// calling the model's serial `predict`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CyberHdError::Data`] if the record does not conform to the
-    /// schema.
-    pub fn detect_with(&self, record: &[f32], scratch: &mut DetectScratch) -> Result<Verdict> {
-        if scratch.features.len() != self.state.preprocessor.output_width() {
-            return Err(CyberHdError::InvalidData(
-                "scratch buffers were sized for a different detector".into(),
-            ));
-        }
-        self.state.preprocessor.transform_record_into(record, &mut scratch.features)?;
-        self.state.backend.detect_one(&scratch.features, &mut scratch.encoded, &mut scratch.scores)
+        let features = self.state.preprocessor.transform_record(record)?;
+        let view = BatchView::new(&features, features.len()).map_err(CyberHdError::from)?;
+        let mut verdicts = self.detect_preprocessed(view)?;
+        Ok(verdicts.pop().expect("one row in, one verdict out"))
     }
 
     /// Classifies a batch of raw records on the fused batched engine: the
@@ -982,7 +636,7 @@ impl Detector {
         let width = self.state.preprocessor.output_width();
         let matrix = self.state.preprocessor.transform_records_matrix(records)?;
         let view = BatchView::new(&matrix, width).map_err(CyberHdError::from)?;
-        self.state.backend.detect_view(view)
+        self.detect_preprocessed(view)
     }
 
     /// Classifies a zero-copy batch of **already preprocessed** feature
@@ -992,14 +646,29 @@ impl Detector {
     ///
     /// Verdicts are bit-identical to [`Detector::detect_batch`] on the raw
     /// records the rows were transformed from, regardless of how the flows
-    /// are split into batches (see [`ScoringBackend::detect_view`]).
+    /// are split into batches: every kernel on this path scores rows
+    /// independently, and the per-batch precomputation (class norms,
+    /// packed class words) depends only on the class memory.
     ///
     /// # Errors
     ///
     /// Returns [`CyberHdError::InvalidData`] if the view's row width does
     /// not match the preprocessor output width.
     pub fn detect_preprocessed(&self, batch: BatchView<'_>) -> Result<Vec<Verdict>> {
-        self.state.backend.detect_view(batch)
+        let (scored, thresholds) = match &self.state.engine {
+            Engine::Dense { model, thresholds } => {
+                (model.predict_batch_view_scored(batch)?, thresholds.as_deref())
+            }
+            Engine::Quantized(model) => (model.predict_batch_view_scored(batch)?, None),
+        };
+        Ok(scored
+            .into_iter()
+            .map(|(class, similarity)| Verdict {
+                class,
+                similarity,
+                novel: thresholds.is_some_and(|thresholds| similarity < thresholds[class]),
+            })
+            .collect())
     }
 
     /// Evaluates the detector on a labelled dataset of raw records,
@@ -1010,11 +679,14 @@ impl Detector {
     ///
     /// Returns [`CyberHdError::Data`] if the dataset does not match the
     /// fitted schema, and propagates prediction errors.
-    pub fn evaluate(&self, dataset: &Dataset) -> Result<eval::metrics::ConfusionMatrix> {
+    pub fn evaluate(&self, dataset: &Dataset) -> Result<ConfusionMatrix> {
         let matrix = self.state.preprocessor.transform_matrix(dataset)?;
         let view = BatchView::new(&matrix, self.state.preprocessor.output_width())
             .map_err(CyberHdError::from)?;
-        self.state.backend.evaluate_view(view, dataset.labels())
+        match &self.state.engine {
+            Engine::Dense { model, .. } => model.evaluate_view(view, dataset.labels()),
+            Engine::Quantized(model) => model.evaluate_view(view, dataset.labels()),
+        }
     }
 
     /// Accuracy on a labelled dataset of raw records.
@@ -1040,25 +712,19 @@ impl Detector {
     /// Returns [`CyberHdError::InvalidConfig`] for quantized detectors —
     /// the adaptive rule updates full-precision class hypervectors.
     pub fn into_online(self) -> Result<OnlineDetector> {
-        if let Some(width) = self.state.backend.bit_width() {
-            return Err(CyberHdError::InvalidConfig(format!(
-                "a {width} quantized detector cannot continue learning; keep the dense artifact \
-                 for streaming and quantize at deployment"
-            )));
+        // Sole owner: move the model out without a copy.  Shared (e.g.
+        // still registered for serving): clone the sealed state.
+        let DetectorState { preprocessor, engine, .. } = Arc::unwrap_or_clone(self.state);
+        match engine {
+            Engine::Dense { model, .. } => {
+                Ok(OnlineDetector { preprocessor, learner: OnlineLearner::from_model(*model) })
+            }
+            Engine::Quantized(model) => Err(CyberHdError::InvalidConfig(format!(
+                "a {} quantized detector cannot continue learning; keep the dense artifact \
+                 for streaming and quantize at deployment",
+                model.width()
+            ))),
         }
-        // Sole owner: unwrap the Arc and move the model out without a copy.
-        // Shared (e.g. still registered for serving): clone the dense model.
-        let (preprocessor, model) = match Arc::try_unwrap(self.state) {
-            Ok(state) => (
-                state.preprocessor,
-                state.backend.into_dense_model().expect("bit_width checked above"),
-            ),
-            Err(shared) => (
-                shared.preprocessor.clone(),
-                shared.backend.as_dense().expect("bit_width checked above").clone(),
-            ),
-        };
-        Ok(OnlineDetector { preprocessor, learner: OnlineLearner::from_model(model) })
     }
 
     // ------------------------------------------------------------------
@@ -1080,8 +746,24 @@ impl Detector {
         w.u32(FORMAT_VERSION);
         self.state.preprocessor.write_to(&mut w);
         write_config(&mut w, &self.state.config);
-        self.state.backend.write_engine(&mut w);
-        match self.state.backend.thresholds() {
+        match &self.state.engine {
+            Engine::Dense { model, .. } => {
+                w.u8(0);
+                model.encoder().write_to(&mut w);
+                model.memory().write_to(&mut w);
+                write_report(&mut w, model.report());
+            }
+            Engine::Quantized(model) => {
+                w.u8(1);
+                model.encoder().write_to(&mut w);
+                w.u8(model.width().bits() as u8);
+                w.usize(model.classes().len());
+                for class in model.classes() {
+                    class.write_to(&mut w);
+                }
+            }
+        }
+        match self.thresholds() {
             None => w.bool(false),
             Some(thresholds) => {
                 w.bool(true);
@@ -1177,17 +859,8 @@ impl OnlineDetector {
     /// [`CyberHdError::InvalidData`] for mismatched lengths or an
     /// out-of-range label.
     pub fn observe_batch(&mut self, records: &[Vec<f32>], labels: &[usize]) -> Result<Vec<usize>> {
-        if records.len() != labels.len() {
-            return Err(CyberHdError::InvalidData(format!(
-                "{} records but {} labels",
-                records.len(),
-                labels.len()
-            )));
-        }
-        let width = self.preprocessor.output_width();
-        let matrix = self.preprocessor.transform_records_matrix(records)?;
-        self.learner
-            .observe_batch_view(BatchView::new(&matrix, width).map_err(CyberHdError::from)?, labels)
+        self.observe_batch_scored(records, labels)
+            .map(|scored| scored.into_iter().map(|(class, _similarity)| class).collect())
     }
 
     /// [`OnlineDetector::observe_batch`] returning `(prediction,
@@ -1319,7 +992,7 @@ impl OnlineDetector {
     pub fn seal(self) -> Detector {
         let model = self.learner.into_model();
         let config = model.config().clone();
-        Detector::from_parts(self.preprocessor, config, Box::new(DenseBackend::new(model)))
+        Detector::from_parts(self.preprocessor, config, Engine::dense(model))
     }
 
     /// Seals a **snapshot** of the current model into an immutable
@@ -1333,7 +1006,7 @@ impl OnlineDetector {
     pub fn seal_snapshot(&self) -> Detector {
         let model = self.learner.clone().into_model();
         let config = model.config().clone();
-        Detector::from_parts(self.preprocessor.clone(), config, Box::new(DenseBackend::new(model)))
+        Detector::from_parts(self.preprocessor.clone(), config, Engine::dense(model))
     }
 }
 
@@ -1491,19 +1164,13 @@ fn read_detector(bytes: &[u8]) -> CodecResult<Detector> {
             preprocessor.output_width()
         )));
     }
-    let engine_tag = r.u8()?;
-    let backend: Box<dyn ScoringBackend> = match engine_tag {
+    let engine = match r.u8()? {
         0 => {
             let encoder = AnyEncoder::read_from(r)?;
             let memory = AssociativeMemory::read_from(r)?;
             let report = read_report(r)?;
             check_encoder_shape(&encoder, &config, memory.dim(), memory.num_classes())?;
-            Box::new(DenseBackend::new(CyberHdModel::from_parts(
-                encoder,
-                memory,
-                config.clone(),
-                report,
-            )))
+            Engine::dense(CyberHdModel::from_parts(encoder, memory, config.clone(), report))
         }
         1 => {
             let encoder = AnyEncoder::read_from(r)?;
@@ -1527,31 +1194,20 @@ fn read_detector(bytes: &[u8]) -> CodecResult<Detector> {
                 return Err(CodecError::Invalid("class dimensionalities disagree".into()));
             }
             check_encoder_shape(&encoder, &config, dim, classes.len())?;
-            Box::new(QuantizedBackend::new(QuantizedModel::from_parts(encoder, classes, width)))
+            Engine::Quantized(QuantizedModel::from_parts(encoder, classes, width))
         }
         tag => return Err(CodecError::Invalid(format!("engine tag {tag}"))),
     };
-    let backend: Box<dyn ScoringBackend> = if r.bool()? {
-        let thresholds = r.f32_vec()?;
-        if thresholds.len() != config.num_classes {
-            return Err(CodecError::Invalid(format!(
-                "{} thresholds for {} classes",
-                thresholds.len(),
-                config.num_classes
-            )));
+    let engine = match (engine, r.bool()?) {
+        (engine, false) => engine,
+        (Engine::Dense { model, .. }, true) => {
+            Engine::open_set(*model, r.f32_vec()?).map_err(CodecError::Invalid)?
         }
-        match backend.into_dense_model() {
-            Ok(model) => Box::new(OpenSetBackend::new(DenseBackend::new(model), thresholds)),
-            Err(_) => {
-                // The builder forbids quantize + open-set, so a quantized
-                // engine with a threshold trailer is a stitched artifact.
-                return Err(CodecError::Invalid(
-                    "open-set thresholds on a quantized engine".into(),
-                ));
-            }
+        // The builder forbids quantize + open-set, so a quantized engine
+        // with a threshold trailer is a stitched artifact.
+        (Engine::Quantized(_), true) => {
+            return Err(CodecError::Invalid("open-set thresholds on a quantized engine".into()));
         }
-    } else {
-        backend
     };
     if !r.is_exhausted() {
         return Err(CodecError::Invalid(format!(
@@ -1559,7 +1215,7 @@ fn read_detector(bytes: &[u8]) -> CodecResult<Detector> {
             r.remaining()
         )));
     }
-    Ok(Detector::from_parts(preprocessor, config, backend))
+    Ok(Detector::from_parts(preprocessor, config, engine))
 }
 
 /// Cross-checks a loaded encoder against the config and class-memory
@@ -1630,15 +1286,12 @@ mod tests {
         let detector = quick_builder().train(&data).unwrap();
         let model = detector.model().unwrap();
         let preprocessor = detector.preprocessor();
-        let mut scratch = detector.scratch();
         for record in data.records().iter().take(50) {
             let manual = model.predict(&preprocessor.transform_record(record).unwrap()).unwrap();
             let verdict = detector.detect(record).unwrap();
             assert_eq!(verdict.class, manual);
             assert!(!verdict.novel);
             assert_eq!(verdict.known(), Some(manual));
-            // The scratch path is the same computation.
-            assert_eq!(detector.detect_with(record, &mut scratch).unwrap(), verdict);
         }
     }
 
@@ -1679,6 +1332,28 @@ mod tests {
             "{novel}/{} in-distribution flows flagged novel",
             verdicts.len()
         );
+    }
+
+    #[test]
+    fn with_thresholds_rejects_miscounted_and_non_finite_thresholds() {
+        let data = dataset(300, 47);
+        let detector = quick_builder().train(&data).unwrap();
+        let classes = detector.num_classes();
+        // A NaN threshold never flags a flow (`similarity < NaN` is false).
+        for bad in [
+            vec![0.1; classes - 1],
+            vec![f32::NAN; classes],
+            vec![f32::INFINITY; classes],
+            vec![f32::NEG_INFINITY; classes],
+        ] {
+            let result = detector.with_thresholds(bad.clone());
+            assert!(matches!(result, Err(CyberHdError::InvalidData(_))), "{bad:?}");
+        }
+        let open = detector.with_thresholds(vec![0.1; classes]).unwrap();
+        assert_eq!(open.thresholds(), Some(vec![0.1; classes].as_slice()));
+        let quantized = quick_builder().quantize(BitWidth::B1).train(&data).unwrap();
+        let result = quantized.with_thresholds(vec![0.1; classes]);
+        assert!(matches!(result, Err(CyberHdError::InvalidConfig(_))));
     }
 
     #[test]

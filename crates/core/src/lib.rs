@@ -74,9 +74,7 @@ pub mod trainer;
 
 pub use baseline::{BaselineHd, BaselineHdModel};
 pub use config::{CyberHdConfig, CyberHdConfigBuilder, EncoderKind, TrainingBatch};
-pub use detector::{
-    DetectScratch, Detector, DetectorBuilder, DetectorInfo, OnlineDetector, ScoringBackend, Verdict,
-};
+pub use detector::{Detector, DetectorBuilder, DetectorInfo, OnlineDetector, Verdict};
 pub use durable::{DurableConfig, DurableLane, RecoveryReport};
 pub use model::{CyberHdModel, TrainingReport};
 pub use online::OnlineLearner;

@@ -69,12 +69,12 @@ pub mod prelude {
     pub use baselines::Classifier;
     pub use cyberhd::{
         AdaptiveConfig, AdaptiveLane, AdaptiveStats, AdmissionConfig, AdmissionController,
-        AdmissionStats, BaselineHd, CyberHdConfig, CyberHdModel, CyberHdTrainer, DetectScratch,
-        Detector, DetectorBuilder, DetectorInfo, DetectorRegistry, DriftMonitor,
-        DriftMonitorConfig, DurableConfig, DurableLane, EncoderKind, FlusherStats, OnlineDetector,
-        OnlineLearner, OpenSetDetector, OpenSetPrediction, Priority, QuantizedModel,
-        RecoveryReport, ScoringBackend, ServeConfig, ServeEngine, ServeError, ServeStats,
-        ShardConfig, ShardedServeEngine, TenantQuota, Ticket, TrainingBatch, Verdict,
+        AdmissionStats, BaselineHd, CyberHdConfig, CyberHdModel, CyberHdTrainer, Detector,
+        DetectorBuilder, DetectorInfo, DetectorRegistry, DriftMonitor, DriftMonitorConfig,
+        DurableConfig, DurableLane, EncoderKind, FlusherStats, OnlineDetector, OnlineLearner,
+        OpenSetDetector, OpenSetPrediction, Priority, QuantizedModel, RecoveryReport, ServeConfig,
+        ServeEngine, ServeError, ServeStats, ShardConfig, ShardedServeEngine, TenantQuota, Ticket,
+        TrainingBatch, Verdict,
     };
     pub use eval::detection::{DetectionCounts, RocCurve};
     pub use eval::metrics::{accuracy, ConfusionMatrix};

@@ -119,12 +119,25 @@ fn quantized_predictions_are_identical_at_every_bitwidth() {
     // zeros to +1.
     test_x.push(vec![0.0; test_x[0].len()]);
     let model = train(&train_x, &train_y, EncoderKind::Rbf, 320, 21);
+    let flat = test_x.concat();
+    let view = BatchView::new(&flat, test_x[0].len()).expect("rectangular batch");
     for width in BitWidth::ALL {
         let deployed = model.quantize(width);
         let batched = deployed.predict_batch(&test_x).expect("batched prediction");
+        let scored = deployed.predict_batch_view_scored(view).expect("batched scores");
         for (i, x) in test_x.iter().enumerate() {
             let serial = deployed.predict(x).expect("serial prediction");
             assert_eq!(batched[i], serial, "{width:?} sample {i}");
+            // The serial integer cosine is the independent oracle for the
+            // packed/batched scores, similarity bits included.
+            let (class, similarity) = deployed.predict_with_similarity(x).expect("serial score");
+            assert_eq!(scored[i].0, class, "{width:?} sample {i}");
+            assert_eq!(
+                scored[i].1.to_bits(),
+                similarity.to_bits(),
+                "{width:?} sample {i}: {} vs {similarity}",
+                scored[i].1
+            );
         }
     }
 }

@@ -7,7 +7,7 @@
 //! model.  This suite pins that contract three ways:
 //!
 //! 1. **Round trips** — every persistable struct (detector artifacts of
-//!    all backend shapes, schemas, preprocessors, encoders, class
+//!    all artifact shapes, schemas, preprocessors, encoders, class
 //!    memories, quantized hypervectors) re-serializes to the exact same
 //!    bytes across randomized shapes, and the reloaded artifact reproduces
 //!    verdicts bit for bit.
@@ -30,7 +30,7 @@ fn dataset(kind: DatasetKind, samples: usize, seed: u64) -> Dataset {
         .expect("synthetic generation")
 }
 
-/// One detector per backend shape at a randomized dimension.
+/// One detector per artifact shape at a randomized dimension.
 fn shaped_detectors(rng: &mut HdcRng) -> Vec<(String, Detector, Dataset)> {
     let mut artifacts = Vec::new();
     for (i, kind) in DatasetKind::ALL.into_iter().enumerate() {
@@ -75,6 +75,69 @@ fn detector_artifacts_reserialize_identically_and_reproduce_verdicts() {
     }
 }
 
+/// Re-seals the CRC-32 trailer of an edited artifact, so the edit reaches
+/// the parser instead of failing the checksum.
+fn reseal(bytes: &mut [u8]) {
+    let at = bytes.len() - 4;
+    let crc = hdc::codec::crc32(&bytes[..at]);
+    bytes[at..].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Swaps the "no thresholds" flag that ends a closed-set artifact's payload
+/// for a threshold trailer carrying `thresholds`, and re-seals the result.
+fn with_threshold_trailer(closed_set: &[u8], thresholds: &[f32]) -> Vec<u8> {
+    let flag_at = closed_set.len() - 5;
+    assert_eq!(closed_set[flag_at], 0, "a closed-set payload ends with a false threshold flag");
+    let mut w = Writer::new();
+    w.bytes(&closed_set[..flag_at]);
+    w.bool(true);
+    w.f32_slice(thresholds);
+    w.u32(0);
+    let mut bytes = w.into_bytes();
+    reseal(&mut bytes);
+    bytes
+}
+
+#[test]
+fn stitched_artifacts_are_rejected_past_the_checksum() {
+    let data = dataset(DatasetKind::NslKdd, 200, 11);
+    let builder = Detector::builder().dimension(48).retrain_epochs(1).seed(5);
+    let dense = builder.clone().train(&data).unwrap();
+    let b1 = builder.quantize(BitWidth::B1).train(&data).unwrap();
+    let (dense_bytes, b1_bytes) = (dense.to_bytes(), b1.to_bytes());
+    let classes = dense.num_classes();
+    let rejects = |bytes: &[u8], expected: &str| match Detector::from_bytes(bytes) {
+        Ok(_) => panic!("a stitched artifact loaded; expected {expected:?}"),
+        Err(err) => assert!(err.to_string().contains(expected), "expected {expected:?}, got {err}"),
+    };
+
+    // Control: a well-formed trailer stitched on by the helper loads as the
+    // open-set artifact `with_thresholds` seals.
+    let thresholds = vec![0.25; classes];
+    let stitched = with_threshold_trailer(&dense_bytes, &thresholds);
+    let open = Detector::from_bytes(&stitched).unwrap();
+    assert_eq!(stitched, dense.with_thresholds(thresholds.clone()).unwrap().to_bytes());
+    assert_eq!(open.thresholds(), Some(thresholds.as_slice()));
+
+    rejects(&with_threshold_trailer(&b1_bytes, &thresholds), "thresholds on a quantized engine");
+    rejects(
+        &with_threshold_trailer(&dense_bytes, &thresholds[1..]),
+        &format!("{} thresholds for {classes} classes", classes - 1),
+    );
+    let mut nan = thresholds.clone();
+    nan[classes - 1] = f32::NAN;
+    rejects(&with_threshold_trailer(&dense_bytes, &nan), "not a finite similarity");
+
+    // Both artifacts carry the same preprocessor and config, so the first
+    // byte where they differ is the engine tag.
+    let tag_at = dense_bytes.iter().zip(&b1_bytes).position(|(a, b)| a != b).unwrap();
+    assert_eq!((dense_bytes[tag_at], b1_bytes[tag_at]), (0, 1));
+    let mut unknown = dense_bytes.clone();
+    unknown[tag_at] = 2;
+    reseal(&mut unknown);
+    rejects(&unknown, "engine tag 2");
+}
+
 #[test]
 fn every_truncation_errors_and_magic_version_flips_are_rejected() {
     let data = dataset(DatasetKind::NslKdd, 200, 3);
@@ -117,11 +180,14 @@ fn corrupted_length_fields_fail_before_allocating() {
     let mut bytes = detector.to_bytes();
     // The first length field is the schema-name prefix at offset 8 (magic
     // + version).  A huge declared length must fail the up-front size
-    // guard instead of allocating.
+    // guard instead of allocating; re-sealing the checksum is what lets the
+    // bytes get past the CRC check to that guard.
     for b in &mut bytes[8..16] {
         *b = 0xFF;
     }
-    assert!(Detector::from_bytes(&bytes).is_err());
+    reseal(&mut bytes);
+    let err = Detector::from_bytes(&bytes).unwrap_err().to_string();
+    assert!(err.contains(&format!("needed {} bytes", u64::MAX)), "{err}");
 
     // The same guard at the primitive level: a vector whose declared
     // element count cannot fit the remaining bytes fails before any
