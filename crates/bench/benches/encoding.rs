@@ -1,9 +1,10 @@
 //! Micro-benchmarks of the encoders: RBF vs. ID-level vs. record encoding of
 //! NIDS-sized feature vectors, plus the cost of single-dimension
-//! regeneration and patching.
+//! regeneration and of re-encoding a block of regenerated dimensions.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hdc::encoder::{Encoder, IdLevelEncoder, RbfEncoder, RecordEncoder};
+use hdc::BatchView;
 use std::hint::black_box;
 
 /// A feature vector shaped like a preprocessed NSL-KDD record (~120 dense
@@ -33,7 +34,6 @@ fn bench_encoders(c: &mut Criterion) {
 }
 
 fn bench_regeneration(c: &mut Criterion) {
-    let input = features(120);
     c.bench_function("rbf_regenerate_dimension_512", |bencher| {
         let mut encoder = RbfEncoder::new(120, 512, 4).unwrap();
         let mut dim = 0usize;
@@ -42,9 +42,18 @@ fn bench_regeneration(c: &mut Criterion) {
             encoder.regenerate_dimension(dim).unwrap();
         })
     });
-    c.bench_function("rbf_encode_single_dimension", |bencher| {
+    // One regeneration round's re-encode at the paper's shape: R = 0.2 of
+    // D = 512 is 102 dims, over a 512-row slice of the training matrix.
+    c.bench_function("rbf_encode_dimensions_block", |bencher| {
         let encoder = RbfEncoder::new(120, 512, 5).unwrap();
-        bencher.iter(|| black_box(encoder.encode_dimension(&input, 17).unwrap()))
+        let rows = features(512 * 120);
+        let batch = BatchView::new(&rows, 120).unwrap();
+        let dims: Vec<usize> = (0..102).map(|i| (i * 5) % 512).collect();
+        let mut block = vec![0.0f32; 512 * dims.len()];
+        bencher.iter(|| {
+            encoder.encode_dimensions_batch(batch, &dims, &mut block).unwrap();
+            black_box(&block);
+        })
     });
 }
 

@@ -5,7 +5,9 @@
 //! dimensionality (4k) and CyberHD at its physical dimensionality (0.5k).
 //! This binary measures wall-clock training time and inference latency for
 //! the same four models on all four (synthetic) datasets and prints both the
-//! per-dataset numbers and the aggregate speed-ups.
+//! per-dataset numbers and the aggregate speed-ups.  A fifth row, CyberHD
+//! with the regeneration rate set to zero, isolates what regeneration adds
+//! to CyberHD's training time.
 //!
 //! Run with `cargo run -p bench --bin fig4 --release`.
 
@@ -21,12 +23,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== Fig. 4: training time and inference latency (log-scale in the paper) ==");
     println!("scale: {scale:?} ({} synthetic flows per dataset)\n", scale.samples());
 
-    let model_names = ["DNN", "SVM", "Baseline HDC (D=4k)", "CyberHD (this work)"];
+    let model_names =
+        ["DNN", "SVM", "Baseline HDC (D=4k)", "CyberHD, R = 0", "CyberHD (this work)"];
     let mut train_series: Vec<Series> = model_names.iter().map(|n| Series::new(*n)).collect();
     let mut infer_series: Vec<Series> = model_names.iter().map(|n| Series::new(*n)).collect();
     let mut train_speedup_vs_dnn = Vec::new();
     let mut train_speedup_vs_baseline = Vec::new();
     let mut infer_speedup_vs_baseline = Vec::new();
+    let mut regeneration_share = Vec::new();
 
     for (i, kind) in DatasetKind::ALL.iter().enumerate() {
         let seed = 200 + i as u64;
@@ -45,6 +49,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "Baseline HDC (D=4k)",
             seed,
         )?;
+        eprintln!("[fig4] {kind}: CyberHD (0.5k, R = 0) ...");
+        let (no_regeneration, _) = run_cyberhd(
+            &data,
+            paper::CYBERHD_DIMENSION,
+            0.0,
+            scale.hdc_epochs(),
+            "CyberHD, R = 0",
+            seed,
+        )?;
         eprintln!("[fig4] {kind}: CyberHD (0.5k) ...");
         let (cyber, _) = run_cyberhd(
             &data,
@@ -56,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )?;
 
         let name = kind.name();
-        let runs = [&mlp_run, &svm_run, &bh_large, &cyber];
+        let runs = [&mlp_run, &svm_run, &bh_large, &no_regeneration, &cyber];
         for (series, run) in train_series.iter_mut().zip(&runs) {
             series.push(name, run.training.seconds);
         }
@@ -66,6 +79,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         train_speedup_vs_dnn.push(cyber.training.speedup_over(&mlp_run.training));
         train_speedup_vs_baseline.push(cyber.training.speedup_over(&bh_large.training));
         infer_speedup_vs_baseline.push(cyber.inference.speedup_over(&bh_large.inference));
+        regeneration_share.push(
+            (cyber.training.seconds - no_regeneration.training.seconds) / cyber.training.seconds,
+        );
     }
 
     let labels: Vec<String> = DatasetKind::ALL.iter().map(|k| k.name().to_string()).collect();
@@ -86,6 +102,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "CyberHD inference vs. baselineHD(4k): {:5.2}x  (paper: 15.29x)",
         geometric_mean(&infer_speedup_vs_baseline).unwrap_or(0.0)
+    );
+    println!(
+        "Regeneration share of CyberHD training: {:5.1}%  (1 - R = 0 time / CyberHD time, mean \
+         over datasets)",
+        100.0 * regeneration_share.iter().sum::<f64>() / regeneration_share.len() as f64
     );
     println!(
         "\nNote: the paper's SVM numbers come from kernel SVMs on million-sample corpora,\n\

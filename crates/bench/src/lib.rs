@@ -29,7 +29,7 @@ pub mod zipf;
 use baselines::mlp::{Mlp, MlpConfig};
 use baselines::svm::{LinearSvm, SvmConfig};
 use baselines::Classifier;
-use cyberhd::{BaselineHd, CyberHdConfig, CyberHdModel, CyberHdTrainer};
+use cyberhd::{CyberHdConfig, CyberHdModel, CyberHdTrainer};
 use eval::timing::ThroughputReport;
 use nids_data::preprocess::{Normalization, Preprocessor};
 use nids_data::split::train_test_split;
@@ -224,7 +224,10 @@ pub fn run_cyberhd(
     Ok((ModelRun { model: label.to_string(), accuracy, training, inference }, model))
 }
 
-/// Trains and evaluates the static baselineHD at `dimension`.
+/// Trains and evaluates the static baselineHD at `dimension`: the
+/// [`cyberhd_config`] of CyberHD with regeneration off, so seed, learning
+/// rate, epochs, encoder and encode threads match and timings compare like
+/// for like.
 ///
 /// # Errors
 ///
@@ -236,18 +239,7 @@ pub fn run_baseline_hd(
     label: &str,
     seed: u64,
 ) -> Result<(ModelRun, CyberHdModel), Box<dyn std::error::Error>> {
-    let baseline = BaselineHd::new(data.input_width, data.num_classes, dimension, seed)?
-        .retrain_epochs(epochs)
-        .learning_rate(0.05);
-    let (model, training) = ThroughputReport::measure(data.train_x.len(), || {
-        baseline.fit(&data.train_x, &data.train_y)
-    });
-    let model = model?;
-    let (predictions, inference) =
-        ThroughputReport::measure(data.test_x.len(), || model.predict_batch(&data.test_x));
-    let predictions = predictions?;
-    let accuracy = eval::metrics::accuracy(&predictions, &data.test_y)?;
-    Ok((ModelRun { model: label.to_string(), accuracy, training, inference }, model))
+    run_cyberhd(data, dimension, 0.0, epochs, label, seed)
 }
 
 /// Trains and evaluates the MLP (DNN) baseline, returning the run and model.

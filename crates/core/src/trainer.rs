@@ -13,9 +13,11 @@
 //!    is normalized, per-dimension cross-class variances are computed and the
 //!    `R%` least-significant dimensions are dropped.
 //! 4. **(H) Regeneration** — the dropped dimensions' encoder base vectors are
-//!    redrawn from the Gaussian distribution, the cached encodings are
-//!    patched in place (only the regenerated coordinates are recomputed) and
-//!    training continues.
+//!    redrawn from the Gaussian distribution, only the regenerated columns of
+//!    the cached encodings are re-encoded (one column block per round,
+//!    through [`hdc::encoder::RbfEncoder::encode_dimensions_batch`], in
+//!    parallel across `encode_threads` workers) and written back in place,
+//!    and training continues.
 //!
 //! Setting `regeneration_rate` to zero turns the same loop into the paper's
 //! *baselineHD* (static encoder, adaptive retraining only) — which is exactly
@@ -49,7 +51,7 @@ use hdc::{AssociativeMemory, BatchView, Hypervector};
 /// matrix instead of one `Hypervector` allocation per sample.
 ///
 /// Rows are handed to the adaptive update as plain slices, and dimension
-/// regeneration patches single coordinates in place.
+/// regeneration overwrites the regenerated columns in place.
 #[derive(Debug, Clone)]
 pub(crate) struct EncodedMatrix {
     data: Vec<f32>,
@@ -122,12 +124,19 @@ impl EncodedMatrix {
         self.row_norms[i]
     }
 
-    fn patch(&mut self, i: usize, d: usize, value: f32) {
-        self.data[i * self.dim + d] = value;
+    /// Writes a row-major `rows × dims.len()` block into columns `dims`.
+    fn scatter_columns(&mut self, dims: &[usize], block: &[f32]) {
+        for (row, values) in
+            self.data.chunks_exact_mut(self.dim).zip(block.chunks_exact(dims.len()))
+        {
+            for (&d, &value) in dims.iter().zip(values) {
+                row[d] = value;
+            }
+        }
     }
 
-    /// Recomputes every cached row norm (after regeneration patched
-    /// coordinates in place); a no-op when the cache was not requested.
+    /// Recomputes every cached row norm (after regeneration overwrote
+    /// columns in place); a no-op when the cache was not requested.
     fn refresh_row_norms(&mut self) {
         for (norm, row) in self.row_norms.iter_mut().zip(self.data.chunks_exact(self.dim)) {
             *norm = similarity::norm(row);
@@ -217,7 +226,14 @@ impl CyberHdTrainer {
             if config.regeneration_rate > 0.0 && epoch > 0 {
                 let plan = RegenerationPlan::analyze(&memory, config.regeneration_rate);
                 if plan.drop_count() > 0 {
-                    apply_regeneration(&mut encoder, &mut memory, &mut encoded, features, &plan)?;
+                    apply_regeneration(
+                        &mut encoder,
+                        &mut memory,
+                        &mut encoded,
+                        features,
+                        &plan,
+                        config.encode_threads,
+                    )?;
                     stats.record_round(&plan);
                     // Zeroed dimensions invalidate every cached class norm.
                     updater.refresh(&memory);
@@ -627,13 +643,15 @@ pub(crate) fn adaptive_update(
 }
 
 /// Applies one regeneration plan: zero the dropped dimensions in the model,
-/// redraw their base vectors and patch the cached encodings in place.
+/// redraw their base vectors and re-encode just those columns of the cached
+/// encodings, fanned out over row chunks like [`EncodedMatrix::encode`].
 fn apply_regeneration(
     encoder: &mut AnyEncoder,
     memory: &mut AssociativeMemory,
     encoded: &mut EncodedMatrix,
     features: BatchView<'_>,
     plan: &RegenerationPlan,
+    threads: usize,
 ) -> Result<()> {
     let rbf = encoder.as_rbf_mut().ok_or_else(|| {
         CyberHdError::InvalidConfig("dimension regeneration requires the RBF encoder".into())
@@ -642,13 +660,21 @@ fn apply_regeneration(
         memory.zero_dimension(d)?;
         rbf.regenerate_dimension(d)?;
     }
-    // Patch only the regenerated coordinates of the cached encodings, then
-    // bring the cached row norms back in sync with the patched rows.
-    for (i, sample) in features.iter_rows().enumerate() {
-        for &d in &plan.drop {
-            encoded.patch(i, d, rbf.encode_dimension(sample, d)?);
-        }
-    }
+    let rbf = &*rbf;
+    let dims = &plan.drop;
+    let mut block = vec![0.0f32; features.rows() * dims.len()];
+    hdc::parallel::for_each_chunk(
+        features.rows(),
+        crate::inference::CHUNK_ROWS,
+        &mut block,
+        dims.len(),
+        threads.max(1),
+        |chunk, tile| {
+            rbf.encode_dimensions_batch(features.rows_range(chunk.start, chunk.end), dims, tile)
+                .expect("the matrix was encoded from these rows and the dims were regenerated");
+        },
+    );
+    encoded.scatter_columns(dims, &block);
     encoded.refresh_row_norms();
     Ok(())
 }
@@ -783,29 +809,51 @@ mod tests {
     #[test]
     fn regeneration_patch_equals_a_fresh_encode_bit_for_bit() {
         // A wide, zero-sprinkled input and a multi-tile dimension: the
-        // patched columns must be the values the batch kernel would write.
+        // patched columns must be the values the batch kernel would write,
+        // serial or fanned out over row chunks, and the mini-batch engine's
+        // row-norm cache must follow.
         let (mut xs, ys) = blobs(3, 30, 11, 0.3, 14);
         for (i, x) in xs.iter_mut().enumerate() {
             x[i % 11] = 0.0;
         }
-        let config = CyberHdConfig::builder(11, 3).dimension(2100).seed(4).build().unwrap();
-        let mut encoder = AnyEncoder::from_config(&config).unwrap();
         let buffer = hdc::BatchBuffer::from_rows(&xs, 11).unwrap();
-        let mut encoded = EncodedMatrix::encode(&encoder, buffer.view(), 1, true).unwrap();
-        let mut memory = AssociativeMemory::new(3, 2100).unwrap();
-        for (i, &y) in ys.iter().enumerate() {
-            memory.accumulate(y, &Hypervector::from_vec(encoded.row(i).to_vec())).unwrap();
-        }
-        let plan = RegenerationPlan::analyze(&memory, 0.2);
-        assert!(plan.drop.iter().any(|&d| d >= 2048), "a dropped dim in the second tile");
-        apply_regeneration(&mut encoder, &mut memory, &mut encoded, buffer.view(), &plan).unwrap();
-        let fresh = EncodedMatrix::encode(&encoder, buffer.view(), 1, true).unwrap();
-        for i in 0..xs.len() {
-            let (patched, expected) = (encoded.row(i), fresh.row(i));
-            for (d, (a, b)) in patched.iter().zip(expected).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "sample {i} dim {d}: {a} vs {b}");
+        for (threads, batch) in [(1, 1), (4, 32)] {
+            let config = CyberHdConfig::builder(11, 3)
+                .dimension(2100)
+                .encode_threads(threads)
+                .batch_size(batch)
+                .seed(4)
+                .build()
+                .unwrap();
+            let mut encoder = AnyEncoder::from_config(&config).unwrap();
+            let cache_norms = config.batch.size > 1;
+            let mut encoded =
+                EncodedMatrix::encode(&encoder, buffer.view(), threads, cache_norms).unwrap();
+            let mut memory = AssociativeMemory::new(3, 2100).unwrap();
+            for (i, &y) in ys.iter().enumerate() {
+                memory.accumulate(y, &Hypervector::from_vec(encoded.row(i).to_vec())).unwrap();
             }
-            assert_eq!(encoded.row_norm(i).to_bits(), fresh.row_norm(i).to_bits(), "sample {i}");
+            let plan = RegenerationPlan::analyze(&memory, 0.2);
+            assert!(plan.drop.iter().any(|&d| d >= 2048), "a dropped dim in the second tile");
+            apply_regeneration(
+                &mut encoder,
+                &mut memory,
+                &mut encoded,
+                buffer.view(),
+                &plan,
+                config.encode_threads,
+            )
+            .unwrap();
+            let fresh = EncodedMatrix::encode(&encoder, buffer.view(), 1, cache_norms).unwrap();
+            for i in 0..xs.len() {
+                let (patched, expected) = (encoded.row(i), fresh.row(i));
+                for (d, (a, b)) in patched.iter().zip(expected).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "threads {threads} sample {i} dim {d}");
+                }
+                if cache_norms {
+                    assert_eq!(encoded.row_norm(i).to_bits(), fresh.row_norm(i).to_bits());
+                }
+            }
         }
     }
 

@@ -132,42 +132,50 @@ impl RbfEncoder {
         Ok(&self.bases[d * self.features..(d + 1) * self.features])
     }
 
-    /// Computes a single output coordinate `h_d = cos(b_d · x + φ_d)` without
-    /// encoding the whole hypervector.
+    /// Encodes only the output dimensions `dims` of every row of `batch`:
+    /// `out` (row-major `rows × dims.len()`) receives column `j` = dimension
+    /// `dims[j]`.
     ///
-    /// The CyberHD trainer uses this to re-encode only the regenerated
-    /// dimensions of its cached training matrix instead of re-running the
-    /// full encoder after every regeneration round.  The value is
-    /// bit-identical to column `d` of [`Encoder::encode_batch_into`]: it
-    /// replays the batch kernel's operation order for that one column.
+    /// The CyberHD trainer uses this to re-encode just the regenerated
+    /// dimensions of its cached training matrix after a regeneration round
+    /// instead of re-running the full encoder.  The block is bit-identical
+    /// to the matching columns of [`Encoder::encode_batch_into`]: the
+    /// selected base columns and phases are gathered into one block that
+    /// the same tiled projection + cosine loop runs over.  `dims` may be
+    /// unsorted and may repeat; an empty `dims` writes nothing.
     ///
     /// # Errors
     ///
-    /// Returns [`HdcError::IndexOutOfRange`] if `d >= output_dim()` and
-    /// [`HdcError::FeatureMismatch`] if `features` has the wrong length.
-    pub fn encode_dimension(&self, features: &[f32], d: usize) -> Result<f32> {
-        if d >= self.dim {
+    /// Returns [`HdcError::IndexOutOfRange`] if any `d >= output_dim()`,
+    /// [`HdcError::FeatureMismatch`] if the batch width is not
+    /// `input_features()` and [`HdcError::DimensionMismatch`] if `out` is not
+    /// `rows × dims.len()` long.
+    pub fn encode_dimensions_batch(
+        &self,
+        batch: BatchView<'_>,
+        dims: &[usize],
+        out: &mut [f32],
+    ) -> Result<()> {
+        crate::encoder::check_batch_shape(self.features, dims.len(), batch, out)?;
+        if let Some(&d) = dims.iter().find(|&&d| d >= self.dim) {
             return Err(HdcError::IndexOutOfRange { index: d, bound: self.dim });
         }
-        if features.len() != self.features {
-            return Err(HdcError::FeatureMismatch {
-                expected: self.features,
-                actual: features.len(),
-            });
+        if dims.is_empty() {
+            return Ok(());
         }
-        // The batch kernel's order: start at the phase, then for each
-        // nonzero feature in ascending order one multiply and one separate
-        // add (`Kernels::axpy` never contracts to FMA on any path).  A zero
-        // feature adds +0.0 instead of being skipped: that leaves `acc`
-        // unchanged except -0.0 → +0.0, which the next nonzero term or
-        // `fast_cos` (even in its argument) erases — the same bits, without
-        // a data-dependent branch on the latency-bound add chain.
-        let row = &self.bases[d * self.features..(d + 1) * self.features];
-        let mut acc = self.phases[d];
-        for (&value, &base) in features.iter().zip(row) {
-            acc += if value != 0.0 { value * base } else { 0.0 };
+        let mut bases = LineAligned::zeroed(self.features * dims.len());
+        for (gathered, row) in bases
+            .as_mut_slice()
+            .chunks_exact_mut(dims.len())
+            .zip(self.bases_t.as_slice().chunks_exact(self.dim))
+        {
+            for (g, &d) in gathered.iter_mut().zip(dims) {
+                *g = row[d];
+            }
         }
-        Ok(fast_cos(acc))
+        let phases: Vec<f32> = dims.iter().map(|&d| self.phases[d]).collect();
+        encode_columns(batch, bases.as_slice(), &phases, out);
+        Ok(())
     }
 
     /// Replaces the base vector and phase of dimension `d` with a fresh
@@ -275,7 +283,8 @@ const RBF_DIM_TILE: usize = 2048;
 const LINE_BYTES: usize = 64;
 
 /// `f32` storage whose first element sits on a cache-line boundary: the
-/// transposed base matrix every encode streams, and the projection
+/// transposed base matrix every encode streams (and the column block
+/// gathered from it for a regeneration re-encode), and the projection
 /// accumulators of both kernels.
 ///
 /// The kernels accumulate in this storage they own, not in the caller's
@@ -401,6 +410,51 @@ fn fast_cos(x: f32) -> f32 {
 /// fused kernel's predictions bit-exact against encode-then-quantize.
 const QUADRANT_GUARD: f32 = 1e-3;
 
+/// The tiled projection + cosine loop behind every full-precision RBF
+/// encode: row `i` of `out` (row-major `rows × phases.len()`) receives
+/// `cos(phases[j] + Σ_f x_{i,f} · bases_t[f][j])` for every column `j`.
+/// `bases_t` is feature-major (`features` rows of `phases.len()` entries):
+/// the whole transposed base matrix for a full encode, or a gathered column
+/// block for [`RbfEncoder::encode_dimensions_batch`], so both see the same
+/// operations in the same order.  `phases` must be non-empty and the shapes
+/// checked by the caller.
+fn encode_columns(batch: BatchView<'_>, bases_t: &[f32], phases: &[f32], out: &mut [f32]) {
+    let dim = phases.len();
+    let kernels = crate::kernel::active();
+    let stride = dim.min(RBF_DIM_TILE);
+    let mut proj = LineAligned::zeroed(batch.rows().min(RBF_SAMPLE_BLOCK) * stride);
+    let proj = proj.as_mut_slice();
+    for (block, tile) in
+        batch.chunk_rows(RBF_SAMPLE_BLOCK).zip(out.chunks_mut(RBF_SAMPLE_BLOCK * dim))
+    {
+        for d0 in (0..dim).step_by(RBF_DIM_TILE) {
+            let d1 = (d0 + RBF_DIM_TILE).min(dim);
+            let width = d1 - d0;
+            // proj[s][d] starts at the phase and accumulates the projection.
+            for acc in proj.chunks_exact_mut(stride).take(block.rows()) {
+                acc[..width].copy_from_slice(&phases[d0..d1]);
+            }
+            for (f, base_row) in bases_t.chunks_exact(dim).enumerate() {
+                let base_tile = &base_row[d0..d1];
+                for (acc, sample) in proj.chunks_exact_mut(stride).zip(block.iter_rows()) {
+                    let value = sample[f];
+                    if value == 0.0 {
+                        continue;
+                    }
+                    // Kernel axpy (`acc += value * base`): element-wise
+                    // mul + add, bit-exact on every dispatch path.
+                    kernels.axpy(&mut acc[..width], value, base_tile);
+                }
+            }
+            for (acc, row) in proj.chunks_exact(stride).zip(tile.chunks_exact_mut(dim)) {
+                for (v, &p) in row[d0..d1].iter_mut().zip(&acc[..width]) {
+                    *v = fast_cos(p);
+                }
+            }
+        }
+    }
+}
+
 impl Encoder for RbfEncoder {
     fn input_features(&self) -> usize {
         self.features
@@ -436,9 +490,9 @@ impl Encoder for RbfEncoder {
     ///   `RBF_SAMPLE_BLOCK`-sample block instead of once per sample.
     ///
     /// This is the encoder's only f32 arithmetic: [`Encoder::encode_into`]
-    /// is this kernel at `n = 1` and [`RbfEncoder::encode_dimension`]
-    /// replays its operation order for one column, so every encode path
-    /// agrees bit for bit.  Each element starts at its phase and adds the
+    /// is this kernel at `n = 1` and [`RbfEncoder::encode_dimensions_batch`]
+    /// runs the same loop over a gathered column block, so every encode
+    /// path agrees bit for bit.  Each element starts at its phase and adds the
     /// `x_f · b_{d,f}` terms in ascending feature order, which also makes
     /// the output independent of how a batch is split into blocks.
     ///
@@ -453,40 +507,7 @@ impl Encoder for RbfEncoder {
     /// how the caller's buffer happens to be aligned.
     fn encode_batch_into(&self, batch: BatchView<'_>, out: &mut [f32]) -> Result<()> {
         crate::encoder::check_batch_shape(self.features, self.dim, batch, out)?;
-        let dim = self.dim;
-        let kernels = crate::kernel::active();
-        let stride = dim.min(RBF_DIM_TILE);
-        let mut proj = LineAligned::zeroed(batch.rows().min(RBF_SAMPLE_BLOCK) * stride);
-        let proj = proj.as_mut_slice();
-        for (block, tile) in
-            batch.chunk_rows(RBF_SAMPLE_BLOCK).zip(out.chunks_mut(RBF_SAMPLE_BLOCK * dim))
-        {
-            for d0 in (0..dim).step_by(RBF_DIM_TILE) {
-                let d1 = (d0 + RBF_DIM_TILE).min(dim);
-                let width = d1 - d0;
-                // proj[s][d] starts at the phase and accumulates the projection.
-                for acc in proj.chunks_exact_mut(stride).take(block.rows()) {
-                    acc[..width].copy_from_slice(&self.phases[d0..d1]);
-                }
-                for (f, base_row) in self.bases_t.as_slice().chunks_exact(dim).enumerate() {
-                    let base_tile = &base_row[d0..d1];
-                    for (acc, sample) in proj.chunks_exact_mut(stride).zip(block.iter_rows()) {
-                        let value = sample[f];
-                        if value == 0.0 {
-                            continue;
-                        }
-                        // Kernel axpy (`acc += value * base`): element-wise
-                        // mul + add, bit-exact on every dispatch path.
-                        kernels.axpy(&mut acc[..width], value, base_tile);
-                    }
-                }
-                for (acc, row) in proj.chunks_exact(stride).zip(tile.chunks_exact_mut(dim)) {
-                    for (v, &p) in row[d0..d1].iter_mut().zip(&acc[..width]) {
-                        *v = fast_cos(p);
-                    }
-                }
-            }
-        }
+        encode_columns(batch, self.bases_t.as_slice(), &self.phases, out);
         Ok(())
     }
 
@@ -689,32 +710,73 @@ mod tests {
     }
 
     #[test]
-    fn encode_dimension_matches_full_encoding() {
-        let mut e = RbfEncoder::with_sigma(9, RBF_DIM_TILE + 40, 1.3, 13).unwrap();
+    fn encode_dimensions_batch_matches_full_encoding() {
+        let dim = RBF_DIM_TILE + 40;
+        let mut e = RbfEncoder::with_sigma(9, dim, 1.3, 13).unwrap();
         e.regenerate_dimensions(&[0, 5, RBF_DIM_TILE + 3]).unwrap();
         // A -0.0 phase (only a loaded artifact can carry one) meets leading
-        // zero features in row 1 and an all-zero row 3.
+        // zero features and all-zero rows.
         e.phases[1] = -0.0;
-        // Exact zeros exercise the kernel's zero-feature skip; four rows
-        // put the batch column at a nonzero row offset.
-        let data: Vec<f32> = (0..36)
-            .map(|i| if i % 4 == 1 || i >= 27 { 0.0 } else { (i as f32 * 0.71).cos() * 2.0 })
-            .collect();
-        let batch = crate::BatchView::new(&data, 9).unwrap();
-        let mut matrix = vec![f32::NAN; 4 * e.output_dim()];
-        e.encode_batch_into(batch, &mut matrix).unwrap();
-        for (i, (x, batched)) in
-            batch.iter_rows().zip(matrix.chunks_exact(e.output_dim())).enumerate()
-        {
-            let full = e.encode(x).unwrap();
-            for d in 0..e.output_dim() {
-                let column = e.encode_dimension(x, d).unwrap();
-                assert_eq!(column.to_bits(), full[d].to_bits(), "row {i} dim {d}");
-                assert_eq!(column.to_bits(), batched[d].to_bits(), "row {i} dim {d}");
+        // Dims on both sides of the tile, unsorted and repeated, plus every
+        // dim in reverse order (a gathered block wider than one tile).
+        let picks = [RBF_DIM_TILE + 3, 1, 0, 5, RBF_DIM_TILE - 1, RBF_DIM_TILE, 5, dim - 1];
+        let reversed: Vec<usize> = (0..dim).rev().collect();
+        for rows in [1usize, 15, 16, 17, 37] {
+            // Exact zeros exercise the kernel's zero-feature skip; rows 3
+            // and the last one are all zero.
+            let data: Vec<f32> = (0..rows * 9)
+                .map(|i| {
+                    let row = i / 9;
+                    if i % 4 == 1 || row == 3 || (rows > 1 && row == rows - 1) {
+                        0.0
+                    } else {
+                        (i as f32 * 0.71).cos() * 2.0
+                    }
+                })
+                .collect();
+            let batch = crate::BatchView::new(&data, 9).unwrap();
+            let mut matrix = vec![f32::NAN; rows * dim];
+            e.encode_batch_into(batch, &mut matrix).unwrap();
+            for dims in [&picks[..], &reversed] {
+                let mut block = vec![f32::NAN; rows * dims.len()];
+                e.encode_dimensions_batch(batch, dims, &mut block).unwrap();
+                for (i, (full, columns)) in
+                    matrix.chunks_exact(dim).zip(block.chunks_exact(dims.len())).enumerate()
+                {
+                    for (&d, column) in dims.iter().zip(columns) {
+                        assert_eq!(
+                            column.to_bits(),
+                            full[d].to_bits(),
+                            "rows {rows} row {i} dim {d}"
+                        );
+                    }
+                }
             }
         }
-        assert!(e.encode_dimension(&data[..9], e.output_dim()).is_err());
-        assert!(e.encode_dimension(&[0.0], 0).is_err());
+    }
+
+    #[test]
+    fn encode_dimensions_batch_validates_its_arguments() {
+        let e = RbfEncoder::new(3, 70, 1).unwrap();
+        let data = [0.1f32, 0.2, 0.3, 0.4, 0.5, 0.6];
+        let batch = crate::BatchView::new(&data, 3).unwrap();
+        assert!(e.encode_dimensions_batch(batch, &[], &mut []).is_ok());
+        let mut out = [f32::NAN; 4];
+        assert!(matches!(
+            e.encode_dimensions_batch(batch, &[3, 70], &mut out),
+            Err(HdcError::IndexOutOfRange { index: 70, bound: 70 })
+        ));
+        assert!(out.iter().all(|v| v.is_nan()), "a rejected call writes nothing");
+        let narrow = crate::BatchView::new(&data, 2).unwrap();
+        assert!(matches!(
+            e.encode_dimensions_batch(narrow, &[3, 4], &mut [0.0; 6]),
+            Err(HdcError::FeatureMismatch { expected: 3, actual: 2 })
+        ));
+        assert!(matches!(
+            e.encode_dimensions_batch(batch, &[3, 4], &mut [0.0; 3]),
+            Err(HdcError::DimensionMismatch { expected: 4, actual: 3 })
+        ));
+        assert!(e.encode_dimensions_batch(batch, &[3, 4], &mut out).is_ok());
     }
 
     #[test]
