@@ -21,13 +21,14 @@
 //!
 //! ```
 //! use baselines::{Classifier, mlp::{Mlp, MlpConfig}};
+//! use hdc::BatchView;
 //!
-//! # fn main() -> Result<(), baselines::BaselineError> {
-//! let features = vec![vec![0.0, 0.0], vec![0.0, 1.0], vec![1.0, 0.0], vec![1.0, 1.0]];
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! let features = [0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0]; // four rows of two
 //! let labels = vec![0, 1, 1, 0]; // XOR
 //! let config = MlpConfig::new(2, 2).hidden_layers(vec![16]).epochs(400).seed(1);
 //! let mut mlp = Mlp::new(config)?;
-//! mlp.fit(&features, &labels)?;
+//! mlp.fit_view(BatchView::new(&features, 2)?, &labels)?;
 //! assert_eq!(mlp.predict(&[0.0, 1.0])?, 1);
 //! # Ok(())
 //! # }
@@ -78,30 +79,15 @@ pub type Result<T, E = BaselineError> = std::result::Result<T, E>;
 ///
 /// Implemented by [`mlp::Mlp`] and [`svm::LinearSvm`]; the experiment
 /// harnesses use it to time training and inference uniformly across models.
-/// Batch entry points come in two forms: the legacy row-per-`Vec` slices
-/// and the zero-copy [`hdc::BatchView`] twins (`*_view`), which accept the
-/// same contiguous matrices the HDC engines consume.
+/// Batches are zero-copy row-major [`hdc::BatchView`]s, the same contiguous
+/// matrices the HDC engines consume.
 pub trait Classifier {
-    /// Trains the classifier on parallel feature/label slices.
+    /// Trains the classifier on a row-major batch view and its labels.
     ///
     /// # Errors
     ///
     /// Returns [`BaselineError::InvalidData`] for empty or inconsistent data.
-    fn fit(&mut self, features: &[Vec<f32>], labels: &[usize]) -> Result<()>;
-
-    /// Trains the classifier on a zero-copy row-major batch view.
-    ///
-    /// The default implementation copies the rows into the legacy
-    /// [`Classifier::fit`] form; implementations with a contiguous training
-    /// core may override it.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Classifier::fit`].
-    fn fit_view(&mut self, features: hdc::BatchView<'_>, labels: &[usize]) -> Result<()> {
-        let rows: Vec<Vec<f32>> = features.iter_rows().map(<[f32]>::to_vec).collect();
-        self.fit(&rows, labels)
-    }
+    fn fit_view(&mut self, features: hdc::BatchView<'_>, labels: &[usize]) -> Result<()>;
 
     /// Predicts the class of one feature vector.
     ///
@@ -110,15 +96,6 @@ pub trait Classifier {
     /// Returns [`BaselineError::InvalidData`] if the feature arity is wrong.
     fn predict(&self, features: &[f32]) -> Result<usize>;
 
-    /// Predicts a batch of feature vectors.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first prediction error encountered.
-    fn predict_batch(&self, batch: &[Vec<f32>]) -> Result<Vec<usize>> {
-        batch.iter().map(|f| self.predict(f)).collect()
-    }
-
     /// Predicts every row of a zero-copy row-major batch view.
     ///
     /// # Errors
@@ -126,27 +103,6 @@ pub trait Classifier {
     /// Returns the first prediction error encountered.
     fn predict_batch_view(&self, batch: hdc::BatchView<'_>) -> Result<Vec<usize>> {
         batch.iter_rows().map(|row| self.predict(row)).collect()
-    }
-
-    /// Accuracy against ground-truth labels.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BaselineError::InvalidData`] for mismatched lengths.
-    fn accuracy(&self, features: &[Vec<f32>], labels: &[usize]) -> Result<f64> {
-        if features.len() != labels.len() {
-            return Err(BaselineError::InvalidData(format!(
-                "{} feature vectors but {} labels",
-                features.len(),
-                labels.len()
-            )));
-        }
-        if features.is_empty() {
-            return Err(BaselineError::InvalidData("cannot score zero samples".into()));
-        }
-        let predictions = self.predict_batch(features)?;
-        let correct = predictions.iter().zip(labels).filter(|(p, l)| p == l).count();
-        Ok(correct as f64 / labels.len() as f64)
     }
 
     /// Accuracy against ground-truth labels over a zero-copy batch view.
@@ -171,9 +127,10 @@ pub trait Classifier {
     }
 }
 
-/// Validates that a dataset is non-empty and internally consistent.
-pub(crate) fn validate_dataset(
-    features: &[Vec<f32>],
+/// Validates that a training batch is non-empty and consistent with its
+/// labels and the model's shape.
+pub(crate) fn validate_dataset_view(
+    features: hdc::BatchView<'_>,
     labels: &[usize],
     input_features: usize,
     num_classes: usize,
@@ -181,17 +138,17 @@ pub(crate) fn validate_dataset(
     if features.is_empty() {
         return Err(BaselineError::InvalidData("training set is empty".into()));
     }
-    if features.len() != labels.len() {
+    if features.rows() != labels.len() {
         return Err(BaselineError::InvalidData(format!(
-            "{} feature vectors but {} labels",
-            features.len(),
+            "{} feature rows but {} labels",
+            features.rows(),
             labels.len()
         )));
     }
-    if let Some((i, bad)) = features.iter().enumerate().find(|(_, f)| f.len() != input_features) {
+    if features.width() != input_features {
         return Err(BaselineError::InvalidData(format!(
-            "sample {i} has {} features, expected {input_features}",
-            bad.len()
+            "batch rows are {} features wide, expected {input_features}",
+            features.width()
         )));
     }
     if let Some((i, &bad)) = labels.iter().enumerate().find(|&(_, &l)| l >= num_classes) {
@@ -215,38 +172,14 @@ mod tests {
 
     #[test]
     fn dataset_validation_catches_problems() {
-        let xs = vec![vec![0.0, 1.0], vec![1.0, 0.0]];
+        let data = [0.0, 1.0, 1.0, 0.0];
+        let xs = hdc::BatchView::new(&data, 2).unwrap();
         let ys = vec![0, 1];
-        assert!(validate_dataset(&xs, &ys, 2, 2).is_ok());
-        assert!(validate_dataset(&[], &[], 2, 2).is_err());
-        assert!(validate_dataset(&xs, &ys[..1], 2, 2).is_err());
-        assert!(validate_dataset(&xs, &ys, 3, 2).is_err());
-        assert!(validate_dataset(&xs, &[0, 9], 2, 2).is_err());
-    }
-
-    #[test]
-    fn view_entry_points_mirror_the_row_forms() {
-        use crate::svm::{LinearSvm, SvmConfig};
-
-        let xs = vec![vec![0.0f32, 0.0], vec![0.0, 1.0], vec![1.0, 0.0], vec![1.0, 1.0]];
-        let ys = vec![0, 0, 1, 1];
-        let buffer = hdc::BatchBuffer::from_rows(&xs, 2).unwrap();
-
-        let config = SvmConfig::new(2, 2).epochs(120).seed(3);
-        let mut by_rows = LinearSvm::new(config.clone()).unwrap();
-        by_rows.fit(&xs, &ys).unwrap();
-        let mut by_view = LinearSvm::new(config).unwrap();
-        by_view.fit_view(buffer.view(), &ys).unwrap();
-
-        assert_eq!(
-            by_view.predict_batch_view(buffer.view()).unwrap(),
-            by_rows.predict_batch(&xs).unwrap()
-        );
-        assert_eq!(
-            by_view.accuracy_view(buffer.view(), &ys).unwrap(),
-            by_rows.accuracy(&xs, &ys).unwrap()
-        );
-        assert!(by_view.accuracy_view(buffer.view(), &ys[..1]).is_err());
-        assert!(by_view.accuracy_view(hdc::BatchView::new(&[], 2).unwrap(), &[]).is_err());
+        let empty = hdc::BatchView::new(&[], 2).unwrap();
+        assert!(validate_dataset_view(xs, &ys, 2, 2).is_ok());
+        assert!(validate_dataset_view(empty, &[], 2, 2).is_err());
+        assert!(validate_dataset_view(xs, &ys[..1], 2, 2).is_err());
+        assert!(validate_dataset_view(xs, &ys, 3, 2).is_err());
+        assert!(validate_dataset_view(xs, &[0, 9], 2, 2).is_err());
     }
 }

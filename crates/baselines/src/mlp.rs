@@ -10,7 +10,8 @@
 //! in place.
 
 use crate::matrix::Matrix;
-use crate::{validate_dataset, BaselineError, Classifier, Result};
+use crate::{validate_dataset_view, BaselineError, Classifier, Result};
+use hdc::BatchView;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -225,7 +226,7 @@ impl Mlp {
         &mut self.layers
     }
 
-    /// Whether [`Classifier::fit`] has completed at least once.
+    /// Whether [`Classifier::fit_view`] has completed at least once.
     pub fn is_trained(&self) -> bool {
         self.trained
     }
@@ -278,7 +279,7 @@ impl Mlp {
                 features.len()
             )));
         }
-        let batch = Matrix::from_rows(&[features.to_vec()])?;
+        let batch = Matrix::from_fn(1, features.len(), |_, c| features[c]);
         let mut logits = self.forward(&batch)?.pop().expect("at least the input activation");
         Self::softmax_rows(&mut logits);
         Ok(logits.row(0).to_vec())
@@ -286,11 +287,11 @@ impl Mlp {
 }
 
 impl Classifier for Mlp {
-    fn fit(&mut self, features: &[Vec<f32>], labels: &[usize]) -> Result<()> {
+    fn fit_view(&mut self, features: BatchView<'_>, labels: &[usize]) -> Result<()> {
         let config = self.config.clone();
-        validate_dataset(features, labels, config.input_features, config.num_classes)?;
+        validate_dataset_view(features, labels, config.input_features, config.num_classes)?;
         let mut rng = StdRng::seed_from_u64(config.seed ^ 0x00C0_FFEE);
-        let n = features.len();
+        let n = features.rows();
         let mut order: Vec<usize> = (0..n).collect();
 
         for _epoch in 0..config.epochs {
@@ -300,9 +301,9 @@ impl Classifier for Mlp {
                 order.swap(i, j);
             }
             for chunk in order.chunks(config.batch_size) {
-                let batch_rows: Vec<Vec<f32>> =
-                    chunk.iter().map(|&i| features[i].clone()).collect();
-                let batch = Matrix::from_rows(&batch_rows)?;
+                let batch = Matrix::from_fn(chunk.len(), features.width(), |r, c| {
+                    features.row(chunk[r])[c]
+                });
                 let batch_labels: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
                 self.train_batch(&batch, &batch_labels)?;
             }
@@ -399,15 +400,16 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hdc::BatchBuffer;
 
-    fn blobs(classes: usize, per_class: usize, seed: u64) -> (Vec<Vec<f32>>, Vec<usize>) {
+    fn blobs(classes: usize, per_class: usize, seed: u64) -> (BatchBuffer, Vec<usize>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut xs = Vec::new();
         let mut ys = Vec::new();
         for c in 0..classes {
             for _ in 0..per_class {
                 let base = c as f32;
-                xs.push(vec![
+                xs.extend([
                     base + rng.gen::<f32>() * 0.2,
                     1.0 - base * 0.5 + rng.gen::<f32>() * 0.2,
                     base * 0.3 + rng.gen::<f32>() * 0.2,
@@ -415,7 +417,7 @@ mod tests {
                 ys.push(c);
             }
         }
-        (xs, ys)
+        (BatchBuffer::from_data(xs, 3).unwrap(), ys)
     }
 
     #[test]
@@ -442,20 +444,21 @@ mod tests {
         let (xs, ys) = blobs(3, 60, 1);
         let config = MlpConfig::new(3, 3).hidden_layers(vec![32]).epochs(60).seed(2);
         let mut mlp = Mlp::new(config).unwrap();
-        mlp.fit(&xs, &ys).unwrap();
+        mlp.fit_view(xs.view(), &ys).unwrap();
         assert!(mlp.is_trained());
-        let accuracy = mlp.accuracy(&xs, &ys).unwrap();
+        let accuracy = mlp.accuracy_view(xs.view(), &ys).unwrap();
         assert!(accuracy > 0.95, "accuracy {accuracy}");
     }
 
     #[test]
     fn learns_xor_with_a_hidden_layer() {
-        let xs = vec![vec![0.0, 0.0], vec![0.0, 1.0], vec![1.0, 0.0], vec![1.0, 1.0]];
+        let data = [0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0];
+        let xs = BatchView::new(&data, 2).unwrap();
         let ys = vec![0, 1, 1, 0];
         let config = MlpConfig::new(2, 2).hidden_layers(vec![16]).epochs(500).batch_size(4).seed(3);
         let mut mlp = Mlp::new(config).unwrap();
-        mlp.fit(&xs, &ys).unwrap();
-        assert_eq!(mlp.predict_batch(&xs).unwrap(), ys);
+        mlp.fit_view(xs, &ys).unwrap();
+        assert_eq!(mlp.predict_batch_view(xs).unwrap(), ys);
     }
 
     #[test]
@@ -463,8 +466,8 @@ mod tests {
         let (xs, ys) = blobs(2, 30, 4);
         let config = MlpConfig::new(3, 2).hidden_layers(vec![8]).epochs(20).seed(5);
         let mut mlp = Mlp::new(config).unwrap();
-        mlp.fit(&xs, &ys).unwrap();
-        let p = mlp.predict_proba(&xs[0]).unwrap();
+        mlp.fit_view(xs.view(), &ys).unwrap();
+        let p = mlp.predict_proba(xs.view().row(0)).unwrap();
         assert_eq!(p.len(), 2);
         assert!((p.iter().sum::<f32>() - 1.0).abs() < 1e-5);
         assert!(p.iter().all(|&v| (0.0..=1.0).contains(&v)));
@@ -474,8 +477,8 @@ mod tests {
     fn prediction_validates_arity_and_fit_validates_data() {
         let mut mlp = Mlp::new(MlpConfig::new(3, 2)).unwrap();
         assert!(mlp.predict(&[1.0]).is_err());
-        assert!(mlp.fit(&[], &[]).is_err());
-        assert!(mlp.fit(&[vec![0.0; 3]], &[5]).is_err());
+        assert!(mlp.fit_view(BatchView::new(&[], 3).unwrap(), &[]).is_err());
+        assert!(mlp.fit_view(BatchView::new(&[0.0; 3], 3).unwrap(), &[5]).is_err());
     }
 
     #[test]
@@ -484,7 +487,7 @@ mod tests {
         let make = || {
             let config = MlpConfig::new(3, 2).hidden_layers(vec![8]).epochs(5).seed(9);
             let mut mlp = Mlp::new(config).unwrap();
-            mlp.fit(&xs, &ys).unwrap();
+            mlp.fit_view(xs.view(), &ys).unwrap();
             mlp
         };
         let a = make();
@@ -497,13 +500,13 @@ mod tests {
         let (xs, ys) = blobs(2, 30, 7);
         let config = MlpConfig::new(3, 2).hidden_layers(vec![8]).epochs(30).seed(11);
         let mut mlp = Mlp::new(config).unwrap();
-        mlp.fit(&xs, &ys).unwrap();
-        let clean = mlp.accuracy(&xs, &ys).unwrap();
+        mlp.fit_view(xs.view(), &ys).unwrap();
+        let clean = mlp.accuracy_view(xs.view(), &ys).unwrap();
         // Zero out the first layer entirely: accuracy should collapse.
         for layer in mlp.layers_mut().iter_mut().take(1) {
             layer.weights.map_in_place(|_| 0.0);
         }
-        let corrupted = mlp.accuracy(&xs, &ys).unwrap();
+        let corrupted = mlp.accuracy_view(xs.view(), &ys).unwrap();
         assert!(corrupted <= clean);
     }
 }

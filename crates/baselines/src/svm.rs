@@ -8,7 +8,8 @@
 //! cost still scales with `epochs × samples × features`, which is exactly the
 //! behaviour the paper's Fig. 4 relies on (SVM is the slowest model).
 
-use crate::{validate_dataset, BaselineError, Classifier, Result};
+use crate::{validate_dataset_view, BaselineError, Classifier, Result};
+use hdc::BatchView;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -101,7 +102,7 @@ impl LinearSvm {
         &self.config
     }
 
-    /// Whether [`Classifier::fit`] has completed at least once.
+    /// Whether [`Classifier::fit_view`] has completed at least once.
     pub fn is_trained(&self) -> bool {
         self.trained
     }
@@ -139,11 +140,11 @@ impl LinearSvm {
 }
 
 impl Classifier for LinearSvm {
-    fn fit(&mut self, features: &[Vec<f32>], labels: &[usize]) -> Result<()> {
+    fn fit_view(&mut self, features: BatchView<'_>, labels: &[usize]) -> Result<()> {
         let config = self.config.clone();
-        validate_dataset(features, labels, config.input_features, config.num_classes)?;
+        validate_dataset_view(features, labels, config.input_features, config.num_classes)?;
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let n = features.len();
+        let n = features.rows();
         let mut order: Vec<usize> = (0..n).collect();
         let lambda = config.lambda;
         let mut t = 0usize;
@@ -158,7 +159,7 @@ impl Classifier for LinearSvm {
                 // Pegasos schedule, capped so the first steps (and the
                 // unregularized bias) stay numerically sane for small λ.
                 let eta = (1.0 / (lambda * t as f32)).min(1.0);
-                let x = &features[i];
+                let x = features.row(i);
                 let y = labels[i];
                 for class in 0..config.num_classes {
                     let target: f32 = if class == y { 1.0 } else { -1.0 };
@@ -198,27 +199,25 @@ impl Classifier for LinearSvm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hdc::BatchBuffer;
 
     /// One-vs-rest linear SVMs need every class to be linearly separable from
     /// the union of the others, so the test blobs use (noisy) one-hot class
     /// centres rather than collinear ones.
-    fn blobs(classes: usize, per_class: usize, seed: u64) -> (Vec<Vec<f32>>, Vec<usize>) {
+    fn blobs(classes: usize, per_class: usize, seed: u64) -> (BatchBuffer, Vec<usize>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut xs = Vec::new();
         let mut ys = Vec::new();
         for c in 0..classes {
             for _ in 0..per_class {
-                let sample: Vec<f32> = (0..4)
-                    .map(|j| {
-                        let center = if j == c % 4 { 2.0 } else { 0.0 };
-                        center + rng.gen::<f32>() * 0.3
-                    })
-                    .collect();
-                xs.push(sample);
+                xs.extend((0..4).map(|j| {
+                    let center = if j == c % 4 { 2.0 } else { 0.0 };
+                    center + rng.gen::<f32>() * 0.3
+                }));
                 ys.push(c);
             }
         }
-        (xs, ys)
+        (BatchBuffer::from_data(xs, 4).unwrap(), ys)
     }
 
     #[test]
@@ -234,9 +233,9 @@ mod tests {
     fn learns_linearly_separable_blobs() {
         let (xs, ys) = blobs(4, 50, 1);
         let mut svm = LinearSvm::new(SvmConfig::new(4, 4).epochs(30).seed(2)).unwrap();
-        svm.fit(&xs, &ys).unwrap();
+        svm.fit_view(xs.view(), &ys).unwrap();
         assert!(svm.is_trained());
-        let accuracy = svm.accuracy(&xs, &ys).unwrap();
+        let accuracy = svm.accuracy_view(xs.view(), &ys).unwrap();
         assert!(accuracy > 0.9, "accuracy {accuracy}");
     }
 
@@ -251,10 +250,11 @@ mod tests {
     #[test]
     fn fit_validates_the_dataset() {
         let mut svm = LinearSvm::new(SvmConfig::new(3, 2)).unwrap();
-        assert!(svm.fit(&[], &[]).is_err());
-        assert!(svm.fit(&[vec![0.0; 3]], &[0, 1]).is_err());
-        assert!(svm.fit(&[vec![0.0; 2]], &[0]).is_err());
-        assert!(svm.fit(&[vec![0.0; 3]], &[4]).is_err());
+        let view = |data: &'static [f32], width| BatchView::new(data, width).unwrap();
+        assert!(svm.fit_view(view(&[], 3), &[]).is_err());
+        assert!(svm.fit_view(view(&[0.0; 3], 3), &[0, 1]).is_err());
+        assert!(svm.fit_view(view(&[0.0; 2], 2), &[0]).is_err());
+        assert!(svm.fit_view(view(&[0.0; 3], 3), &[4]).is_err());
     }
 
     #[test]
@@ -262,7 +262,7 @@ mod tests {
         let (xs, ys) = blobs(3, 30, 3);
         let train = |seed| {
             let mut svm = LinearSvm::new(SvmConfig::new(4, 3).epochs(10).seed(seed)).unwrap();
-            svm.fit(&xs, &ys).unwrap();
+            svm.fit_view(xs.view(), &ys).unwrap();
             svm
         };
         assert_eq!(train(7), train(7));
@@ -273,14 +273,14 @@ mod tests {
     fn weights_mut_allows_perturbation() {
         let (xs, ys) = blobs(2, 40, 5);
         let mut svm = LinearSvm::new(SvmConfig::new(4, 2).epochs(20).seed(6)).unwrap();
-        svm.fit(&xs, &ys).unwrap();
-        let clean = svm.accuracy(&xs, &ys).unwrap();
+        svm.fit_view(xs.view(), &ys).unwrap();
+        let clean = svm.accuracy_view(xs.view(), &ys).unwrap();
         for w in svm.weights_mut() {
             for v in w.iter_mut() {
                 *v = -*v;
             }
         }
-        let flipped = svm.accuracy(&xs, &ys).unwrap();
+        let flipped = svm.accuracy_view(xs.view(), &ys).unwrap();
         assert!(flipped < clean, "sign-flipping every weight must hurt accuracy");
     }
 
@@ -288,10 +288,10 @@ mod tests {
     fn predict_batch_and_accuracy_helpers_work() {
         let (xs, ys) = blobs(2, 25, 9);
         let mut svm = LinearSvm::new(SvmConfig::new(4, 2).epochs(15).seed(10)).unwrap();
-        svm.fit(&xs, &ys).unwrap();
-        let predictions = svm.predict_batch(&xs).unwrap();
-        assert_eq!(predictions.len(), xs.len());
-        assert!(svm.accuracy(&xs, &ys[..10]).is_err());
-        assert!(svm.accuracy(&[], &[]).is_err());
+        svm.fit_view(xs.view(), &ys).unwrap();
+        let predictions = svm.predict_batch_view(xs.view()).unwrap();
+        assert_eq!(predictions.len(), xs.rows());
+        assert!(svm.accuracy_view(xs.view(), &ys[..10]).is_err());
+        assert!(svm.accuracy_view(BatchView::new(&[], 4).unwrap(), &[]).is_err());
     }
 }

@@ -22,7 +22,7 @@ fn bench_baseline_training(c: &mut Criterion) {
                 .epochs(3)
                 .seed(1);
             let mut mlp = Mlp::new(config).unwrap();
-            mlp.fit(&data.train_x, &data.train_y).unwrap();
+            mlp.fit_view(data.train_x.view(), &data.train_y).unwrap();
             black_box(mlp)
         })
     });
@@ -30,22 +30,22 @@ fn bench_baseline_training(c: &mut Criterion) {
         bencher.iter(|| {
             let config = SvmConfig::new(data.input_width, data.num_classes).epochs(5).seed(1);
             let mut svm = LinearSvm::new(config).unwrap();
-            svm.fit(&data.train_x, &data.train_y).unwrap();
+            svm.fit_view(data.train_x.view(), &data.train_y).unwrap();
             black_box(svm)
         })
     });
     group.finish();
 
     // Per-flow inference.
-    let query = data.test_x[0].clone();
+    let query = data.test_x.view().row(0).to_vec();
     let mut mlp = Mlp::new(
         MlpConfig::new(data.input_width, data.num_classes).hidden_layers(vec![256, 256]).epochs(3),
     )
     .unwrap();
-    mlp.fit(&data.train_x, &data.train_y).unwrap();
+    mlp.fit_view(data.train_x.view(), &data.train_y).unwrap();
     let mut svm =
         LinearSvm::new(SvmConfig::new(data.input_width, data.num_classes).epochs(5)).unwrap();
-    svm.fit(&data.train_x, &data.train_y).unwrap();
+    svm.fit_view(data.train_x.view(), &data.train_y).unwrap();
     c.bench_function("mlp_single_flow_inference", |bencher| {
         bencher.iter(|| black_box(mlp.predict(&query).unwrap()))
     });

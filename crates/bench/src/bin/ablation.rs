@@ -13,7 +13,7 @@
 //!
 //! Run with `cargo run -p bench --bin ablation --release`.
 
-use bench::{paper, prepare_dataset, run_baseline_hd, run_cyberhd, ExperimentScale};
+use bench::{paper, prepare_dataset, run_cyberhd, ExperimentScale};
 use cyberhd::{CyberHdConfig, CyberHdTrainer, EncoderKind};
 use eval::Table;
 use nids_data::DatasetKind;
@@ -63,8 +63,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .encode_threads(4)
             .seed(43)
             .build()?;
-        let model = CyberHdTrainer::new(config)?.fit(&data.train_x, &data.train_y)?;
-        let accuracy = model.accuracy(&data.test_x, &data.test_y)?;
+        let model = CyberHdTrainer::new(config)?.fit_view(data.train_x.view(), &data.train_y)?;
+        let accuracy = model.accuracy_view(data.test_x.view(), &data.test_y)?;
         encoders.add_row(vec![label.to_string(), format!("{:.2}", accuracy * 100.0)]);
     }
     println!("-- 2. encoder comparison (D = 0.5k, no regeneration) --");
@@ -82,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut dims =
         Table::new(vec!["model".into(), "physical D".into(), "test accuracy (%)".into()]);
     for &dimension in &[256usize, 512, 1024, 2048, 4096] {
-        let (run, _) = run_baseline_hd(&data, dimension, epochs, "baselineHD", 44)?;
+        let (run, _) = run_cyberhd(&data, dimension, 0.0, epochs, "baselineHD", 44)?;
         dims.add_row(vec![
             "Baseline HDC".into(),
             format!("{dimension}"),

@@ -10,9 +10,7 @@
 //! Run with `cargo run -p bench --bin fig3 --release`
 //! (set `CYBERHD_SCALE=paper` for the larger corpora).
 
-use bench::{
-    paper, prepare_dataset, run_baseline_hd, run_cyberhd, run_mlp, run_svm, ExperimentScale,
-};
+use bench::{paper, prepare_dataset, run_cyberhd, run_mlp, run_svm, ExperimentScale};
 use eval::report::{series_table, Series};
 use nids_data::DatasetKind;
 
@@ -38,17 +36,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("[fig3] {kind}: training SVM ...");
         let (svm_run, _) = run_svm(&data, scale.svm_epochs(), seed)?;
         eprintln!("[fig3] {kind}: training baselineHD (0.5k) ...");
-        let (bh_small, _) = run_baseline_hd(
+        let (bh_small, _) = run_cyberhd(
             &data,
             paper::CYBERHD_DIMENSION,
+            0.0,
             scale.hdc_epochs(),
             "Baseline HDC (D=0.5k)",
             seed,
         )?;
         eprintln!("[fig3] {kind}: training baselineHD (4k) ...");
-        let (bh_large, _) = run_baseline_hd(
+        let (bh_large, _) = run_cyberhd(
             &data,
             paper::BASELINE_LARGE_DIMENSION,
+            0.0,
             scale.hdc_epochs(),
             "Baseline HDC (D=4k)",
             seed,

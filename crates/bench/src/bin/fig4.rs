@@ -11,9 +11,7 @@
 //!
 //! Run with `cargo run -p bench --bin fig4 --release`.
 
-use bench::{
-    paper, prepare_dataset, run_baseline_hd, run_cyberhd, run_mlp, run_svm, ExperimentScale,
-};
+use bench::{paper, prepare_dataset, run_cyberhd, run_mlp, run_svm, ExperimentScale};
 use eval::report::{series_table, Series};
 use eval::timing::geometric_mean;
 use nids_data::DatasetKind;
@@ -42,9 +40,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("[fig4] {kind}: SVM ...");
         let (svm_run, _) = run_svm(&data, scale.svm_epochs(), seed)?;
         eprintln!("[fig4] {kind}: baselineHD (4k) ...");
-        let (bh_large, _) = run_baseline_hd(
+        let (bh_large, _) = run_cyberhd(
             &data,
             paper::BASELINE_LARGE_DIMENSION,
+            0.0,
             scale.hdc_epochs(),
             "Baseline HDC (D=4k)",
             seed,

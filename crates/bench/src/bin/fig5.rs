@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let mut corrupted = mlp.clone();
             let mut injector = BitFlipInjector::new(rate, 7_000 + trial)?;
             injector.flip_mlp(&mut corrupted);
-            let predictions = corrupted.predict_batch(&data.test_x)?;
+            let predictions = corrupted.predict_batch_view(data.test_x.view())?;
             let accuracy = eval::metrics::accuracy(&predictions, &data.test_y)?;
             losses.push((mlp_run.accuracy - accuracy).max(0.0) * 100.0);
         }
@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // CyberHD rows: flip bits of the quantized class hypervectors.
     for width in [BitWidth::B1, BitWidth::B2, BitWidth::B4, BitWidth::B8] {
         let deployed = cyber.quantize(width);
-        let clean_accuracy = deployed.accuracy(&data.test_x, &data.test_y)?;
+        let clean_accuracy = deployed.accuracy_view(data.test_x.view(), &data.test_y)?;
         let mut row = vec![format!("CyberHD ({width})")];
         for &rate in &paper::ERROR_RATES {
             let mut losses = Vec::new();
@@ -81,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 let mut injector =
                     BitFlipInjector::new(rate, 9_000 + trial * 31 + u64::from(width.bits()))?;
                 injector.flip_quantized_set(corrupted.classes_mut());
-                let accuracy = corrupted.accuracy(&data.test_x, &data.test_y)?;
+                let accuracy = corrupted.accuracy_view(data.test_x.view(), &data.test_y)?;
                 losses.push((clean_accuracy - accuracy).max(0.0) * 100.0);
             }
             row.push(format!("{:.1}%", losses.iter().sum::<f64>() / losses.len() as f64));

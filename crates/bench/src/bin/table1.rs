@@ -49,8 +49,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             epochs,
             99,
         )?;
-        let model = CyberHdTrainer::new(config)?.fit(&data.train_x, &data.train_y)?;
-        model.accuracy(&data.test_x, &data.test_y)?
+        let model = CyberHdTrainer::new(config)?.fit_view(data.train_x.view(), &data.train_y)?;
+        model.accuracy_view(data.test_x.view(), &data.test_y)?
     };
     println!(
         "full-precision reference accuracy (CyberHD, D=0.5k): {:.2}%\n",
@@ -67,9 +67,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for &dimension in &DIMENSION_LADDER {
             let config: CyberHdConfig =
                 bench::cyberhd_config(&data, dimension, 0.0, epochs, 1_000 + dimension as u64)?;
-            let model = CyberHdTrainer::new(config)?.fit(&data.train_x, &data.train_y)?;
+            let model =
+                CyberHdTrainer::new(config)?.fit_view(data.train_x.view(), &data.train_y)?;
             let quantized = model.quantize(width);
-            let accuracy = quantized.accuracy(&data.test_x, &data.test_y)?;
+            let accuracy = quantized.accuracy_view(data.test_x.view(), &data.test_y)?;
             if accuracy >= target {
                 chosen = dimension;
                 chosen_accuracy = accuracy;

@@ -31,6 +31,7 @@ use baselines::svm::{LinearSvm, SvmConfig};
 use baselines::Classifier;
 use cyberhd::{CyberHdConfig, CyberHdModel, CyberHdTrainer};
 use eval::timing::ThroughputReport;
+use hdc::BatchBuffer;
 use nids_data::preprocess::{Normalization, Preprocessor};
 use nids_data::split::train_test_split;
 use nids_data::synth::SyntheticConfig;
@@ -103,18 +104,18 @@ pub mod paper {
     pub const BITWIDTHS: [u32; 6] = [32, 16, 8, 4, 2, 1];
 }
 
-/// A dataset that has been generated, split and preprocessed into the dense
-/// vectors every classifier consumes.
+/// A dataset that has been generated, split and preprocessed into the
+/// row-major feature matrices every classifier consumes.
 #[derive(Debug, Clone)]
 pub struct PreparedData {
     /// Dataset display name (as used in the paper's figures).
     pub name: String,
-    /// Dense training features.
-    pub train_x: Vec<Vec<f32>>,
+    /// Training features, one row per flow.
+    pub train_x: BatchBuffer,
     /// Training labels.
     pub train_y: Vec<usize>,
-    /// Dense test features.
-    pub test_x: Vec<Vec<f32>>,
+    /// Test features, one row per flow.
+    pub test_x: BatchBuffer,
     /// Test labels.
     pub test_y: Vec<usize>,
     /// Number of classes.
@@ -142,15 +143,15 @@ pub fn prepare_dataset(
         kind.generate(&SyntheticConfig::new(samples, seed).difficulty(2.4).label_noise(0.01))?;
     let (train, test) = train_test_split(&dataset, 0.25, seed ^ 0x51EE7)?;
     let preprocessor = Preprocessor::fit(&train, Normalization::MinMax)?;
-    let (train_x, train_y) = preprocessor.transform_with_labels(&train)?;
-    let (test_x, test_y) = preprocessor.transform_with_labels(&test)?;
     let input_width = preprocessor.output_width();
+    let train_x = BatchBuffer::from_data(preprocessor.transform_matrix(&train)?, input_width)?;
+    let test_x = BatchBuffer::from_data(preprocessor.transform_matrix(&test)?, input_width)?;
     Ok(PreparedData {
         name: kind.name().to_string(),
         train_x,
-        train_y,
+        train_y: train.labels().to_vec(),
         test_x,
-        test_y,
+        test_y: test.labels().to_vec(),
         num_classes: dataset.num_classes(),
         input_width,
     })
@@ -214,32 +215,16 @@ pub fn run_cyberhd(
 ) -> Result<(ModelRun, CyberHdModel), Box<dyn std::error::Error>> {
     let config = cyberhd_config(data, dimension, regeneration_rate, epochs, seed)?;
     let trainer = CyberHdTrainer::new(config)?;
-    let (model, training) =
-        ThroughputReport::measure(data.train_x.len(), || trainer.fit(&data.train_x, &data.train_y));
+    let (model, training) = ThroughputReport::measure(data.train_x.rows(), || {
+        trainer.fit_view(data.train_x.view(), &data.train_y)
+    });
     let model = model?;
-    let (predictions, inference) =
-        ThroughputReport::measure(data.test_x.len(), || model.predict_batch(&data.test_x));
+    let (predictions, inference) = ThroughputReport::measure(data.test_x.rows(), || {
+        model.predict_batch_view(data.test_x.view())
+    });
     let predictions = predictions?;
     let accuracy = eval::metrics::accuracy(&predictions, &data.test_y)?;
     Ok((ModelRun { model: label.to_string(), accuracy, training, inference }, model))
-}
-
-/// Trains and evaluates the static baselineHD at `dimension`: the
-/// [`cyberhd_config`] of CyberHD with regeneration off, so seed, learning
-/// rate, epochs, encoder and encode threads match and timings compare like
-/// for like.
-///
-/// # Errors
-///
-/// Propagates training/evaluation errors.
-pub fn run_baseline_hd(
-    data: &PreparedData,
-    dimension: usize,
-    epochs: usize,
-    label: &str,
-    seed: u64,
-) -> Result<(ModelRun, CyberHdModel), Box<dyn std::error::Error>> {
-    run_cyberhd(data, dimension, 0.0, epochs, label, seed)
 }
 
 /// Trains and evaluates the MLP (DNN) baseline, returning the run and model.
@@ -257,11 +242,13 @@ pub fn run_mlp(
         .epochs(epochs)
         .seed(seed);
     let mut mlp = Mlp::new(config)?;
-    let (fit, training) =
-        ThroughputReport::measure(data.train_x.len(), || mlp.fit(&data.train_x, &data.train_y));
+    let (fit, training) = ThroughputReport::measure(data.train_x.rows(), || {
+        mlp.fit_view(data.train_x.view(), &data.train_y)
+    });
     fit?;
-    let (predictions, inference) =
-        ThroughputReport::measure(data.test_x.len(), || mlp.predict_batch(&data.test_x));
+    let (predictions, inference) = ThroughputReport::measure(data.test_x.rows(), || {
+        mlp.predict_batch_view(data.test_x.view())
+    });
     let predictions = predictions?;
     let accuracy = eval::metrics::accuracy(&predictions, &data.test_y)?;
     Ok((ModelRun { model: "DNN (MLP 2x256)".to_string(), accuracy, training, inference }, mlp))
@@ -279,11 +266,13 @@ pub fn run_svm(
 ) -> Result<(ModelRun, LinearSvm), Box<dyn std::error::Error>> {
     let config = SvmConfig::new(data.input_width, data.num_classes).epochs(epochs).seed(seed);
     let mut svm = LinearSvm::new(config)?;
-    let (fit, training) =
-        ThroughputReport::measure(data.train_x.len(), || svm.fit(&data.train_x, &data.train_y));
+    let (fit, training) = ThroughputReport::measure(data.train_x.rows(), || {
+        svm.fit_view(data.train_x.view(), &data.train_y)
+    });
     fit?;
-    let (predictions, inference) =
-        ThroughputReport::measure(data.test_x.len(), || svm.predict_batch(&data.test_x));
+    let (predictions, inference) = ThroughputReport::measure(data.test_x.rows(), || {
+        svm.predict_batch_view(data.test_x.view())
+    });
     let predictions = predictions?;
     let accuracy = eval::metrics::accuracy(&predictions, &data.test_y)?;
     Ok((ModelRun { model: "SVM (linear, OvR)".to_string(), accuracy, training, inference }, svm))
@@ -307,13 +296,13 @@ mod tests {
     fn prepare_dataset_produces_consistent_splits() {
         let data = prepare_dataset(DatasetKind::NslKdd, 1200, 7).unwrap();
         assert_eq!(data.name, "NSL-KDD");
-        assert_eq!(data.train_x.len(), data.train_y.len());
-        assert_eq!(data.test_x.len(), data.test_y.len());
-        assert_eq!(data.train_x.len() + data.test_x.len(), 1200);
-        assert!(data.train_x.iter().all(|x| x.len() == data.input_width));
+        assert_eq!(data.train_x.rows(), data.train_y.len());
+        assert_eq!(data.test_x.rows(), data.test_y.len());
+        assert_eq!(data.train_x.rows() + data.test_x.rows(), 1200);
+        assert_eq!(data.train_x.width(), data.input_width);
         assert_eq!(data.num_classes, 5);
         // Min-max preprocessing keeps features in [0, 1].
-        assert!(data.train_x.iter().flatten().all(|&v| (0.0..=1.0).contains(&v)));
+        assert!(data.train_x.view().data().iter().all(|&v| (0.0..=1.0).contains(&v)));
     }
 
     #[test]
@@ -325,7 +314,7 @@ mod tests {
         assert!(cyber.training.seconds > 0.0);
         assert!(cyber.inference.seconds > 0.0);
 
-        let (baseline, _) = run_baseline_hd(&data, 128, 3, "BaselineHD", 1).unwrap();
+        let (baseline, _) = run_cyberhd(&data, 128, 0.0, 3, "BaselineHD", 1).unwrap();
         assert!(baseline.accuracy > 0.4);
 
         let (svm, _) = run_svm(&data, 5, 1).unwrap();

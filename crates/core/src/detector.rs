@@ -1,7 +1,7 @@
 //! The sealed, deployable `Detector` artifact: raw flows in, verdicts out.
 //!
 //! The manual pipeline (generate → split → `Preprocessor::fit` →
-//! `transform_with_labels` → config builder → trainer → optional quantize /
+//! `transform_matrix` → config builder → trainer → optional quantize /
 //! open-set calibration) exposes every internal seam — which is exactly
 //! right for experiments and exactly wrong for deployment.  A production
 //! NIDS needs *train once, ship the artifact, serve raw traffic*:
@@ -425,7 +425,7 @@ impl DetectorBuilder {
         // corpora for zero-day scenarios structurally omit a class, and an
         // absent class must borrow the global in-distribution floor (so it
         // still rejects) rather than silently never rejecting — or erroring
-        // the way manual `OpenSetDetector::calibrate` now does.
+        // the way manual `OpenSetDetector::calibrate_view` now does.
         let thresholds = match self.open_set {
             Some(quantile) => Some(crate::openset::calibrate_thresholds_or_global_parts(
                 model.encoder(),
@@ -1302,8 +1302,10 @@ mod tests {
         let model = detector.model().unwrap();
         let records: Vec<Vec<f32>> = data.records().to_vec();
         let verdicts = detector.detect_batch(&records).unwrap();
-        let manual_x = detector.preprocessor().transform(&data).unwrap();
-        let manual = model.predict_batch(&manual_x).unwrap();
+        let preprocessor = detector.preprocessor();
+        let manual_x = preprocessor.transform_matrix(&data).unwrap();
+        let manual_x = BatchView::new(&manual_x, preprocessor.output_width()).unwrap();
+        let manual = model.predict_batch_view(manual_x).unwrap();
         assert_eq!(verdicts.len(), manual.len());
         for (verdict, class) in verdicts.iter().zip(manual) {
             assert_eq!(verdict.class, class);

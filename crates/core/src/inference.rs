@@ -59,31 +59,6 @@ fn check_width(batch: BatchView<'_>, features: usize) -> Result<()> {
     Ok(())
 }
 
-/// Validates that every row of a legacy `&[Vec<f32>]` batch has `features`
-/// entries, preserving the sample-indexed error message of the original
-/// batch API (the contiguous path cannot be ragged by construction).
-pub(crate) fn check_rows_arity(batch: &[Vec<f32>], features: usize) -> Result<()> {
-    if let Some((i, bad)) = batch.iter().enumerate().find(|(_, row)| row.len() != features) {
-        return Err(CyberHdError::InvalidData(format!(
-            "sample {i} has {} features, expected {features}",
-            bad.len()
-        )));
-    }
-    Ok(())
-}
-
-/// Flattens a legacy `&[Vec<f32>]` batch into the contiguous buffer the
-/// zero-copy engines consume; rows are validated first so the error carries
-/// the offending sample index.
-pub(crate) fn flatten_rows(batch: &[Vec<f32>], features: usize) -> Result<Vec<f32>> {
-    check_rows_arity(batch, features)?;
-    let mut data = Vec::with_capacity(batch.len() * features);
-    for row in batch {
-        data.extend_from_slice(row);
-    }
-    Ok(data)
-}
-
 /// Fused batched prediction against a dense [`AssociativeMemory`],
 /// returning `(winner, cosine similarity)` per row of `batch`.
 ///
@@ -247,24 +222,22 @@ mod tests {
     use hdc::rng::HdcRng;
     use hdc::BatchBuffer;
 
-    fn toy_problem(seed: u64) -> (Vec<Vec<f32>>, Vec<usize>) {
+    fn toy_problem(seed: u64) -> (BatchBuffer, Vec<usize>) {
         let mut rng = HdcRng::seed_from(seed);
         let mut xs = Vec::new();
         let mut ys = Vec::new();
         for c in 0..3usize {
             for _ in 0..25 {
-                xs.push(
-                    (0..5)
-                        .map(|f| (c as f64 * 0.8 + f as f64 * 0.1 + rng.normal(0.0, 0.1)) as f32)
-                        .collect(),
+                xs.extend(
+                    (0..5).map(|f| (c as f64 * 0.8 + f as f64 * 0.1 + rng.normal(0.0, 0.1)) as f32),
                 );
                 ys.push(c);
             }
         }
-        (xs, ys)
+        (BatchBuffer::from_data(xs, 5).unwrap(), ys)
     }
 
-    fn trained(encoder: EncoderKind) -> (crate::CyberHdModel, Vec<Vec<f32>>) {
+    fn trained(encoder: EncoderKind) -> (crate::CyberHdModel, BatchBuffer) {
         let (xs, ys) = toy_problem(31);
         let config = CyberHdConfig::builder(5, 3)
             .dimension(160)
@@ -274,7 +247,7 @@ mod tests {
             .seed(5)
             .build()
             .unwrap();
-        let model = CyberHdTrainer::new(config).unwrap().fit(&xs, &ys).unwrap();
+        let model = CyberHdTrainer::new(config).unwrap().fit_view(xs.view(), &ys).unwrap();
         (model, xs)
     }
 
@@ -282,9 +255,8 @@ mod tests {
     fn fused_dense_predictions_match_the_serial_path() {
         for kind in [EncoderKind::Rbf, EncoderKind::IdLevel, EncoderKind::Record] {
             let (model, xs) = trained(kind);
-            let buffer = BatchBuffer::from_rows(&xs, 5).unwrap();
-            let batched = predict_dense(model.encoder(), model.memory(), buffer.view()).unwrap();
-            for (i, x) in xs.iter().enumerate() {
+            let batched = predict_dense(model.encoder(), model.memory(), xs.view()).unwrap();
+            for (i, x) in xs.view().iter_rows().enumerate() {
                 assert_eq!(batched[i].0, model.predict(x).unwrap(), "{kind:?} sample {i}");
                 // The winner similarity is the serial score of the winner.
                 let (_, scores) = model.predict_with_scores(x).unwrap();
@@ -296,13 +268,11 @@ mod tests {
     #[test]
     fn fused_quantized_predictions_match_the_serial_path() {
         let (model, xs) = trained(EncoderKind::Rbf);
-        let buffer = BatchBuffer::from_rows(&xs, 5).unwrap();
         for width in BitWidth::ALL {
             let deployed = model.quantize(width);
             let batched =
-                predict_quantized(model.encoder(), deployed.classes(), width, buffer.view())
-                    .unwrap();
-            for (i, x) in xs.iter().enumerate() {
+                predict_quantized(model.encoder(), deployed.classes(), width, xs.view()).unwrap();
+            for (i, x) in xs.view().iter_rows().enumerate() {
                 assert_eq!(batched[i].0, deployed.predict(x).unwrap(), "{width:?} sample {i}");
             }
         }
@@ -315,14 +285,13 @@ mod tests {
         // levels (every score 0.0 → class 0).  The packed kernel must not
         // sign-pack zeros into +1 bits instead.
         let (model, mut xs) = trained(EncoderKind::Record);
-        xs.push(vec![0.0; 5]);
+        xs.push_row();
         let deployed = model.quantize(BitWidth::B1);
-        let buffer = BatchBuffer::from_rows(&xs, 5).unwrap();
         let batched =
-            predict_quantized(model.encoder(), deployed.classes(), BitWidth::B1, buffer.view())
+            predict_quantized(model.encoder(), deployed.classes(), BitWidth::B1, xs.view())
                 .unwrap();
-        let zero_row = xs.len() - 1;
-        assert_eq!(batched[zero_row].0, deployed.predict(&xs[zero_row]).unwrap());
+        let zero_row = xs.rows() - 1;
+        assert_eq!(batched[zero_row].0, deployed.predict(xs.view().row(zero_row)).unwrap());
         assert_eq!(batched[zero_row].0, 0, "all-zero query falls back to class 0");
         assert_eq!(batched[zero_row].1, 0.0, "all-zero query scores zero");
     }
@@ -342,14 +311,5 @@ mod tests {
         let (model, _) = trained(EncoderKind::Rbf);
         let empty = BatchView::new(&[], 5).unwrap();
         assert!(predict_dense(model.encoder(), model.memory(), empty).unwrap().is_empty());
-    }
-
-    #[test]
-    fn legacy_row_flattening_preserves_sample_indexed_errors() {
-        let rows = vec![vec![0.0f32; 5], vec![0.0f32; 3]];
-        let err = flatten_rows(&rows, 5).unwrap_err();
-        assert!(err.to_string().contains("sample 1"), "{err}");
-        let flat = flatten_rows(&rows[..1], 5).unwrap();
-        assert_eq!(flat.len(), 5);
     }
 }

@@ -19,26 +19,29 @@
 //! 5. optionally quantize the final model to 1–32-bit elements for
 //!    deployment ([`quantized`]).
 //!
-//! The crate also ships the paper's HDC baseline (static encoder, no
-//! regeneration — [`baseline::BaselineHd`]) and a single-pass online learner
+//! The paper's HDC baseline ("baselineHD": static encoder, adaptive
+//! retraining only) is the same trainer with `regeneration_rate` set to
+//! zero.  The crate also ships a single-pass online learner
 //! ([`online::OnlineLearner`]) for streaming edge deployments.
 //!
 //! # Quick start
 //!
 //! ```
 //! use cyberhd::{CyberHdConfig, CyberHdTrainer};
+//! use hdc::BatchView;
 //!
 //! # fn main() -> Result<(), cyberhd::CyberHdError> {
 //! // A toy two-class problem: class 0 near the origin, class 1 offset.
+//! // Features are one row-major matrix, 3 values per sample.
 //! let mut features = Vec::new();
 //! let mut labels = Vec::new();
 //! for i in 0..60 {
 //!     let t = (i % 30) as f32 / 30.0;
 //!     if i < 30 {
-//!         features.push(vec![t * 0.1, 0.1 - t * 0.1, 0.0]);
+//!         features.extend_from_slice(&[t * 0.1, 0.1 - t * 0.1, 0.0]);
 //!         labels.push(0);
 //!     } else {
-//!         features.push(vec![1.0 + t * 0.1, 1.0, 0.9]);
+//!         features.extend_from_slice(&[1.0 + t * 0.1, 1.0, 0.9]);
 //!         labels.push(1);
 //!     }
 //! }
@@ -49,7 +52,7 @@
 //!     .regeneration_rate(0.1)
 //!     .seed(7)
 //!     .build()?;
-//! let model = CyberHdTrainer::new(config)?.fit(&features, &labels)?;
+//! let model = CyberHdTrainer::new(config)?.fit_view(BatchView::new(&features, 3)?, &labels)?;
 //! assert_eq!(model.predict(&[0.05, 0.05, 0.0])?, 0);
 //! assert_eq!(model.predict(&[1.05, 1.0, 0.9])?, 1);
 //! # Ok(())
@@ -59,7 +62,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod config;
 pub mod detector;
 pub mod durable;
@@ -72,7 +74,6 @@ pub mod regeneration;
 pub mod serve;
 pub mod trainer;
 
-pub use baseline::{BaselineHd, BaselineHdModel};
 pub use config::{CyberHdConfig, CyberHdConfigBuilder, EncoderKind, TrainingBatch};
 pub use detector::{Detector, DetectorBuilder, DetectorInfo, OnlineDetector, Verdict};
 pub use durable::{DurableConfig, DurableLane, RecoveryReport};
@@ -176,47 +177,9 @@ impl From<hdc::codec::CodecError> for CyberHdError {
 /// Crate-local result alias.
 pub type Result<T, E = CyberHdError> = std::result::Result<T, E>;
 
-/// Validates that `features` and `labels` describe a consistent training set
-/// for `input_features`-dimensional inputs and `num_classes` classes.
-///
-/// Shared by the CyberHD trainer, the baseline and the online learner.
-///
-/// # Errors
-///
-/// Returns [`CyberHdError::InvalidData`] describing the first inconsistency
-/// found.
-pub(crate) fn validate_dataset(
-    features: &[Vec<f32>],
-    labels: &[usize],
-    input_features: usize,
-    num_classes: usize,
-) -> Result<()> {
-    if features.is_empty() {
-        return Err(CyberHdError::InvalidData("training set is empty".into()));
-    }
-    if features.len() != labels.len() {
-        return Err(CyberHdError::InvalidData(format!(
-            "{} feature vectors but {} labels",
-            features.len(),
-            labels.len()
-        )));
-    }
-    if let Some((i, bad)) = features.iter().enumerate().find(|(_, f)| f.len() != input_features) {
-        return Err(CyberHdError::InvalidData(format!(
-            "sample {i} has {} features, expected {input_features}",
-            bad.len()
-        )));
-    }
-    if let Some((i, &bad)) = labels.iter().enumerate().find(|&(_, &l)| l >= num_classes) {
-        return Err(CyberHdError::InvalidData(format!(
-            "sample {i} has label {bad}, but the model was configured for {num_classes} classes"
-        )));
-    }
-    Ok(())
-}
-
-/// [`validate_dataset`] for the zero-copy batch-view form: the view cannot
-/// be ragged, so the arity check reduces to one width comparison.
+/// Validates that `features` and `labels` describe a consistent training
+/// set for `input_features`-wide rows and `num_classes` classes.  A view
+/// cannot be ragged, so the arity check is one width comparison.
 ///
 /// # Errors
 ///
@@ -270,13 +233,15 @@ mod tests {
 
     #[test]
     fn dataset_validation_catches_inconsistencies() {
-        let ok_features = vec![vec![0.0, 1.0], vec![1.0, 0.0]];
+        let data = [0.0, 1.0, 1.0, 0.0];
+        let ok_features = hdc::BatchView::new(&data, 2).unwrap();
         let ok_labels = vec![0, 1];
-        assert!(validate_dataset(&ok_features, &ok_labels, 2, 2).is_ok());
+        assert!(validate_dataset_view(ok_features, &ok_labels, 2, 2).is_ok());
 
-        assert!(validate_dataset(&[], &[], 2, 2).is_err());
-        assert!(validate_dataset(&ok_features, &[0], 2, 2).is_err());
-        assert!(validate_dataset(&ok_features, &ok_labels, 3, 2).is_err());
-        assert!(validate_dataset(&ok_features, &[0, 5], 2, 2).is_err());
+        let empty = hdc::BatchView::new(&[], 2).unwrap();
+        assert!(validate_dataset_view(empty, &[], 2, 2).is_err());
+        assert!(validate_dataset_view(ok_features, &[0], 2, 2).is_err());
+        assert!(validate_dataset_view(ok_features, &ok_labels, 3, 2).is_err());
+        assert!(validate_dataset_view(ok_features, &[0, 5], 2, 2).is_err());
     }
 }

@@ -371,10 +371,8 @@ impl CyberHdModel {
     /// zero-allocation encoding, class norms computed once per batch, and
     /// chunk fan-out across threads behind the `parallel` feature.
     ///
-    /// This is the primary batch entry point; callers holding contiguous
-    /// data (a preprocessed matrix, a capture buffer) pay **zero copies**.
-    /// The legacy [`CyberHdModel::predict_batch`] wrapper flattens
-    /// `&[Vec<f32>]` rows into this path.
+    /// Callers holding contiguous data (a preprocessed matrix, a capture
+    /// buffer) pay **zero copies**.
     ///
     /// Predictions match mapping [`CyberHdModel::predict`] over the batch
     /// exactly, for every encoder.
@@ -401,22 +399,6 @@ impl CyberHdModel {
         crate::inference::predict_dense(&self.encoder, &self.memory, batch)
     }
 
-    /// Predicts the classes of a batch of feature vectors.
-    ///
-    /// Legacy row-per-`Vec` form: rows are validated and flattened once,
-    /// then scored through the zero-copy
-    /// [`CyberHdModel::predict_batch_view`] engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CyberHdError::InvalidData`] if any sample has the wrong
-    /// feature arity.
-    pub fn predict_batch(&self, batch: &[Vec<f32>]) -> Result<Vec<usize>> {
-        let features = self.encoder.input_features();
-        let data = crate::inference::flatten_rows(batch, features)?;
-        self.predict_batch_view(BatchView::new(&data, features).expect("flattened rows"))
-    }
-
     /// Evaluates the model on a labelled batch view, returning the
     /// confusion matrix.
     ///
@@ -437,26 +419,6 @@ impl CyberHdModel {
             .map_err(CyberHdError::from)
     }
 
-    /// Evaluates the model on labelled data, returning the confusion matrix
-    /// (legacy row-per-`Vec` form of [`CyberHdModel::evaluate_view`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CyberHdError::InvalidData`] for mismatched input lengths and
-    /// propagates prediction errors.
-    pub fn evaluate(&self, features: &[Vec<f32>], labels: &[usize]) -> Result<ConfusionMatrix> {
-        if features.len() != labels.len() {
-            return Err(CyberHdError::InvalidData(format!(
-                "{} feature vectors but {} labels",
-                features.len(),
-                labels.len()
-            )));
-        }
-        let predictions = self.predict_batch(features)?;
-        ConfusionMatrix::from_predictions(&predictions, labels, self.num_classes())
-            .map_err(CyberHdError::from)
-    }
-
     /// Accuracy on a labelled batch view.
     ///
     /// # Errors
@@ -464,16 +426,6 @@ impl CyberHdModel {
     /// Same as [`CyberHdModel::evaluate_view`].
     pub fn accuracy_view(&self, batch: BatchView<'_>, labels: &[usize]) -> Result<f64> {
         Ok(self.evaluate_view(batch, labels)?.accuracy())
-    }
-
-    /// Accuracy on labelled data (convenience wrapper around
-    /// [`CyberHdModel::evaluate`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CyberHdModel::evaluate`].
-    pub fn accuracy(&self, features: &[Vec<f32>], labels: &[usize]) -> Result<f64> {
-        Ok(self.evaluate(features, labels)?.accuracy())
     }
 
     /// Exports a quantized copy of the model at the given element bitwidth.

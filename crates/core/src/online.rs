@@ -45,7 +45,7 @@ pub struct OnlineLearner {
     stats: RegenerationStats,
     seen: usize,
     correct_before_update: usize,
-    /// Frozen-snapshot scratch reused by [`OnlineLearner::observe_batch`]
+    /// Frozen-snapshot scratch reused by [`OnlineLearner::observe_batch_view`]
     /// (allocated once; the drain re-zeroes only the touched rows).
     batch_scratch: ChunkScratch,
 }
@@ -189,24 +189,6 @@ impl OnlineLearner {
     /// trade-off is that samples within the batch do not see each other's
     /// updates (the encodings themselves are bit-identical to the serial
     /// encode).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CyberHdError::InvalidData`] for mismatched lengths or an
-    /// out-of-range label, and propagates the encoder's
-    /// [`CyberHdError::Hdc`] error for rows with the wrong feature arity —
-    /// in every error case the model and its counters are left untouched.
-    pub fn observe_batch(&mut self, features: &[Vec<f32>], labels: &[usize]) -> Result<Vec<usize>> {
-        // Arity problems surface as the encoder's error (the documented
-        // contract of this legacy entry point): `from_rows` reports the
-        // ragged row as the same `FeatureMismatch` the encoder would.
-        let buffer = hdc::BatchBuffer::from_rows(features, self.encoder.input_features())
-            .map_err(CyberHdError::Hdc)?;
-        self.observe_batch_view(buffer.view(), labels)
-    }
-
-    /// [`OnlineLearner::observe_batch`] over a zero-copy row-major batch
-    /// view — the primary streaming-burst entry point.
     ///
     /// # Errors
     ///
@@ -442,9 +424,10 @@ mod tests {
         let mut batched = OnlineLearner::new(config(256, 0.0)).unwrap();
         let flows = stream(300, 1);
         for window in flows.chunks(25) {
-            let (xs, ys): (Vec<Vec<f32>>, Vec<usize>) = window.iter().cloned().unzip();
-            let predictions = batched.observe_batch(&xs, &ys).unwrap();
-            assert_eq!(predictions.len(), xs.len());
+            let xs: Vec<f32> = window.iter().flat_map(|(x, _)| x.iter().copied()).collect();
+            let ys: Vec<usize> = window.iter().map(|&(_, y)| y).collect();
+            let predictions = batched.observe_batch_view(BatchView::new(&xs, 3).unwrap(), &ys);
+            assert_eq!(predictions.unwrap().len(), window.len());
         }
         assert_eq!(batched.samples_seen(), 300);
         // Mini-batch updates converge like the per-sample stream does.
@@ -457,13 +440,13 @@ mod tests {
     #[test]
     fn observe_batch_validates_inputs() {
         let mut learner = OnlineLearner::new(config(64, 0.0)).unwrap();
-        let xs = vec![vec![0.0f32; 3]];
+        let xs = BatchView::new(&[0.0f32; 3], 3).unwrap();
         // Length/label problems are InvalidData; arity problems surface as
         // the encoder's error (the documented contract).
-        assert!(matches!(learner.observe_batch(&xs, &[]), Err(CyberHdError::InvalidData(_))));
-        assert!(matches!(learner.observe_batch(&xs, &[2]), Err(CyberHdError::InvalidData(_))));
-        let ragged = vec![vec![0.0f32; 2]];
-        assert!(matches!(learner.observe_batch(&ragged, &[0]), Err(CyberHdError::Hdc(_))));
+        assert!(matches!(learner.observe_batch_view(xs, &[]), Err(CyberHdError::InvalidData(_))));
+        assert!(matches!(learner.observe_batch_view(xs, &[2]), Err(CyberHdError::InvalidData(_))));
+        let narrow = BatchView::new(&[0.0f32; 2], 2).unwrap();
+        assert!(matches!(learner.observe_batch_view(narrow, &[0]), Err(CyberHdError::Hdc(_))));
         assert_eq!(learner.samples_seen(), 0, "failed batches must not count");
     }
 

@@ -63,8 +63,8 @@ pub struct OpenSetDetector {
 }
 
 impl OpenSetDetector {
-    /// Calibrates per-class thresholds from labelled (training or
-    /// validation) data.
+    /// Calibrates per-class thresholds from a labelled (training or
+    /// validation) batch view.
     ///
     /// For each class the detector collects the cosine similarity of every
     /// sample of that class to its own class hypervector and sets the
@@ -80,33 +80,6 @@ impl OpenSetDetector {
     /// manual calibration refuses instead.  (The serving lane's reservoir
     /// recalibration uses the global own-class quantile as its documented
     /// fallback; see `calibrate_thresholds_or_global_parts`.)
-    pub fn calibrate(
-        model: CyberHdModel,
-        features: &[Vec<f32>],
-        labels: &[usize],
-        quantile: f64,
-    ) -> Result<Self> {
-        if features.len() != labels.len() {
-            return Err(CyberHdError::InvalidData(format!(
-                "{} feature vectors but {} labels",
-                features.len(),
-                labels.len()
-            )));
-        }
-        if features.is_empty() {
-            return Err(CyberHdError::InvalidData("calibration set is empty".into()));
-        }
-        let data = crate::inference::flatten_rows(features, model.encoder().input_features())?;
-        let view = BatchView::new(&data, model.encoder().input_features()).expect("flattened rows");
-        let thresholds = calibrate_thresholds(&model, view, labels, quantile)?;
-        Ok(Self { model, thresholds })
-    }
-
-    /// [`OpenSetDetector::calibrate`] over a zero-copy batch view.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`OpenSetDetector::calibrate`].
     pub fn calibrate_view(
         model: CyberHdModel,
         features: BatchView<'_>,
@@ -135,31 +108,35 @@ impl OpenSetDetector {
     /// Returns an error if `features` has the wrong arity.
     pub fn predict(&self, features: &[f32]) -> Result<OpenSetPrediction> {
         let (class, scores) = self.model.predict_with_scores(features)?;
-        let similarity = scores[class];
-        if similarity >= self.thresholds[class] {
-            Ok(OpenSetPrediction::Known { class, similarity })
-        } else {
-            Ok(OpenSetPrediction::Unknown { nearest_class: class, similarity })
-        }
+        Ok(self.classify(class, scores[class]))
     }
 
-    /// Fraction of `features` flagged as unknown.
+    /// Fraction of the rows of `features` flagged as unknown, scored on the
+    /// batched engine.
     ///
     /// # Errors
     ///
-    /// Returns the first prediction error encountered, or
-    /// [`CyberHdError::InvalidData`] for an empty batch.
-    pub fn unknown_rate(&self, features: &[Vec<f32>]) -> Result<f64> {
+    /// Returns [`CyberHdError::InvalidData`] for an empty batch or a row
+    /// width that does not match the model.
+    pub fn unknown_rate(&self, features: BatchView<'_>) -> Result<f64> {
         if features.is_empty() {
             return Err(CyberHdError::InvalidData("cannot score zero samples".into()));
         }
-        let mut unknown = 0usize;
-        for sample in features {
-            if self.predict(sample)?.is_unknown() {
-                unknown += 1;
-            }
+        let scored = self.model.predict_batch_view_scored(features)?;
+        let unknown = scored
+            .into_iter()
+            .filter(|&(class, similarity)| self.classify(class, similarity).is_unknown())
+            .count();
+        Ok(unknown as f64 / features.rows() as f64)
+    }
+
+    /// Thresholds the winning `(class, similarity)` pair.
+    fn classify(&self, class: usize, similarity: f32) -> OpenSetPrediction {
+        if similarity >= self.thresholds[class] {
+            OpenSetPrediction::Known { class, similarity }
+        } else {
+            OpenSetPrediction::Unknown { nearest_class: class, similarity }
         }
-        Ok(unknown as f64 / features.len() as f64)
     }
 }
 
@@ -315,16 +292,17 @@ mod tests {
     use crate::config::CyberHdConfig;
     use crate::trainer::CyberHdTrainer;
     use hdc::rng::HdcRng;
+    use hdc::BatchBuffer;
 
     /// Two trained classes near the origin plus a far-away "novel" cluster
     /// that the model never sees during training.
-    fn data() -> (Vec<Vec<f32>>, Vec<usize>, Vec<Vec<f32>>) {
+    fn data() -> (BatchBuffer, Vec<usize>, BatchBuffer) {
         let mut rng = HdcRng::seed_from(5);
         let mut xs = Vec::new();
         let mut ys = Vec::new();
         for c in 0..2usize {
             for _ in 0..80 {
-                xs.push(vec![
+                xs.extend([
                     (c as f64 + rng.normal(0.0, 0.08)) as f32,
                     (1.0 - c as f64 + rng.normal(0.0, 0.08)) as f32,
                     rng.normal(0.0, 0.08) as f32,
@@ -332,19 +310,20 @@ mod tests {
                 ys.push(c);
             }
         }
-        let novel: Vec<Vec<f32>> = (0..60)
-            .map(|_| {
-                vec![
+        let novel: Vec<f32> = (0..60)
+            .flat_map(|_| {
+                [
                     (6.0 + rng.normal(0.0, 0.1)) as f32,
                     (-5.0 + rng.normal(0.0, 0.1)) as f32,
                     (7.0 + rng.normal(0.0, 0.1)) as f32,
                 ]
             })
             .collect();
-        (xs, ys, novel)
+        let buffer = |data| BatchBuffer::from_data(data, 3).unwrap();
+        (buffer(xs), ys, buffer(novel))
     }
 
-    fn trained() -> (CyberHdModel, Vec<Vec<f32>>, Vec<usize>, Vec<Vec<f32>>) {
+    fn trained() -> (CyberHdModel, BatchBuffer, Vec<usize>, BatchBuffer) {
         let (xs, ys, novel) = data();
         let config = CyberHdConfig::builder(3, 2)
             .dimension(512)
@@ -354,40 +333,42 @@ mod tests {
             .seed(9)
             .build()
             .unwrap();
-        let model = CyberHdTrainer::new(config).unwrap().fit(&xs, &ys).unwrap();
+        let model = CyberHdTrainer::new(config).unwrap().fit_view(xs.view(), &ys).unwrap();
         (model, xs, ys, novel)
     }
 
     #[test]
     fn calibration_validates_inputs() {
         let (model, xs, ys, _) = trained();
-        assert!(OpenSetDetector::calibrate(model.clone(), &xs, &ys[..1], 0.05).is_err());
-        assert!(OpenSetDetector::calibrate(model.clone(), &[], &[], 0.05).is_err());
-        assert!(OpenSetDetector::calibrate(model.clone(), &xs, &ys, 1.5).is_err());
-        let bad_labels = vec![9; xs.len()];
-        assert!(OpenSetDetector::calibrate(model, &xs, &bad_labels, 0.05).is_err());
+        let xs = xs.view();
+        assert!(OpenSetDetector::calibrate_view(model.clone(), xs, &ys[..1], 0.05).is_err());
+        let empty = BatchView::new(&[], 3).unwrap();
+        assert!(OpenSetDetector::calibrate_view(model.clone(), empty, &[], 0.05).is_err());
+        assert!(OpenSetDetector::calibrate_view(model.clone(), xs, &ys, 1.5).is_err());
+        let bad_labels = vec![9; xs.rows()];
+        assert!(OpenSetDetector::calibrate_view(model, xs, &bad_labels, 0.05).is_err());
     }
 
     #[test]
     fn known_traffic_is_accepted_and_novel_traffic_is_rejected() {
         let (model, xs, ys, novel) = trained();
-        let detector = OpenSetDetector::calibrate(model, &xs, &ys, 0.05).unwrap();
+        let detector = OpenSetDetector::calibrate_view(model, xs.view(), &ys, 0.05).unwrap();
         assert_eq!(detector.thresholds().len(), 2);
 
         // In-distribution flows: mostly accepted and correctly classified.
-        let known_unknown_rate = detector.unknown_rate(&xs).unwrap();
+        let known_unknown_rate = detector.unknown_rate(xs.view()).unwrap();
         assert!(known_unknown_rate < 0.15, "in-distribution rejection rate {known_unknown_rate}");
-        let prediction = detector.predict(&xs[0]).unwrap();
+        let prediction = detector.predict(xs.view().row(0)).unwrap();
         assert_eq!(prediction.class(), Some(ys[0]));
         assert!(!prediction.is_unknown());
 
         // The far-away novel cluster: mostly rejected.
-        let novel_unknown_rate = detector.unknown_rate(&novel).unwrap();
+        let novel_unknown_rate = detector.unknown_rate(novel.view()).unwrap();
         assert!(
             novel_unknown_rate > 0.7,
             "novel-traffic rejection rate {novel_unknown_rate} should be high"
         );
-        let novel_prediction = detector.predict(&novel[0]).unwrap();
+        let novel_prediction = detector.predict(novel.view().row(0)).unwrap();
         if let OpenSetPrediction::Unknown { nearest_class, similarity } = novel_prediction {
             assert!(nearest_class < 2);
             assert!(similarity < detector.thresholds()[nearest_class]);
@@ -397,10 +378,10 @@ mod tests {
     #[test]
     fn zero_quantile_accepts_everything_seen_during_calibration() {
         let (model, xs, ys, _) = trained();
-        let detector = OpenSetDetector::calibrate(model, &xs, &ys, 0.0).unwrap();
+        let detector = OpenSetDetector::calibrate_view(model, xs.view(), &ys, 0.0).unwrap();
         // With thresholds at the minimum observed similarity, (almost) no
         // calibration flow can be rejected.
-        assert!(detector.unknown_rate(&xs).unwrap() <= 0.02);
+        assert!(detector.unknown_rate(xs.view()).unwrap() <= 0.02);
     }
 
     #[test]
@@ -410,8 +391,8 @@ mod tests {
         // samples: the old behavior silently set its threshold to 0.0
         // (never reject); manual calibration now refuses with a typed
         // error naming the class.
-        let lopsided = vec![0usize; xs.len()];
-        match OpenSetDetector::calibrate(model, &xs, &lopsided, 0.05) {
+        let lopsided = vec![0usize; xs.rows()];
+        match OpenSetDetector::calibrate_view(model, xs.view(), &lopsided, 0.05) {
             Err(CyberHdError::UncalibratedClass(class)) => assert_eq!(class, 1),
             other => panic!("expected UncalibratedClass(1), got {other:?}"),
         }
@@ -420,13 +401,11 @@ mod tests {
     #[test]
     fn reservoir_fallback_borrows_the_global_own_class_quantile() {
         let (model, xs, _, _) = trained();
-        let lopsided = vec![0usize; xs.len()];
-        let data = crate::inference::flatten_rows(&xs, model.encoder().input_features()).unwrap();
-        let view = BatchView::new(&data, model.encoder().input_features()).unwrap();
+        let lopsided = vec![0usize; xs.rows()];
         let thresholds = calibrate_thresholds_or_global_parts(
             model.encoder(),
             model.memory(),
-            view,
+            xs.view(),
             &lopsided,
             0.05,
         )
@@ -444,8 +423,7 @@ mod tests {
     #[test]
     fn fallback_matches_strict_calibration_when_every_class_has_samples() {
         let (model, xs, ys, _) = trained();
-        let data = crate::inference::flatten_rows(&xs, model.encoder().input_features()).unwrap();
-        let view = BatchView::new(&data, model.encoder().input_features()).unwrap();
+        let view = xs.view();
         let strict = calibrate_thresholds(&model, view, &ys, 0.05).unwrap();
         let fallback =
             calibrate_thresholds_or_global_parts(model.encoder(), model.memory(), view, &ys, 0.05)
@@ -458,8 +436,8 @@ mod tests {
     #[test]
     fn unknown_rate_requires_samples() {
         let (model, xs, ys, _) = trained();
-        let detector = OpenSetDetector::calibrate(model, &xs, &ys, 0.05).unwrap();
-        assert!(detector.unknown_rate(&[]).is_err());
+        let detector = OpenSetDetector::calibrate_view(model, xs.view(), &ys, 0.05).unwrap();
+        assert!(detector.unknown_rate(BatchView::new(&[], 3).unwrap()).is_err());
         assert!(detector.predict(&[0.0]).is_err());
     }
 }

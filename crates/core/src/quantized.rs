@@ -20,13 +20,13 @@ use serde::{Deserialize, Serialize};
 ///
 /// ```
 /// use cyberhd::{CyberHdConfig, CyberHdTrainer};
-/// use hdc::BitWidth;
+/// use hdc::{BatchView, BitWidth};
 ///
 /// # fn main() -> Result<(), cyberhd::CyberHdError> {
-/// let features = vec![vec![0.0, 0.0], vec![1.0, 1.0], vec![0.1, 0.0], vec![0.9, 1.0]];
+/// let features = [0.0, 0.0, 1.0, 1.0, 0.1, 0.0, 0.9, 1.0];
 /// let labels = vec![0, 1, 0, 1];
 /// let config = CyberHdConfig::builder(2, 2).dimension(256).seed(5).build()?;
-/// let model = CyberHdTrainer::new(config)?.fit(&features, &labels)?;
+/// let model = CyberHdTrainer::new(config)?.fit_view(BatchView::new(&features, 2)?, &labels)?;
 ///
 /// let deployed = model.quantize(BitWidth::B1);
 /// assert_eq!(deployed.predict(&[0.05, 0.02])?, 0);
@@ -188,21 +188,6 @@ impl QuantizedModel {
         crate::inference::predict_quantized(&self.encoder, &self.classes, self.width, batch)
     }
 
-    /// Predicts the classes of a batch of feature vectors (legacy
-    /// row-per-`Vec` form: rows are validated and flattened once, then
-    /// scored through the zero-copy [`QuantizedModel::predict_batch_view`]
-    /// engine).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CyberHdError::InvalidData`] if any sample has the wrong
-    /// feature arity.
-    pub fn predict_batch(&self, batch: &[Vec<f32>]) -> Result<Vec<usize>> {
-        let features = self.encoder.input_features();
-        let data = crate::inference::flatten_rows(batch, features)?;
-        self.predict_batch_view(BatchView::new(&data, features).expect("flattened rows"))
-    }
-
     /// Evaluates the quantized model on a labelled batch view.
     ///
     /// # Errors
@@ -222,32 +207,13 @@ impl QuantizedModel {
             .map_err(CyberHdError::from)
     }
 
-    /// Evaluates the quantized model on labelled data.
+    /// Accuracy on a labelled batch view.
     ///
     /// # Errors
     ///
-    /// Returns [`CyberHdError::InvalidData`] for mismatched input lengths and
-    /// propagates prediction errors.
-    pub fn evaluate(&self, features: &[Vec<f32>], labels: &[usize]) -> Result<ConfusionMatrix> {
-        if features.len() != labels.len() {
-            return Err(CyberHdError::InvalidData(format!(
-                "{} feature vectors but {} labels",
-                features.len(),
-                labels.len()
-            )));
-        }
-        let predictions = self.predict_batch(features)?;
-        ConfusionMatrix::from_predictions(&predictions, labels, self.num_classes())
-            .map_err(CyberHdError::from)
-    }
-
-    /// Accuracy on labelled data.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`QuantizedModel::evaluate`].
-    pub fn accuracy(&self, features: &[Vec<f32>], labels: &[usize]) -> Result<f64> {
-        Ok(self.evaluate(features, labels)?.accuracy())
+    /// Same as [`QuantizedModel::evaluate_view`].
+    pub fn accuracy_view(&self, batch: BatchView<'_>, labels: &[usize]) -> Result<f64> {
+        Ok(self.evaluate_view(batch, labels)?.accuracy())
     }
 }
 
@@ -257,14 +223,15 @@ mod tests {
     use crate::config::CyberHdConfig;
     use crate::trainer::CyberHdTrainer;
     use hdc::rng::HdcRng;
+    use hdc::BatchBuffer;
 
-    fn trained_model() -> (CyberHdModel, Vec<Vec<f32>>, Vec<usize>) {
+    fn trained_model() -> (CyberHdModel, BatchBuffer, Vec<usize>) {
         let mut rng = HdcRng::seed_from(4);
         let mut xs = Vec::new();
         let mut ys = Vec::new();
         for c in 0..3usize {
             for _ in 0..40 {
-                xs.push(vec![
+                xs.extend([
                     (c as f64 + rng.normal(0.0, 0.08)) as f32,
                     (2.0 - c as f64 + rng.normal(0.0, 0.08)) as f32,
                     (c as f64 * 0.5 + rng.normal(0.0, 0.08)) as f32,
@@ -280,18 +247,19 @@ mod tests {
             .seed(21)
             .build()
             .unwrap();
-        let model = CyberHdTrainer::new(config).unwrap().fit(&xs, &ys).unwrap();
+        let xs = BatchBuffer::from_data(xs, 4).unwrap();
+        let model = CyberHdTrainer::new(config).unwrap().fit_view(xs.view(), &ys).unwrap();
         (model, xs, ys)
     }
 
     #[test]
     fn quantized_models_retain_most_accuracy() {
         let (model, xs, ys) = trained_model();
-        let full = model.accuracy(&xs, &ys).unwrap();
+        let full = model.accuracy_view(xs.view(), &ys).unwrap();
         assert!(full > 0.9);
         for width in BitWidth::ALL {
             let q = model.quantize(width);
-            let acc = q.accuracy(&xs, &ys).unwrap();
+            let acc = q.accuracy_view(xs.view(), &ys).unwrap();
             assert!(
                 acc > full - 0.15,
                 "width {width:?}: quantized accuracy {acc} dropped too far below {full}"
@@ -323,21 +291,21 @@ mod tests {
         let (model, xs, ys) = trained_model();
         let q = model.quantize(BitWidth::B8);
         assert!(q.predict(&[0.0]).is_err());
-        assert!(q.evaluate(&xs, &ys[..10]).is_err());
+        assert!(q.evaluate_view(xs.view(), &ys[..10]).is_err());
     }
 
     #[test]
     fn classes_mut_allows_in_place_perturbation() {
         let (model, xs, ys) = trained_model();
         let mut q = model.quantize(BitWidth::B8);
-        let clean = q.accuracy(&xs, &ys).unwrap();
+        let clean = q.accuracy_view(xs.view(), &ys).unwrap();
         // Corrupt every element of every class hypervector heavily.
         for class in q.classes_mut() {
             for i in 0..class.dim() {
                 class.flip_bit(i, 7).unwrap();
             }
         }
-        let corrupted = q.accuracy(&xs, &ys).unwrap();
+        let corrupted = q.accuracy_view(xs.view(), &ys).unwrap();
         assert!(
             corrupted <= clean,
             "massive corruption should not improve accuracy ({clean} -> {corrupted})"

@@ -20,8 +20,7 @@
 //!    and training continues.
 //!
 //! Setting `regeneration_rate` to zero turns the same loop into the paper's
-//! *baselineHD* (static encoder, adaptive retraining only) — which is exactly
-//! how [`crate::BaselineHd`] is implemented.
+//! *baselineHD* (static encoder, adaptive retraining only).
 //!
 //! # Serial rule vs. mini-batch engine
 //!
@@ -41,7 +40,7 @@
 use crate::config::{CyberHdConfig, TrainingBatch};
 use crate::model::{AnyEncoder, CyberHdModel, TrainingReport};
 use crate::regeneration::{RegenerationPlan, RegenerationStats};
-use crate::{validate_dataset, validate_dataset_view, CyberHdError, Result};
+use crate::{validate_dataset_view, CyberHdError, Result};
 use hdc::encoder::Encoder;
 use hdc::rng::HdcRng;
 use hdc::similarity;
@@ -169,24 +168,9 @@ impl CyberHdTrainer {
         &self.config
     }
 
-    /// Trains a model on `features` / `labels` (legacy row-per-`Vec` form:
-    /// rows are validated and flattened once, then trained through the
-    /// zero-copy [`CyberHdTrainer::fit_view`] engine).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CyberHdError::InvalidData`] if the dataset is empty or
-    /// inconsistent with the configuration, and propagates encoder errors.
-    pub fn fit(&self, features: &[Vec<f32>], labels: &[usize]) -> Result<CyberHdModel> {
-        let config = &self.config;
-        validate_dataset(features, labels, config.input_features, config.num_classes)?;
-        let data = crate::inference::flatten_rows(features, config.input_features)?;
-        self.fit_view(BatchView::new(&data, config.input_features).expect("flattened rows"), labels)
-    }
-
-    /// Trains a model on a zero-copy row-major batch view — the primary
-    /// training entry point; callers holding contiguous data (a
-    /// preprocessed matrix) pay no copies.
+    /// Trains a model on a row-major batch view of preprocessed features
+    /// (one row per sample) and their labels.  Callers holding contiguous
+    /// data (a preprocessed matrix) pay no copies.
     ///
     /// # Errors
     ///
@@ -684,6 +668,7 @@ mod tests {
     use super::*;
     use crate::config::EncoderKind;
     use hdc::rng::HdcRng;
+    use hdc::BatchBuffer;
 
     /// Builds a small synthetic multi-class problem of Gaussian blobs.
     fn blobs(
@@ -692,7 +677,7 @@ mod tests {
         features: usize,
         spread: f64,
         seed: u64,
-    ) -> (Vec<Vec<f32>>, Vec<usize>) {
+    ) -> (BatchBuffer, Vec<usize>) {
         let mut rng = HdcRng::seed_from(seed);
         let centers: Vec<Vec<f64>> =
             (0..classes).map(|_| (0..features).map(|_| rng.uniform(-1.0, 1.0)).collect()).collect();
@@ -700,11 +685,11 @@ mod tests {
         let mut ys = Vec::new();
         for (c, center) in centers.iter().enumerate() {
             for _ in 0..per_class {
-                xs.push(center.iter().map(|&m| (m + rng.normal(0.0, spread)) as f32).collect());
+                xs.extend(center.iter().map(|&m| (m + rng.normal(0.0, spread)) as f32));
                 ys.push(c);
             }
         }
-        (xs, ys)
+        (BatchBuffer::from_data(xs, features).unwrap(), ys)
     }
 
     fn base_config(features: usize, classes: usize) -> CyberHdConfig {
@@ -721,20 +706,21 @@ mod tests {
     #[test]
     fn fit_rejects_inconsistent_data() {
         let trainer = CyberHdTrainer::new(base_config(4, 3)).unwrap();
-        assert!(matches!(trainer.fit(&[], &[]), Err(CyberHdError::InvalidData(_))));
-        let xs = vec![vec![0.0; 4]];
-        assert!(trainer.fit(&xs, &[5]).is_err());
-        assert!(trainer.fit(&xs, &[0, 1]).is_err());
-        let bad = vec![vec![0.0; 3]];
-        assert!(trainer.fit(&bad, &[0]).is_err());
+        let empty = BatchView::new(&[], 4).unwrap();
+        assert!(matches!(trainer.fit_view(empty, &[]), Err(CyberHdError::InvalidData(_))));
+        let xs = BatchView::new(&[0.0; 4], 4).unwrap();
+        assert!(trainer.fit_view(xs, &[5]).is_err());
+        assert!(trainer.fit_view(xs, &[0, 1]).is_err());
+        let narrow = BatchView::new(&[0.0; 3], 3).unwrap();
+        assert!(trainer.fit_view(narrow, &[0]).is_err());
     }
 
     #[test]
     fn fit_learns_separable_blobs() {
         let (xs, ys) = blobs(4, 40, 8, 0.05, 11);
         let trainer = CyberHdTrainer::new(base_config(8, 4)).unwrap();
-        let model = trainer.fit(&xs, &ys).unwrap();
-        let accuracy = model.accuracy(&xs, &ys).unwrap();
+        let model = trainer.fit_view(xs.view(), &ys).unwrap();
+        let accuracy = model.accuracy_view(xs.view(), &ys).unwrap();
         assert!(accuracy > 0.9, "training accuracy {accuracy} too low");
         assert_eq!(model.dimension(), 256);
         assert!(model.effective_dimension() >= 256);
@@ -750,7 +736,7 @@ mod tests {
             .seed(9)
             .build()
             .unwrap();
-        let model = CyberHdTrainer::new(config).unwrap().fit(&xs, &ys).unwrap();
+        let model = CyberHdTrainer::new(config).unwrap().fit_view(xs.view(), &ys).unwrap();
         let report = model.report();
         assert!(report.regeneration.rounds >= 1);
         assert!(model.effective_dimension() > model.dimension());
@@ -771,7 +757,7 @@ mod tests {
             .seed(10)
             .build()
             .unwrap();
-        let model = CyberHdTrainer::new(config).unwrap().fit(&xs, &ys).unwrap();
+        let model = CyberHdTrainer::new(config).unwrap().fit_view(xs.view(), &ys).unwrap();
         assert_eq!(model.report().regeneration.rounds, 0);
         assert_eq!(model.effective_dimension(), model.dimension());
     }
@@ -780,8 +766,8 @@ mod tests {
     fn training_is_deterministic_for_a_fixed_seed() {
         let (xs, ys) = blobs(3, 25, 5, 0.1, 7);
         let config = base_config(5, 3);
-        let a = CyberHdTrainer::new(config.clone()).unwrap().fit(&xs, &ys).unwrap();
-        let b = CyberHdTrainer::new(config).unwrap().fit(&xs, &ys).unwrap();
+        let a = CyberHdTrainer::new(config.clone()).unwrap().fit_view(xs.view(), &ys).unwrap();
+        let b = CyberHdTrainer::new(config).unwrap().fit_view(xs.view(), &ys).unwrap();
         assert_eq!(a.class_hypervectors(), b.class_hypervectors());
         assert_eq!(a.report().epoch_accuracy, b.report().epoch_accuracy);
     }
@@ -791,12 +777,11 @@ mod tests {
         let (xs, _) = blobs(2, 40, 7, 0.2, 8);
         let config = base_config(7, 2);
         let encoder = AnyEncoder::from_config(&config).unwrap();
-        let buffer = hdc::BatchBuffer::from_rows(&xs, 7).unwrap();
-        let sequential = EncodedMatrix::encode(&encoder, buffer.view(), 1, false).unwrap();
-        let parallel = EncodedMatrix::encode(&encoder, buffer.view(), 4, false).unwrap();
+        let sequential = EncodedMatrix::encode(&encoder, xs.view(), 1, false).unwrap();
+        let parallel = EncodedMatrix::encode(&encoder, xs.view(), 4, false).unwrap();
         assert_eq!(sequential.data, parallel.data);
         // The matrix rows are the per-sample encodings, bit for bit.
-        for (i, x) in xs.iter().enumerate() {
+        for (i, x) in xs.view().iter_rows().enumerate() {
             let reference = encoder.encode(x).unwrap();
             assert_eq!(sequential.row(i), reference.as_slice(), "sample {i}");
         }
@@ -812,11 +797,12 @@ mod tests {
         // patched columns must be the values the batch kernel would write,
         // serial or fanned out over row chunks, and the mini-batch engine's
         // row-norm cache must follow.
-        let (mut xs, ys) = blobs(3, 30, 11, 0.3, 14);
-        for (i, x) in xs.iter_mut().enumerate() {
+        let (xs, ys) = blobs(3, 30, 11, 0.3, 14);
+        let mut data = xs.into_data();
+        for (i, x) in data.chunks_exact_mut(11).enumerate() {
             x[i % 11] = 0.0;
         }
-        let buffer = hdc::BatchBuffer::from_rows(&xs, 11).unwrap();
+        let buffer = BatchBuffer::from_data(data, 11).unwrap();
         for (threads, batch) in [(1, 1), (4, 32)] {
             let config = CyberHdConfig::builder(11, 3)
                 .dimension(2100)
@@ -845,7 +831,7 @@ mod tests {
             )
             .unwrap();
             let fresh = EncodedMatrix::encode(&encoder, buffer.view(), 1, cache_norms).unwrap();
-            for i in 0..xs.len() {
+            for i in 0..buffer.rows() {
                 let (patched, expected) = (encoded.row(i), fresh.row(i));
                 for (d, (a, b)) in patched.iter().zip(expected).enumerate() {
                     assert_eq!(a.to_bits(), b.to_bits(), "threads {threads} sample {i} dim {d}");
@@ -876,7 +862,8 @@ mod tests {
     #[test]
     fn retraining_accuracy_is_monotone_on_easy_data_by_the_end() {
         let (xs, ys) = blobs(4, 30, 8, 0.02, 12);
-        let model = CyberHdTrainer::new(base_config(8, 4)).unwrap().fit(&xs, &ys).unwrap();
+        let model =
+            CyberHdTrainer::new(base_config(8, 4)).unwrap().fit_view(xs.view(), &ys).unwrap();
         let accs = &model.report().epoch_accuracy;
         assert!(accs.len() >= 2);
         assert!(
@@ -891,8 +878,7 @@ mod tests {
         let (xs, ys) = blobs(3, 30, 6, 0.25, seed);
         let config = base_config(6, 3);
         let encoder = AnyEncoder::from_config(&config).unwrap();
-        let buffer = hdc::BatchBuffer::from_rows(&xs, 6).unwrap();
-        let encoded = EncodedMatrix::encode(&encoder, buffer.view(), 1, true).unwrap();
+        let encoded = EncodedMatrix::encode(&encoder, xs.view(), 1, true).unwrap();
         let memory = AssociativeMemory::new(3, 256).unwrap();
         let order = HdcRng::seed_from(seed ^ 0x0DDB).permutation(encoded.rows());
         (encoded, ys, memory, order)
@@ -952,8 +938,8 @@ mod tests {
             .seed(3)
             .build()
             .unwrap();
-        let model = CyberHdTrainer::new(config).unwrap().fit(&xs, &ys).unwrap();
-        let accuracy = model.accuracy(&xs, &ys).unwrap();
+        let model = CyberHdTrainer::new(config).unwrap().fit_view(xs.view(), &ys).unwrap();
+        let accuracy = model.accuracy_view(xs.view(), &ys).unwrap();
         assert!(accuracy > 0.9, "mini-batch training accuracy {accuracy} too low");
     }
 
@@ -970,7 +956,7 @@ mod tests {
                 .seed(9)
                 .build()
                 .unwrap();
-            CyberHdTrainer::new(config).unwrap().fit(&xs, &ys).unwrap()
+            CyberHdTrainer::new(config).unwrap().fit_view(xs.view(), &ys).unwrap()
         };
         let one = fit_with(1);
         for threads in [2, 8] {
@@ -988,8 +974,8 @@ mod tests {
     fn id_level_encoder_trains_without_regeneration() {
         let (xs, ys) = blobs(3, 30, 6, 0.05, 13);
         // Scale features into [0, 1] for the level encoder.
-        let xs: Vec<Vec<f32>> =
-            xs.into_iter().map(|v| v.into_iter().map(|x| (x + 2.0) / 4.0).collect()).collect();
+        let scaled = xs.into_data().into_iter().map(|x| (x + 2.0) / 4.0).collect();
+        let xs = BatchBuffer::from_data(scaled, 6).unwrap();
         let config = CyberHdConfig::builder(6, 3)
             .dimension(512)
             .encoder(EncoderKind::IdLevel)
@@ -998,7 +984,7 @@ mod tests {
             .seed(2)
             .build()
             .unwrap();
-        let model = CyberHdTrainer::new(config).unwrap().fit(&xs, &ys).unwrap();
-        assert!(model.accuracy(&xs, &ys).unwrap() > 0.8);
+        let model = CyberHdTrainer::new(config).unwrap().fit_view(xs.view(), &ys).unwrap();
+        assert!(model.accuracy_view(xs.view(), &ys).unwrap() > 0.8);
     }
 }

@@ -312,19 +312,20 @@ mod tests {
         use baselines::svm::SvmConfig;
         use baselines::Classifier;
 
-        let xs = vec![vec![0.0, 0.0], vec![1.0, 1.0], vec![0.1, 0.0], vec![0.9, 1.0]];
+        let data = [0.0, 0.0, 1.0, 1.0, 0.1, 0.0, 0.9, 1.0];
+        let xs = hdc::BatchView::new(&data, 2).unwrap();
         let ys = vec![0, 1, 0, 1];
 
         let mut mlp =
             Mlp::new(MlpConfig::new(2, 2).hidden_layers(vec![8]).epochs(10).seed(1)).unwrap();
-        mlp.fit(&xs, &ys).unwrap();
+        mlp.fit_view(xs, &ys).unwrap();
         let before = mlp.layers()[0].weights.clone();
         let mut injector = BitFlipInjector::new(0.3, 17).unwrap();
         assert!(injector.flip_mlp(&mut mlp) > 0);
         assert_ne!(mlp.layers()[0].weights, before);
 
         let mut svm = LinearSvm::new(SvmConfig::new(2, 2).epochs(5).seed(2)).unwrap();
-        svm.fit(&xs, &ys).unwrap();
+        svm.fit_view(xs, &ys).unwrap();
         let before = svm.weights().to_vec();
         assert!(injector.flip_svm(&mut svm) > 0);
         assert_ne!(svm.weights(), before.as_slice());

@@ -1,11 +1,8 @@
 //! Zero-copy batch views: the row-major batch currency of every engine.
 //!
-//! The first two engine generations moved batches around as `&[Vec<f32>]` —
-//! one heap allocation per row, pointer-chasing in every kernel, and a forced
-//! copy whenever a caller already held contiguous data (a preprocessed
-//! matrix, a memory-mapped capture, a slice of a larger batch).  A
-//! [`BatchView`] replaces that with a borrowed, contiguous, row-major
-//! `&[f32]` plus a row width:
+//! Every API that takes preprocessed features takes a [`BatchView`]: a
+//! borrowed, contiguous, row-major `&[f32]` plus a row width, instead of
+//! one heap allocation per row:
 //!
 //! * **zero-copy** — viewing an existing matrix, or any sub-range of its
 //!   rows, costs nothing;
@@ -14,8 +11,9 @@
 //! * **cheap to slice** — [`BatchView::rows_range`] hands chunked engines a
 //!   sub-view without touching the data.
 //!
-//! [`BatchBuffer`] is the owned companion used by the legacy `&[Vec<f32>]`
-//! entry points, which survive as thin flatten-then-view wrappers.
+//! [`BatchBuffer`] is the owned companion: a preprocessed matrix, a
+//! serving lane's accumulating batch, or rows gathered from `&[Vec<f32>]`
+//! raw records.
 
 use crate::{HdcError, Result};
 
@@ -117,8 +115,7 @@ impl<'a> BatchView<'a> {
     }
 }
 
-/// An owned row-major batch: the flattened form of a `&[Vec<f32>]` batch,
-/// viewable as a [`BatchView`].
+/// An owned row-major batch, viewable as a [`BatchView`].
 ///
 /// Beyond the one-shot flatten constructors, a buffer is **reusable**: the
 /// micro-batching serve engine keeps one per tenant and fills it row by row

@@ -42,13 +42,12 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RbfEncoder {
-    /// Row-major base matrix: `dim` rows of `features` Gaussian entries.
-    bases: Vec<f32>,
-    /// Feature-major transpose of `bases` (`features` rows of `dim`
-    /// entries), kept in sync on regeneration.  The batch kernel
-    /// accumulates projections *vertically* across output dimensions, which
-    /// turns the inner loop into a pure element-wise multiply-add the
-    /// auto-vectorizer handles far better than horizontal dot reductions.
+    /// The Gaussian base matrix, stored feature-major: `features` rows of
+    /// `dim` entries, so column `d` is the base vector of output dimension
+    /// `d`.  The batch kernel accumulates projections *vertically* across
+    /// output dimensions, which turns the inner loop into a pure
+    /// element-wise multiply-add the auto-vectorizer handles far better
+    /// than horizontal dot reductions.
     bases_t: LineAligned,
     /// Per-dimension phase offsets, uniform in `[0, 2π)`.
     phases: Vec<f32>,
@@ -96,15 +95,20 @@ impl RbfEncoder {
                 "sigma must be positive and finite, got {sigma}"
             )));
         }
+        // Draw base vector by base vector, each into its column of the
+        // feature-major matrix: the draw order is the persisted row-major
+        // order, which a seed pins.
         let mut rng = HdcRng::seed_from(seed);
-        let mut bases = vec![0.0f32; dim * features];
-        for b in bases.iter_mut() {
-            *b = rng.normal(0.0, sigma as f64) as f32;
+        let mut bases_t = LineAligned::zeroed(dim * features);
+        let out = bases_t.as_mut_slice();
+        for d in 0..dim {
+            for f in 0..features {
+                out[f * dim + d] = rng.normal(0.0, sigma as f64) as f32;
+            }
         }
         let mut phases = vec![0.0f32; dim];
         rng.fill_uniform(&mut phases, 0.0, std::f64::consts::TAU);
-        let bases_t = transpose(&bases, dim, features);
-        Ok(Self { bases, bases_t, phases, features, dim, sigma, seed, regenerated: 0 })
+        Ok(Self { bases_t, phases, features, dim, sigma, seed, regenerated: 0 })
     }
 
     /// Kernel bandwidth used for the Gaussian base entries.
@@ -118,18 +122,6 @@ impl RbfEncoder {
     /// `physical dim + regeneration_count()`.
     pub fn regeneration_count(&self) -> usize {
         self.regenerated
-    }
-
-    /// Borrows the base-vector row for output dimension `d`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::IndexOutOfRange`] if `d >= output_dim()`.
-    pub fn base_row(&self, d: usize) -> Result<&[f32]> {
-        if d >= self.dim {
-            return Err(HdcError::IndexOutOfRange { index: d, bound: self.dim });
-        }
-        Ok(&self.bases[d * self.features..(d + 1) * self.features])
     }
 
     /// Encodes only the output dimensions `dims` of every row of `batch`:
@@ -197,12 +189,8 @@ impl RbfEncoder {
             .wrapping_add(d as u64);
         let mut rng = HdcRng::seed_from(stream);
         let sigma = self.sigma as f64;
-        for b in &mut self.bases[d * self.features..(d + 1) * self.features] {
-            *b = rng.normal(0.0, sigma) as f32;
-        }
-        let bases_t = self.bases_t.as_mut_slice();
-        for f in 0..self.features {
-            bases_t[f * self.dim + d] = self.bases[d * self.features + f];
+        for base in self.bases_t.as_mut_slice().iter_mut().skip(d).step_by(self.dim) {
+            *base = rng.normal(0.0, sigma) as f32;
         }
         self.phases[d] = rng.uniform(0.0, std::f64::consts::TAU) as f32;
         self.regenerated += 1;
@@ -224,15 +212,22 @@ impl RbfEncoder {
     }
 
     /// Persists the encoder through the artifact codec: sizes, `sigma`,
-    /// `seed`, regeneration count, the base matrix and the phases (the
-    /// feature-major transpose is rebuilt on load).
+    /// `seed`, regeneration count, the base matrix (row-major, one base
+    /// vector per output dimension, as `f32_slice` lays it out) and the
+    /// phases.
     pub fn write_to(&self, w: &mut Writer) {
         w.usize(self.features);
         w.usize(self.dim);
         w.f32(self.sigma);
         w.u64(self.seed);
         w.usize(self.regenerated);
-        w.f32_slice(&self.bases);
+        let bases_t = self.bases_t.as_slice();
+        w.usize(bases_t.len());
+        for d in 0..self.dim {
+            for f in 0..self.features {
+                w.f32(bases_t[f * self.dim + d]);
+            }
+        }
         w.f32_slice(&self.phases);
     }
 
@@ -264,7 +259,7 @@ impl RbfEncoder {
             return Err(CodecError::Invalid(format!("RBF sigma {sigma}")));
         }
         let bases_t = transpose(&bases, dim, features);
-        Ok(Self { bases, bases_t, phases, features, dim, sigma, seed, regenerated })
+        Ok(Self { bases_t, phases, features, dim, sigma, seed, regenerated })
     }
 }
 
@@ -434,8 +429,8 @@ fn encode_columns(batch: BatchView<'_>, bases_t: &[f32], phases: &[f32], out: &m
             for acc in proj.chunks_exact_mut(stride).take(block.rows()) {
                 acc[..width].copy_from_slice(&phases[d0..d1]);
             }
-            for (f, base_row) in bases_t.chunks_exact(dim).enumerate() {
-                let base_tile = &base_row[d0..d1];
+            for (f, feature_bases) in bases_t.chunks_exact(dim).enumerate() {
+                let base_tile = &feature_bases[d0..d1];
                 for (acc, sample) in proj.chunks_exact_mut(stride).zip(block.iter_rows()) {
                     let value = sample[f];
                     if value == 0.0 {
@@ -551,8 +546,8 @@ impl Encoder for RbfEncoder {
                     acc[s * SIGN_DIM_TILE..s * SIGN_DIM_TILE + tile_width]
                         .copy_from_slice(&self.phases[d0..d1]);
                 }
-                for (f, base_row) in self.bases_t.as_slice().chunks_exact(dim).enumerate() {
-                    let base_tile = &base_row[d0..d1];
+                for (f, feature_bases) in self.bases_t.as_slice().chunks_exact(dim).enumerate() {
+                    let base_tile = &feature_bases[d0..d1];
                     for (s, sample) in block.iter_rows().enumerate() {
                         let value = sample[f];
                         // Zero features contribute exactly nothing: the
@@ -800,9 +795,11 @@ mod tests {
                 // accumulation rounding plus the ~1e-6 fast_cos error stay
                 // within 5e-6 per element.
                 let projection = e.phases[d] as f64
-                    + e.base_row(d)
-                        .unwrap()
+                    + e.bases_t
+                        .as_slice()
                         .iter()
+                        .skip(d)
+                        .step_by(dim)
                         .zip(x)
                         .map(|(&b, &v)| b as f64 * v as f64)
                         .sum::<f64>();
@@ -934,11 +931,28 @@ mod tests {
 
     #[test]
     fn transpose_stays_in_sync_after_regeneration() {
-        let mut e = RbfEncoder::new(5, 48, 23).unwrap();
+        // Regeneration redraws exactly column `d` of the feature-major
+        // matrix, and the persisted row-major base matrix is its transpose.
+        let fresh = RbfEncoder::new(5, 48, 23).unwrap();
+        let mut e = fresh.clone();
         e.regenerate_dimensions(&[0, 7, 47, 7]).unwrap();
         for d in 0..48 {
+            let redrawn = [0, 7, 47].contains(&d);
             for f in 0..5 {
-                assert_eq!(e.bases_t.as_slice()[f * 48 + d], e.bases[d * 5 + f], "d={d} f={f}");
+                let (a, b) =
+                    (e.bases_t.as_slice()[f * 48 + d], fresh.bases_t.as_slice()[f * 48 + d]);
+                assert_eq!(a != b, redrawn, "d={d} f={f}");
+            }
+        }
+        let mut w = crate::codec::Writer::new();
+        e.write_to(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = crate::codec::Reader::new(&bytes);
+        let (_, _, _, _, _) = (r.usize(), r.usize(), r.f32(), r.u64(), r.usize());
+        let row_major = r.f32_vec().unwrap();
+        for d in 0..48 {
+            for f in 0..5 {
+                assert_eq!(row_major[d * 5 + f], e.bases_t.as_slice()[f * 48 + d], "d={d} f={f}");
             }
         }
     }
@@ -959,10 +973,14 @@ mod tests {
     }
 
     #[test]
-    fn base_row_access_is_bounds_checked() {
-        let e = RbfEncoder::new(3, 4, 0).unwrap();
-        assert_eq!(e.base_row(0).unwrap().len(), 3);
-        assert!(e.base_row(4).is_err());
+    fn base_vector_access_is_bounds_checked() {
+        let mut e = RbfEncoder::new(3, 4, 0).unwrap();
+        assert_eq!(e.bases_t.as_slice().len(), 3 * 4);
+        let batch = crate::BatchView::new(&[0.1, 0.2, 0.3], 3).unwrap();
+        assert!(e.encode_dimensions_batch(batch, &[3], &mut [0.0]).is_ok());
+        assert!(e.encode_dimensions_batch(batch, &[4], &mut [0.0]).is_err());
+        assert!(e.regenerate_dimension(4).is_err());
+        assert_eq!(e.regeneration_count(), 0);
     }
 
     #[test]
@@ -971,11 +989,9 @@ mod tests {
         let mut sum = 0.0f64;
         let mut sum_sq = 0.0f64;
         let n = (512 * 64) as f64;
-        for d in 0..512 {
-            for &b in e.base_row(d).unwrap() {
-                sum += b as f64;
-                sum_sq += (b as f64) * (b as f64);
-            }
+        for &b in e.bases_t.as_slice() {
+            sum += b as f64;
+            sum_sq += (b as f64) * (b as f64);
         }
         let mean = sum / n;
         let var = sum_sq / n - mean * mean;

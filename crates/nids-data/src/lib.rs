@@ -34,8 +34,8 @@
 //! // 2. Split and preprocess.
 //! let (train, test) = train_test_split(&dataset, 0.25, 42)?;
 //! let preprocessor = Preprocessor::fit(&train, Normalization::MinMax)?;
-//! let train_x = preprocessor.transform(&train)?;
-//! assert_eq!(train_x.len(), train.len());
+//! let train_x = preprocessor.transform_matrix(&train)?;
+//! assert_eq!(train_x.len(), train.len() * preprocessor.output_width());
 //! assert!(!test.is_empty());
 //! # Ok(())
 //! # }

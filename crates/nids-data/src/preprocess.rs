@@ -186,39 +186,17 @@ impl Preprocessor {
         Ok(())
     }
 
-    /// Transforms every record of `dataset` into dense feature vectors.
+    /// Transforms every record of `dataset` into one contiguous row-major
+    /// matrix of width [`Preprocessor::output_width`] — the form the
+    /// zero-copy `hdc::BatchView` engines consume directly, with one
+    /// allocation for the whole dataset.  Row `i` is the transform of
+    /// record `i`, so `dataset.labels()` labels the rows.
     ///
     /// # Errors
     ///
     /// Returns [`DataError::InvalidArgument`] if the dataset's schema differs
     /// from the fitted schema, or [`DataError::InvalidRecord`] for a
     /// malformed record.
-    pub fn transform(&self, dataset: &Dataset) -> Result<Vec<Vec<f32>>> {
-        if dataset.schema() != &self.schema {
-            return Err(DataError::InvalidArgument(
-                "dataset schema does not match the fitted preprocessor".into(),
-            ));
-        }
-        dataset.records().iter().map(|r| self.transform_record(r)).collect()
-    }
-
-    /// Convenience: transforms the dataset and returns `(features, labels)`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Preprocessor::transform`].
-    pub fn transform_with_labels(&self, dataset: &Dataset) -> Result<(Vec<Vec<f32>>, Vec<usize>)> {
-        Ok((self.transform(dataset)?, dataset.labels().to_vec()))
-    }
-
-    /// Transforms every record of `dataset` into one contiguous row-major
-    /// matrix of width [`Preprocessor::output_width`] — the form the
-    /// zero-copy `hdc::BatchView` engines consume directly, with one
-    /// allocation for the whole dataset instead of one per record.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Preprocessor::transform`].
     pub fn transform_matrix(&self, dataset: &Dataset) -> Result<Vec<f32>> {
         if dataset.schema() != &self.schema {
             return Err(DataError::InvalidArgument(
@@ -337,6 +315,12 @@ mod tests {
         .unwrap()
     }
 
+    /// The transformed dataset, one row per record.
+    fn rows(p: &Preprocessor, d: &Dataset) -> Vec<Vec<f32>> {
+        let matrix = p.transform_matrix(d).unwrap();
+        matrix.chunks_exact(p.output_width()).map(<[f32]>::to_vec).collect()
+    }
+
     #[test]
     fn fit_rejects_empty_datasets() {
         let empty = Dataset::empty(dataset().schema().clone());
@@ -349,23 +333,23 @@ mod tests {
         let p = Preprocessor::fit(&d, Normalization::MinMax).unwrap();
         assert_eq!(p.output_width(), 1 + 3 + 1);
         assert_eq!(p.normalization(), Normalization::MinMax);
-        let x = p.transform(&d).unwrap();
+        let x = rows(&p, &d);
         assert_eq!(x.len(), 4);
         for row in &x {
             assert_eq!(row.len(), 5);
             assert!(row.iter().all(|v| (0.0..=1.0).contains(v)));
         }
         // First record: x = 0 -> 0.0; proto tcp -> [1,0,0]; constant -> 0.
-        assert_eq!(x[0], vec![0.0, 1.0, 0.0, 0.0, 0.0]);
+        assert_eq!(x[0], [0.0, 1.0, 0.0, 0.0, 0.0]);
         // Third record: x = 100 -> 1.0; proto icmp -> [0,0,1].
-        assert_eq!(x[2], vec![1.0, 0.0, 0.0, 1.0, 0.0]);
+        assert_eq!(x[2], [1.0, 0.0, 0.0, 1.0, 0.0]);
     }
 
     #[test]
     fn zscore_standardizes_numeric_features() {
         let d = dataset();
         let p = Preprocessor::fit(&d, Normalization::ZScore).unwrap();
-        let x = p.transform(&d).unwrap();
+        let x = rows(&p, &d);
         let column: Vec<f64> = x.iter().map(|r| r[0] as f64).collect();
         let mean: f64 = column.iter().sum::<f64>() / column.len() as f64;
         let var: f64 = column.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / column.len() as f64;
@@ -381,11 +365,11 @@ mod tests {
         let p = Preprocessor::fit(&d, Normalization::Symbolic).unwrap();
         // Raw feature count, not one-hot expanded width.
         assert_eq!(p.output_width(), 3);
-        let x = p.transform(&d).unwrap();
+        let x = rows(&p, &d);
         // Record 2: x = 100 -> 1.0 (min-max); proto icmp stays index 2.
-        assert_eq!(x[2], vec![1.0, 2.0, 0.0]);
+        assert_eq!(x[2], [1.0, 2.0, 0.0]);
         // Record 1: x = 50 -> 0.5; proto udp stays index 1.
-        assert_eq!(x[1], vec![0.5, 1.0, 0.0]);
+        assert_eq!(x[1], [0.5, 1.0, 0.0]);
         // Invalid category indices are still rejected by schema validation.
         assert!(p.transform_record(&[1.0, 9.0, 0.5]).is_err());
     }
@@ -411,16 +395,17 @@ mod tests {
         )
         .unwrap();
         let other = Dataset::empty(other_schema);
-        assert!(p.transform(&other).is_err());
+        assert!(p.transform_matrix(&other).is_err());
     }
 
     #[test]
     fn transform_with_labels_round_trips_labels() {
         let d = dataset();
         let p = Preprocessor::fit(&d, Normalization::MinMax).unwrap();
-        let (x, y) = p.transform_with_labels(&d).unwrap();
+        let x = rows(&p, &d);
+        let y = d.labels();
         assert_eq!(x.len(), y.len());
-        assert_eq!(y, vec![0, 1, 1, 0]);
+        assert_eq!(y, [0, 1, 1, 0]);
     }
 
     #[test]
@@ -445,11 +430,11 @@ mod tests {
     fn transform_matrix_is_the_flattened_transform() {
         let d = dataset();
         let p = Preprocessor::fit(&d, Normalization::ZScore).unwrap();
-        let rows = p.transform(&d).unwrap();
         let matrix = p.transform_matrix(&d).unwrap();
-        assert_eq!(matrix.len(), d.len() * p.output_width());
-        for (row, flat) in rows.iter().zip(matrix.chunks_exact(p.output_width())) {
-            assert_eq!(row.as_slice(), flat);
+        // One row per record, in record order, so the labels line up.
+        assert_eq!(matrix.len(), d.labels().len() * p.output_width());
+        for (record, flat) in d.records().iter().zip(matrix.chunks_exact(p.output_width())) {
+            assert_eq!(p.transform_record(record).unwrap(), flat);
         }
         let other_schema = Schema::new(
             "other",

@@ -73,17 +73,18 @@ flow_duration_s,protocol,packets,bytes,distinct_ports,failed_handshake_rate,labe
     // 4. Standard pipeline: split, preprocess, train, evaluate.
     let (train, test) = train_test_split(&dataset, 0.3, 4)?;
     let preprocessor = Preprocessor::fit(&train, Normalization::ZScore)?;
-    let (train_x, train_y) = preprocessor.transform_with_labels(&train)?;
-    let (test_x, test_y) = preprocessor.transform_with_labels(&test)?;
+    let width = preprocessor.output_width();
+    let train_x = BatchBuffer::from_data(preprocessor.transform_matrix(&train)?, width)?;
+    let test_x = BatchBuffer::from_data(preprocessor.transform_matrix(&test)?, width)?;
 
-    let config = CyberHdConfig::builder(preprocessor.output_width(), schema.num_classes())
+    let config = CyberHdConfig::builder(width, schema.num_classes())
         .dimension(256)
         .retrain_epochs(8)
         .regeneration_rate(0.15)
         .seed(12)
         .build()?;
-    let model = CyberHdTrainer::new(config)?.fit(&train_x, &train_y)?;
-    let report = model.evaluate(&test_x, &test_y)?.report();
+    let model = CyberHdTrainer::new(config)?.fit_view(train_x.view(), train.labels())?;
+    let report = model.evaluate_view(test_x.view(), test.labels())?.report();
     println!("\nheld-out performance on the custom corpus:\n{report}");
 
     // 5. Classify the CSV rows themselves.

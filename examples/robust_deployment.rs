@@ -16,18 +16,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dataset = DatasetKind::NslKdd.generate(&SyntheticConfig::new(4_000, 9).difficulty(1.4))?;
     let (train, test) = train_test_split(&dataset, 0.25, 9)?;
     let preprocessor = Preprocessor::fit(&train, Normalization::MinMax)?;
-    let (train_x, train_y) = preprocessor.transform_with_labels(&train)?;
-    let (test_x, test_y) = preprocessor.transform_with_labels(&test)?;
+    let width = preprocessor.output_width();
+    let train_x = BatchBuffer::from_data(preprocessor.transform_matrix(&train)?, width)?;
+    let test_x = BatchBuffer::from_data(preprocessor.transform_matrix(&test)?, width)?;
+    let (train_y, test_y) = (train.labels(), test.labels());
 
-    let config = CyberHdConfig::builder(preprocessor.output_width(), dataset.num_classes())
+    let config = CyberHdConfig::builder(width, dataset.num_classes())
         .dimension(512)
         .retrain_epochs(10)
         .regeneration_rate(0.2)
         .encode_threads(4)
         .seed(5)
         .build()?;
-    let model = CyberHdTrainer::new(config)?.fit(&train_x, &train_y)?;
-    let full_accuracy = model.accuracy(&test_x, &test_y)?;
+    let model = CyberHdTrainer::new(config)?.fit_view(train_x.view(), train_y)?;
+    let full_accuracy = model.accuracy_view(test_x.view(), test_y)?;
     println!("full-precision CyberHD accuracy: {:.2}%\n", full_accuracy * 100.0);
 
     let cpu = CpuModel::default();
@@ -44,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         [BitWidth::B32, BitWidth::B16, BitWidth::B8, BitWidth::B4, BitWidth::B2, BitWidth::B1]
     {
         let deployed = model.quantize(width);
-        let clean = deployed.accuracy(&test_x, &test_y)?;
+        let clean = deployed.accuracy_view(test_x.view(), test_y)?;
 
         // Flip 5% of the stored model bits (averaged over three seeds).
         let mut corrupted_accuracy = 0.0;
@@ -52,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let mut corrupted = deployed.clone();
             let mut injector = BitFlipInjector::new(0.05, 100 + trial)?;
             injector.flip_quantized_set(corrupted.classes_mut());
-            corrupted_accuracy += corrupted.accuracy(&test_x, &test_y)?;
+            corrupted_accuracy += corrupted.accuracy_view(test_x.view(), test_y)?;
         }
         corrupted_accuracy /= 3.0;
 
@@ -62,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             width.bits(),
             model.num_classes(),
             preprocessor.output_width(),
-            train_x.len(),
+            train_x.rows(),
             10,
         )?;
         let fpga_vs_cpu =

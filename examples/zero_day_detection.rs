@@ -20,36 +20,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let schema = dataset.schema().clone();
     let (train, test) = train_test_split(&dataset, 0.3, 31)?;
     let preprocessor = Preprocessor::fit(&train, Normalization::MinMax)?;
-    let (train_x, train_y) = preprocessor.transform_with_labels(&train)?;
-    let (test_x, test_y) = preprocessor.transform_with_labels(&test)?;
+    let width = preprocessor.output_width();
+    let train_x = BatchBuffer::from_data(preprocessor.transform_matrix(&train)?, width)?;
+    let test_x = BatchBuffer::from_data(preprocessor.transform_matrix(&test)?, width)?;
 
     // Hold out the "Fuzzers" family (class 3) from training entirely.
     let held_out = 3usize;
     let held_out_name = schema.classes()[held_out].clone();
-    let mut known_x = Vec::new();
+    let mut known_x = BatchBuffer::with_width(width)?;
     let mut known_y = Vec::new();
-    for (x, &y) in train_x.iter().zip(&train_y) {
+    for (x, &y) in train_x.view().iter_rows().zip(train.labels()) {
         if y != held_out {
-            known_x.push(x.clone());
+            known_x.push_row().copy_from_slice(x);
             known_y.push(if y > held_out { y - 1 } else { y });
         }
     }
     println!(
         "training on {} flows covering {} of {} classes (held out: {held_out_name})",
-        known_x.len(),
+        known_x.rows(),
         schema.num_classes() - 1,
         schema.num_classes()
     );
 
-    let config = CyberHdConfig::builder(preprocessor.output_width(), schema.num_classes() - 1)
+    let config = CyberHdConfig::builder(width, schema.num_classes() - 1)
         .dimension(512)
         .retrain_epochs(8)
         .regeneration_rate(0.2)
         .encode_threads(4)
         .seed(2)
         .build()?;
-    let model = CyberHdTrainer::new(config)?.fit(&known_x, &known_y)?;
-    let detector = OpenSetDetector::calibrate(model, &known_x, &known_y, 0.08)?;
+    let model = CyberHdTrainer::new(config)?.fit_view(known_x.view(), &known_y)?;
+    let detector = OpenSetDetector::calibrate_view(model, known_x.view(), &known_y, 0.08)?;
 
     // Closed-set quality on the known classes + open-set rate on the held-out family.
     let mut predictions = Vec::new();
@@ -59,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut novel_total = 0usize;
     let mut known_flagged = 0usize;
     let mut known_total = 0usize;
-    for (x, &y) in test_x.iter().zip(&test_y) {
+    for (x, &y) in test_x.view().iter_rows().zip(test.labels()) {
         let prediction = detector.predict(x)?;
         if y == held_out {
             novel_total += 1;

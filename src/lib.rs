@@ -8,11 +8,11 @@
 //! * [`hdc`] — hypervector algebra, encoders, quantization, associative
 //!   memory,
 //! * [`cyberhd`] — the CyberHD learner (adaptive training + dimension
-//!   regeneration), the static baselineHD, the streaming learner, the
-//!   sealed `Detector` artifact and the `cyberhd::serve` micro-batching
-//!   serving engine (multi-tenant registry, hot-swap, tickets, and the
-//!   sharded many-tenant engine with deadline-sleeping flushers and
-//!   admission control),
+//!   regeneration; with regeneration off, the static baselineHD), the
+//!   streaming learner, the sealed `Detector` artifact and the
+//!   `cyberhd::serve` micro-batching serving engine (multi-tenant registry,
+//!   hot-swap, tickets, and the sharded many-tenant engine with
+//!   deadline-sleeping flushers and admission control),
 //! * [`nids_data`] — NSL-KDD / UNSW-NB15 / CIC-IDS-2017 / CIC-IDS-2018
 //!   schemas, synthetic traffic generators, CSV loaders, preprocessing and
 //!   splitting,
@@ -69,11 +69,11 @@ pub mod prelude {
     pub use baselines::Classifier;
     pub use cyberhd::{
         AdaptiveConfig, AdaptiveLane, AdaptiveStats, AdmissionConfig, AdmissionController,
-        AdmissionStats, BaselineHd, CyberHdConfig, CyberHdModel, CyberHdTrainer, Detector,
-        DetectorBuilder, DetectorInfo, DetectorRegistry, DriftMonitor, DriftMonitorConfig,
-        DurableConfig, DurableLane, EncoderKind, FlusherStats, OnlineDetector, OnlineLearner,
-        OpenSetDetector, OpenSetPrediction, Priority, QuantizedModel, RecoveryReport, ServeConfig,
-        ServeEngine, ServeError, ServeStats, ShardConfig, ShardedServeEngine, TenantQuota, Ticket,
+        AdmissionStats, CyberHdConfig, CyberHdModel, CyberHdTrainer, Detector, DetectorBuilder,
+        DetectorInfo, DetectorRegistry, DriftMonitor, DriftMonitorConfig, DurableConfig,
+        DurableLane, EncoderKind, FlusherStats, OnlineDetector, OnlineLearner, OpenSetDetector,
+        OpenSetPrediction, Priority, QuantizedModel, RecoveryReport, ServeConfig, ServeEngine,
+        ServeError, ServeStats, ShardConfig, ShardedServeEngine, TenantQuota, Ticket,
         TrainingBatch, Verdict,
     };
     pub use eval::detection::{DetectionCounts, RocCurve};

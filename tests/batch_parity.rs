@@ -1,7 +1,7 @@
 //! Batch/serial parity properties of the fused inference engine.
 //!
 //! The engine's contract: for every encoder and for the quantized
-//! deployment path, `predict_batch` produces **identical predictions** to
+//! deployment path, `predict_batch_view` produces **identical predictions** to
 //! the per-sample loop, and batched scores are **bit-identical** to the
 //! serial scoring path (every encoder's single-row encode is its batch
 //! arithmetic at `n = 1`).  Cases are generated deterministically from
@@ -17,25 +17,27 @@ use hdc::rng::HdcRng;
 use nids_data::DatasetKind;
 
 /// Builds an NSL-KDD-shaped train/test pair.
-fn traffic(samples: usize, seed: u64) -> (Vec<Vec<f32>>, Vec<usize>, Vec<Vec<f32>>) {
+fn traffic(samples: usize, seed: u64) -> (BatchBuffer, Vec<usize>, BatchBuffer) {
     let dataset = DatasetKind::NslKdd
         .generate(&SyntheticConfig::new(samples, seed).difficulty(1.8))
         .expect("generation succeeds");
     let (train, test) = train_test_split(&dataset, 0.4, seed).expect("split succeeds");
     let preprocessor = Preprocessor::fit(&train, Normalization::MinMax).expect("fit succeeds");
-    let (train_x, train_y) = preprocessor.transform_with_labels(&train).expect("transform");
-    let (test_x, _) = preprocessor.transform_with_labels(&test).expect("transform");
-    (train_x, train_y, test_x)
+    let matrix = |d: &Dataset| {
+        let data = preprocessor.transform_matrix(d).expect("transform");
+        BatchBuffer::from_data(data, preprocessor.output_width()).expect("matrix")
+    };
+    (matrix(&train), train.labels().to_vec(), matrix(&test))
 }
 
 fn train(
-    train_x: &[Vec<f32>],
+    train_x: &BatchBuffer,
     train_y: &[usize],
     encoder: EncoderKind,
     dimension: usize,
     seed: u64,
 ) -> CyberHdModel {
-    let width = train_x[0].len();
+    let width = train_x.width();
     let classes = train_y.iter().max().unwrap() + 1;
     let config = CyberHdConfig::builder(width, classes)
         .dimension(dimension)
@@ -45,7 +47,10 @@ fn train(
         .seed(seed)
         .build()
         .expect("valid config");
-    CyberHdTrainer::new(config).expect("trainer").fit(train_x, train_y).expect("training")
+    CyberHdTrainer::new(config)
+        .expect("trainer")
+        .fit_view(train_x.view(), train_y)
+        .expect("training")
 }
 
 #[test]
@@ -53,8 +58,8 @@ fn dense_predictions_are_identical_for_every_encoder() {
     let (train_x, train_y, test_x) = traffic(700, 11);
     for encoder in [EncoderKind::Rbf, EncoderKind::IdLevel, EncoderKind::Record] {
         let model = train(&train_x, &train_y, encoder, 384, 3);
-        let batched = model.predict_batch(&test_x).expect("batched prediction");
-        for (i, x) in test_x.iter().enumerate() {
+        let batched = model.predict_batch_view(test_x.view()).expect("batched prediction");
+        for (i, x) in test_x.view().iter_rows().enumerate() {
             let serial = model.predict(x).expect("serial prediction");
             assert_eq!(batched[i], serial, "{encoder:?} sample {i}");
         }
@@ -70,13 +75,12 @@ fn batched_scores_match_serial_scores_within_1e6() {
         let dim = model.dimension();
         // Batched path: encode the whole batch into one matrix, score it
         // with per-batch class norms.
-        let buffer = hdc::BatchBuffer::from_rows(&test_x, test_x[0].len()).expect("flat batch");
-        let mut matrix = vec![0.0f32; test_x.len() * dim];
-        model.encoder().encode_batch_into(buffer.view(), &mut matrix).expect("batch encode");
-        let mut scores = vec![0.0f32; test_x.len() * memory.num_classes()];
+        let mut matrix = vec![0.0f32; test_x.rows() * dim];
+        model.encoder().encode_batch_into(test_x.view(), &mut matrix).expect("batch encode");
+        let mut scores = vec![0.0f32; test_x.rows() * memory.num_classes()];
         memory.similarities_batch(&matrix, &mut scores).expect("batch scoring");
         // Serial path: per-sample encode + per-query class norms.
-        for (i, x) in test_x.iter().enumerate() {
+        for (i, x) in test_x.view().iter_rows().enumerate() {
             let encoded = model.encode(x).expect("serial encode");
             let serial = memory.similarities(&encoded).expect("serial scoring");
             let row = &scores[i * memory.num_classes()..(i + 1) * memory.num_classes()];
@@ -95,7 +99,7 @@ fn batched_scores_match_serial_scores_within_1e6() {
 fn predict_with_scores_winner_is_the_scores_argmax() {
     let (train_x, train_y, test_x) = traffic(500, 17);
     let model = train(&train_x, &train_y, EncoderKind::Rbf, 256, 9);
-    for x in test_x.iter().take(100) {
+    for x in test_x.view().iter_rows().take(100) {
         let (winner, scores) = model.predict_with_scores(x).expect("prediction");
         let argmax =
             scores.iter().enumerate().fold((0usize, f32::NEG_INFINITY), |best, (i, &s)| {
@@ -117,15 +121,14 @@ fn quantized_predictions_are_identical_at_every_bitwidth() {
     // Degenerate all-zero flow: the serial path scores it 0.0 against every
     // class; the packed 1-bit kernel must agree instead of sign-packing
     // zeros to +1.
-    test_x.push(vec![0.0; test_x[0].len()]);
+    test_x.push_row();
     let model = train(&train_x, &train_y, EncoderKind::Rbf, 320, 21);
-    let flat = test_x.concat();
-    let view = BatchView::new(&flat, test_x[0].len()).expect("rectangular batch");
+    let view = test_x.view();
     for width in BitWidth::ALL {
         let deployed = model.quantize(width);
-        let batched = deployed.predict_batch(&test_x).expect("batched prediction");
+        let batched = deployed.predict_batch_view(view).expect("batched prediction");
         let scored = deployed.predict_batch_view_scored(view).expect("batched scores");
-        for (i, x) in test_x.iter().enumerate() {
+        for (i, x) in view.iter_rows().enumerate() {
             let serial = deployed.predict(x).expect("serial prediction");
             assert_eq!(batched[i], serial, "{width:?} sample {i}");
             // The serial integer cosine is the independent oracle for the

@@ -7,19 +7,23 @@ use cyberhd_suite::prelude::*;
 fn prepare_nsl_kdd(
     samples: usize,
     seed: u64,
-) -> (Vec<Vec<f32>>, Vec<usize>, Vec<Vec<f32>>, Vec<usize>, Preprocessor, usize) {
+) -> (BatchBuffer, Vec<usize>, BatchBuffer, Vec<usize>, Preprocessor, usize) {
     let dataset = DatasetKind::NslKdd
         .generate(&SyntheticConfig::new(samples, seed).difficulty(1.6))
         .expect("generation succeeds");
     let (train, test) = train_test_split(&dataset, 0.25, seed).expect("split succeeds");
     let preprocessor = Preprocessor::fit(&train, Normalization::MinMax).expect("fit succeeds");
-    let (train_x, train_y) = preprocessor.transform_with_labels(&train).expect("transform");
-    let (test_x, test_y) = preprocessor.transform_with_labels(&test).expect("transform");
+    let matrix = |d: &Dataset| {
+        let data = preprocessor.transform_matrix(d).expect("transform");
+        BatchBuffer::from_data(data, preprocessor.output_width()).expect("matrix")
+    };
+    let (train_x, test_x) = (matrix(&train), matrix(&test));
+    let (train_y, test_y) = (train.labels().to_vec(), test.labels().to_vec());
     (train_x, train_y, test_x, test_y, preprocessor, dataset.num_classes())
 }
 
 fn train(
-    train_x: &[Vec<f32>],
+    train_x: BatchView<'_>,
     train_y: &[usize],
     width: usize,
     classes: usize,
@@ -34,14 +38,14 @@ fn train(
         .seed(seed)
         .build()
         .expect("valid config");
-    CyberHdTrainer::new(config).expect("trainer").fit(train_x, train_y).expect("training")
+    CyberHdTrainer::new(config).expect("trainer").fit_view(train_x, train_y).expect("training")
 }
 
 #[test]
 fn detection_metrics_show_high_detection_and_low_false_alarms() {
     let (train_x, train_y, test_x, test_y, preprocessor, classes) = prepare_nsl_kdd(2_000, 3);
-    let model = train(&train_x, &train_y, preprocessor.output_width(), classes, 1);
-    let predictions = model.predict_batch(&test_x).unwrap();
+    let model = train(train_x.view(), &train_y, preprocessor.output_width(), classes, 1);
+    let predictions = model.predict_batch_view(test_x.view()).unwrap();
 
     // Class 0 is benign in every schema of this repository.
     let counts = DetectionCounts::from_multiclass(&predictions, &test_y, 0).unwrap();
@@ -52,7 +56,7 @@ fn detection_metrics_show_high_detection_and_low_false_alarms() {
     // ROC from a continuous attack score: 1 - similarity-to-benign margin.
     let mut scores = Vec::new();
     let mut is_attack = Vec::new();
-    for (features, &label) in test_x.iter().zip(&test_y) {
+    for (features, &label) in test_x.view().iter_rows().zip(&test_y) {
         let (_, class_scores) = model.predict_with_scores(features).unwrap();
         let best_attack =
             class_scores[1..].iter().cloned().fold(f32::NEG_INFINITY, f32::max) as f64;
@@ -70,23 +74,23 @@ fn open_set_detector_flags_a_held_out_attack_family() {
 
     // Hold out the "probe" family (class 2) entirely during training.
     let held_out = 2usize;
-    let mut known_x = Vec::new();
+    let mut known_x = BatchBuffer::with_width(train_x.width()).unwrap();
     let mut known_y = Vec::new();
-    for (x, &y) in train_x.iter().zip(&train_y) {
+    for (x, &y) in train_x.view().iter_rows().zip(&train_y) {
         if y != held_out {
-            known_x.push(x.clone());
+            known_x.push_row().copy_from_slice(x);
             // Remap labels above the held-out class down by one.
             known_y.push(if y > held_out { y - 1 } else { y });
         }
     }
-    let model = train(&known_x, &known_y, preprocessor.output_width(), classes - 1, 5);
-    let detector = OpenSetDetector::calibrate(model, &known_x, &known_y, 0.08).unwrap();
+    let model = train(known_x.view(), &known_y, preprocessor.output_width(), classes - 1, 5);
+    let detector = OpenSetDetector::calibrate_view(model, known_x.view(), &known_y, 0.08).unwrap();
 
     let mut novel_flagged = 0usize;
     let mut novel_total = 0usize;
     let mut known_flagged = 0usize;
     let mut known_total = 0usize;
-    for (x, &y) in test_x.iter().zip(&test_y) {
+    for (x, &y) in test_x.view().iter_rows().zip(&test_y) {
         let prediction = detector.predict(x).unwrap();
         if y == held_out {
             novel_total += 1;

@@ -5,7 +5,8 @@
 //!
 //! 1. **Pipeline parity** — on every `DatasetKind`, a sealed detector's
 //!    raw-flow verdicts equal the manual pipeline (fit preprocessor →
-//!    transform → trainer → model) prediction for prediction, bit for bit.
+//!    transform_matrix → trainer → model) prediction for prediction, bit for
+//!    bit.
 //! 2. **Persistence round trip** — `to_bytes` → `from_bytes` reproduces
 //!    every prediction and score bit for bit, for dense, B1- and
 //!    B2-quantized class memories, and for calibrated open-set thresholds.
@@ -31,7 +32,9 @@ fn detector_matches_the_manual_pipeline_on_every_dataset_kind() {
 
         // The manual expert pipeline, configured identically.
         let preprocessor = Preprocessor::fit(&data, Normalization::MinMax).unwrap();
-        let (x, y) = preprocessor.transform_with_labels(&data).unwrap();
+        let matrix = preprocessor.transform_matrix(&data).unwrap();
+        let x = BatchView::new(&matrix, preprocessor.output_width()).unwrap();
+        let y = data.labels();
         let config = CyberHdConfig::builder(preprocessor.output_width(), data.num_classes())
             .dimension(192)
             .retrain_epochs(2)
@@ -39,25 +42,25 @@ fn detector_matches_the_manual_pipeline_on_every_dataset_kind() {
             .seed(31)
             .build()
             .unwrap();
-        let model = CyberHdTrainer::new(config).unwrap().fit(&x, &y).unwrap();
+        let model = CyberHdTrainer::new(config).unwrap().fit_view(x, y).unwrap();
 
         // Single-flow raw path vs manual serial prediction: bit-exact.
         for (i, record) in data.records().iter().take(60).enumerate() {
             assert_eq!(
                 detector.detect(record).unwrap().class,
-                model.predict(&x[i]).unwrap(),
+                model.predict(x.row(i)).unwrap(),
                 "{kind:?} flow {i}"
             );
         }
         // Raw batch path vs manual batched prediction: bit-exact.
         let verdicts = detector.detect_batch(data.records()).unwrap();
-        let manual = model.predict_batch(&x).unwrap();
+        let manual = model.predict_batch_view(x).unwrap();
         for (i, (verdict, class)) in verdicts.iter().zip(&manual).enumerate() {
             assert_eq!(verdict.class, *class, "{kind:?} batched flow {i}");
         }
         // And the artifact's evaluate agrees with the manual confusion
         // matrix accuracy.
-        let manual_accuracy = model.accuracy(&x, &y).unwrap();
+        let manual_accuracy = model.accuracy_view(x, y).unwrap();
         assert!((detector.accuracy(&data).unwrap() - manual_accuracy).abs() < 1e-12, "{kind:?}");
     }
 }
@@ -68,19 +71,17 @@ fn view_batch_path_equals_row_batch_path() {
     let detector = builder().train(&data).unwrap();
     let model = detector.model().unwrap();
     let preprocessor = detector.preprocessor();
-    let rows = preprocessor.transform(&data).unwrap();
     let matrix = preprocessor.transform_matrix(&data).unwrap();
     let view = BatchView::new(&matrix, preprocessor.output_width()).unwrap();
+    let rows: Vec<usize> = view.iter_rows().map(|row| model.predict(row).unwrap()).collect();
     assert_eq!(
         model.predict_batch_view(view).unwrap(),
-        model.predict_batch(&rows).unwrap(),
-        "zero-copy view path and legacy row path must agree exactly"
+        rows,
+        "the zero-copy batch path and the one-row path must agree exactly"
     );
     let quantized = model.quantize(BitWidth::B1);
-    assert_eq!(
-        quantized.predict_batch_view(view).unwrap(),
-        quantized.predict_batch(&rows).unwrap()
-    );
+    let rows: Vec<usize> = view.iter_rows().map(|row| quantized.predict(row).unwrap()).collect();
+    assert_eq!(quantized.predict_batch_view(view).unwrap(), rows);
 }
 
 #[test]

@@ -9,19 +9,23 @@ fn prepare(
     kind: DatasetKind,
     samples: usize,
     seed: u64,
-) -> (Vec<Vec<f32>>, Vec<usize>, Vec<Vec<f32>>, Vec<usize>, usize, usize) {
+) -> (BatchBuffer, Vec<usize>, BatchBuffer, Vec<usize>, usize, usize) {
     let dataset = kind
         .generate(&SyntheticConfig::new(samples, seed).difficulty(1.4))
         .expect("generation succeeds");
     let (train, test) = train_test_split(&dataset, 0.25, seed).expect("split succeeds");
     let preprocessor = Preprocessor::fit(&train, Normalization::MinMax).expect("fit succeeds");
-    let (train_x, train_y) = preprocessor.transform_with_labels(&train).expect("transform");
-    let (test_x, test_y) = preprocessor.transform_with_labels(&test).expect("transform");
-    (train_x, train_y, test_x, test_y, preprocessor.output_width(), dataset.num_classes())
+    let width = preprocessor.output_width();
+    let matrix = |d: &Dataset| {
+        BatchBuffer::from_data(preprocessor.transform_matrix(d).expect("transform"), width)
+            .expect("matrix")
+    };
+    let (train_x, test_x) = (matrix(&train), matrix(&test));
+    (train_x, train.labels().to_vec(), test_x, test.labels().to_vec(), width, dataset.num_classes())
 }
 
 fn train_cyberhd(
-    train_x: &[Vec<f32>],
+    train_x: &BatchBuffer,
     train_y: &[usize],
     width: usize,
     classes: usize,
@@ -38,7 +42,10 @@ fn train_cyberhd(
         .seed(seed)
         .build()
         .expect("valid config");
-    CyberHdTrainer::new(config).expect("trainer").fit(train_x, train_y).expect("training succeeds")
+    CyberHdTrainer::new(config)
+        .expect("trainer")
+        .fit_view(train_x.view(), train_y)
+        .expect("training succeeds")
 }
 
 #[test]
@@ -46,7 +53,7 @@ fn cyberhd_detects_intrusions_on_every_dataset_standin() {
     for kind in DatasetKind::ALL {
         let (train_x, train_y, test_x, test_y, width, classes) = prepare(kind, 1_600, 7);
         let model = train_cyberhd(&train_x, &train_y, width, classes, 256, 0.2, 7);
-        let accuracy = model.accuracy(&test_x, &test_y).expect("evaluation succeeds");
+        let accuracy = model.accuracy_view(test_x.view(), &test_y).expect("evaluation succeeds");
         assert!(
             accuracy > 0.70,
             "{kind:?}: CyberHD accuracy {accuracy} should clearly beat chance on synthetic data"
@@ -67,8 +74,8 @@ fn regeneration_beats_the_static_baseline_at_equal_dimensionality() {
     let dimension = 96;
     let cyber = train_cyberhd(&train_x, &train_y, width, classes, dimension, 0.25, 3);
     let baseline = train_cyberhd(&train_x, &train_y, width, classes, dimension, 0.0, 3);
-    let cyber_accuracy = cyber.accuracy(&test_x, &test_y).unwrap();
-    let baseline_accuracy = baseline.accuracy(&test_x, &test_y).unwrap();
+    let cyber_accuracy = cyber.accuracy_view(test_x.view(), &test_y).unwrap();
+    let baseline_accuracy = baseline.accuracy_view(test_x.view(), &test_y).unwrap();
     assert!(
         cyber_accuracy >= baseline_accuracy - 0.02,
         "CyberHD ({cyber_accuracy}) should not lose to the static baseline ({baseline_accuracy})"
@@ -83,8 +90,8 @@ fn cyberhd_at_low_dimension_approaches_the_large_static_baseline() {
         prepare(DatasetKind::NslKdd, 2_000, 33);
     let cyber = train_cyberhd(&train_x, &train_y, width, classes, 256, 0.2, 5);
     let large_baseline = train_cyberhd(&train_x, &train_y, width, classes, 1024, 0.0, 5);
-    let cyber_accuracy = cyber.accuracy(&test_x, &test_y).unwrap();
-    let baseline_accuracy = large_baseline.accuracy(&test_x, &test_y).unwrap();
+    let cyber_accuracy = cyber.accuracy_view(test_x.view(), &test_y).unwrap();
+    let baseline_accuracy = large_baseline.accuracy_view(test_x.view(), &test_y).unwrap();
     assert!(
         cyber_accuracy >= baseline_accuracy - 0.05,
         "CyberHD at 256 dims ({cyber_accuracy}) should be within a few points of the 1024-dim \
@@ -98,23 +105,27 @@ fn all_five_models_of_the_paper_run_on_the_same_data() {
         prepare(DatasetKind::CicIds2018, 1_500, 55);
 
     let cyber = train_cyberhd(&train_x, &train_y, width, classes, 256, 0.2, 1);
-    let cyber_accuracy = cyber.accuracy(&test_x, &test_y).unwrap();
+    let cyber_accuracy = cyber.accuracy_view(test_x.view(), &test_y).unwrap();
 
-    let baseline = BaselineHd::new(width, classes, 256, 1)
-        .unwrap()
+    // baselineHD is the same trainer with regeneration off.
+    let config = CyberHdConfig::builder(width, classes)
+        .dimension(256)
+        .regeneration_rate(0.0)
         .retrain_epochs(5)
-        .fit(&train_x, &train_y)
+        .seed(1)
+        .build()
         .unwrap();
-    let baseline_accuracy = baseline.accuracy(&test_x, &test_y).unwrap();
+    let baseline = CyberHdTrainer::new(config).unwrap().fit_view(train_x.view(), &train_y).unwrap();
+    let baseline_accuracy = baseline.accuracy_view(test_x.view(), &test_y).unwrap();
 
     let mut mlp =
         Mlp::new(MlpConfig::new(width, classes).hidden_layers(vec![64]).epochs(8).seed(1)).unwrap();
-    mlp.fit(&train_x, &train_y).unwrap();
-    let mlp_accuracy = mlp.accuracy(&test_x, &test_y).unwrap();
+    mlp.fit_view(train_x.view(), &train_y).unwrap();
+    let mlp_accuracy = mlp.accuracy_view(test_x.view(), &test_y).unwrap();
 
     let mut svm = LinearSvm::new(SvmConfig::new(width, classes).epochs(8).seed(1)).unwrap();
-    svm.fit(&train_x, &train_y).unwrap();
-    let svm_accuracy = svm.accuracy(&test_x, &test_y).unwrap();
+    svm.fit_view(train_x.view(), &train_y).unwrap();
+    let svm_accuracy = svm.accuracy_view(test_x.view(), &test_y).unwrap();
 
     for (name, accuracy) in [
         ("CyberHD", cyber_accuracy),
@@ -137,10 +148,10 @@ fn quantized_deployments_preserve_most_of_the_accuracy() {
     // symmetric max-abs scaling.  Several seeds assert that explicitly.
     for seed in [2, 3, 11] {
         let model = train_cyberhd(&train_x, &train_y, width, classes, 256, 0.2, seed);
-        let full = model.accuracy(&test_x, &test_y).unwrap();
+        let full = model.accuracy_view(test_x.view(), &test_y).unwrap();
         for bits in [BitWidth::B16, BitWidth::B8, BitWidth::B4, BitWidth::B2, BitWidth::B1] {
             let deployed = model.quantize(bits);
-            let quantized = deployed.accuracy(&test_x, &test_y).unwrap();
+            let quantized = deployed.accuracy_view(test_x.view(), &test_y).unwrap();
             assert!(
                 quantized > full - 0.12,
                 "seed {seed} / {bits:?}: quantized accuracy {quantized} dropped too far below \
@@ -155,7 +166,7 @@ fn online_learner_matches_batch_training_reasonably() {
     let (train_x, train_y, test_x, test_y, width, classes) =
         prepare(DatasetKind::NslKdd, 1_800, 91);
     let batch = train_cyberhd(&train_x, &train_y, width, classes, 256, 0.0, 11);
-    let batch_accuracy = batch.accuracy(&test_x, &test_y).unwrap();
+    let batch_accuracy = batch.accuracy_view(test_x.view(), &test_y).unwrap();
 
     let config = CyberHdConfig::builder(width, classes)
         .dimension(256)
@@ -166,12 +177,12 @@ fn online_learner_matches_batch_training_reasonably() {
     let mut learner = OnlineLearner::new(config).unwrap();
     // Three passes over the stream to mimic a modest retraining budget.
     for _ in 0..3 {
-        for (x, &y) in train_x.iter().zip(&train_y) {
+        for (x, &y) in train_x.view().iter_rows().zip(&train_y) {
             learner.observe(x, y).unwrap();
         }
     }
     let online = learner.into_model();
-    let online_accuracy = online.accuracy(&test_x, &test_y).unwrap();
+    let online_accuracy = online.accuracy_view(test_x.view(), &test_y).unwrap();
     assert!(
         online_accuracy > batch_accuracy - 0.10,
         "online accuracy {online_accuracy} should be within 10 points of batch {batch_accuracy}"

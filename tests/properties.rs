@@ -182,15 +182,12 @@ fn minmax_preprocessing_maps_training_data_into_unit_interval() {
         let seed = rng.index(500) as u64;
         let dataset = DatasetKind::UnswNb15.generate(&SyntheticConfig::new(300, seed)).unwrap();
         let preprocessor = Preprocessor::fit(&dataset, Normalization::MinMax).unwrap();
-        let transformed = preprocessor.transform(&dataset).unwrap();
+        let transformed = preprocessor.transform_matrix(&dataset).unwrap();
         assert!(
-            transformed.iter().flatten().all(|&v| (0.0..=1.0).contains(&v) && v.is_finite()),
+            transformed.iter().all(|&v| (0.0..=1.0).contains(&v) && v.is_finite()),
             "case {case}"
         );
-        assert!(
-            transformed.iter().all(|row| row.len() == preprocessor.output_width()),
-            "case {case}"
-        );
+        assert_eq!(transformed.len(), dataset.len() * preprocessor.output_width(), "case {case}");
     }
 }
 

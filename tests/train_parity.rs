@@ -26,17 +26,19 @@ use hdc::BatchView;
 use nids_data::DatasetKind;
 
 /// Builds an NSL-KDD-shaped train/test pair.
-fn traffic(samples: usize, seed: u64) -> (Vec<Vec<f32>>, Vec<usize>, Vec<Vec<f32>>, usize, usize) {
+fn traffic(samples: usize, seed: u64) -> (BatchBuffer, Vec<usize>, BatchBuffer, usize, usize) {
     let dataset = DatasetKind::NslKdd
         .generate(&SyntheticConfig::new(samples, seed).difficulty(1.8))
         .expect("generation succeeds");
     let (train, test) = train_test_split(&dataset, 0.4, seed).expect("split succeeds");
     let preprocessor = Preprocessor::fit(&train, Normalization::MinMax).expect("fit succeeds");
-    let (train_x, train_y) = preprocessor.transform_with_labels(&train).expect("transform");
-    let (test_x, _) = preprocessor.transform_with_labels(&test).expect("transform");
     let width = preprocessor.output_width();
+    let matrix = |d: &Dataset| {
+        BatchBuffer::from_data(preprocessor.transform_matrix(d).expect("transform"), width)
+            .expect("matrix")
+    };
     let classes = dataset.num_classes();
-    (train_x, train_y, test_x, width, classes)
+    (matrix(&train), train.labels().to_vec(), matrix(&test), width, classes)
 }
 
 #[test]
@@ -57,10 +59,11 @@ fn batch_size_one_training_is_bit_exact_with_the_streaming_serial_rule() {
         .build()
         .unwrap();
 
-    let model = CyberHdTrainer::new(config.clone()).unwrap().fit(&train_x, &train_y).unwrap();
+    let model =
+        CyberHdTrainer::new(config.clone()).unwrap().fit_view(train_x.view(), &train_y).unwrap();
 
     let mut learner = OnlineLearner::new(config).unwrap();
-    for (x, &y) in train_x.iter().zip(&train_y) {
+    for (x, &y) in train_x.view().iter_rows().zip(&train_y) {
         learner.observe(x, y).unwrap();
     }
     let streamed = learner.into_model();
@@ -85,7 +88,7 @@ fn batch_size_one_ignores_the_thread_knob() {
             .seed(11)
             .build()
             .unwrap();
-        CyberHdTrainer::new(config).unwrap().fit(&train_x, &train_y).unwrap()
+        CyberHdTrainer::new(config).unwrap().fit_view(train_x.view(), &train_y).unwrap()
     };
     let one = fit_with(1);
     let eight = fit_with(8);
@@ -109,7 +112,7 @@ fn minibatch_training_is_deterministic_across_thread_counts() {
             .seed(13)
             .build()
             .unwrap();
-        CyberHdTrainer::new(config).unwrap().fit(&train_x, &train_y).unwrap()
+        CyberHdTrainer::new(config).unwrap().fit_view(train_x.view(), &train_y).unwrap()
     };
     let reference = fit_with(1);
     for threads in [2, 8] {
@@ -135,7 +138,7 @@ fn minibatch_training_is_deterministic_across_thread_counts() {
         .seed(13)
         .build()
         .unwrap();
-    let auto = CyberHdTrainer::new(config).unwrap().fit(&train_x, &train_y).unwrap();
+    let auto = CyberHdTrainer::new(config).unwrap().fit_view(train_x.view(), &train_y).unwrap();
     assert_eq!(reference.class_hypervectors(), auto.class_hypervectors());
 }
 
@@ -155,8 +158,9 @@ fn minibatch_training_keeps_detection_accuracy() {
             .seed(19)
             .build()
             .unwrap();
-        let model = CyberHdTrainer::new(config).unwrap().fit(&train_x, &train_y).unwrap();
-        model.accuracy(&train_x, &train_y).unwrap()
+        let model =
+            CyberHdTrainer::new(config).unwrap().fit_view(train_x.view(), &train_y).unwrap();
+        model.accuracy_view(train_x.view(), &train_y).unwrap()
     };
     let serial = accuracy_with(1);
     let minibatch = accuracy_with(64);
@@ -166,7 +170,7 @@ fn minibatch_training_keeps_detection_accuracy() {
     );
 }
 
-/// The 1-bit encode-then-quantize pipeline `predict_batch` ran before
+/// The 1-bit encode-then-quantize pipeline the batched predict ran before
 /// the fused sign-encode kernel: batched f32 encode into a chunk
 /// matrix, per-row sign packing, packed-word Hamming scoring with the
 /// engine's cosine convention.
@@ -222,12 +226,10 @@ fn predict_b1_encode_then_quantize(
     predictions
 }
 
-/// Runs [`predict_b1_encode_then_quantize`] over a row batch with the
-/// model's own encoder and its 1-bit deployment.
-fn b1_reference(model: &CyberHdModel, batch: &[Vec<f32>]) -> Vec<usize> {
-    let width = batch.first().map_or(1, Vec::len);
-    let buffer = hdc::BatchBuffer::from_rows(batch, width).expect("consistent rows");
-    predict_b1_encode_then_quantize(model.encoder(), &model.quantize(BitWidth::B1), buffer.view())
+/// Runs [`predict_b1_encode_then_quantize`] over a batch with the model's
+/// own encoder and its 1-bit deployment.
+fn b1_reference(model: &CyberHdModel, batch: BatchView<'_>) -> Vec<usize> {
+    predict_b1_encode_then_quantize(model.encoder(), &model.quantize(BitWidth::B1), batch)
 }
 
 #[test]
@@ -235,7 +237,7 @@ fn fused_sign_encode_is_bit_exact_on_every_encoder() {
     let (train_x, train_y, mut test_x, width, classes) = traffic(900, 23);
     // An all-zero flow exercises the zero-row convention (Record maps it to
     // the zero hypervector; the serial path sends it to class 0).
-    test_x.push(vec![0.0; width]);
+    test_x.push_row();
     for kind in [EncoderKind::Rbf, EncoderKind::IdLevel, EncoderKind::Record] {
         let config = CyberHdConfig::builder(width, classes)
             .dimension(320)
@@ -245,13 +247,14 @@ fn fused_sign_encode_is_bit_exact_on_every_encoder() {
             .seed(29)
             .build()
             .unwrap();
-        let model = CyberHdTrainer::new(config).unwrap().fit(&train_x, &train_y).unwrap();
+        let model =
+            CyberHdTrainer::new(config).unwrap().fit_view(train_x.view(), &train_y).unwrap();
         let deployed = model.quantize(BitWidth::B1);
-        let fused = deployed.predict_batch(&test_x).unwrap();
-        let reference = b1_reference(&model, &test_x);
+        let fused = deployed.predict_batch_view(test_x.view()).unwrap();
+        let reference = b1_reference(&model, test_x.view());
         assert_eq!(fused, reference, "{kind:?}: fused B1 predictions diverged");
         // The serial per-sample path agrees bit for bit as well.
-        for (i, x) in test_x.iter().enumerate() {
+        for (i, x) in test_x.view().iter_rows().enumerate() {
             assert_eq!(fused[i], deployed.predict(x).unwrap(), "{kind:?} sample {i}");
         }
     }
@@ -264,14 +267,13 @@ fn fused_sign_encode_parity_survives_randomized_feature_sweeps() {
     // diverge from the polynomial sign.
     let mut rng = HdcRng::seed_from(31);
     let width = 24;
-    let (train_x, train_y): (Vec<Vec<f32>>, Vec<usize>) = (0..240)
-        .map(|i| {
-            let class = i % 3;
-            let x: Vec<f32> =
-                (0..width).map(|_| (class as f64 + rng.normal(0.0, 0.4)) as f32).collect();
-            (x, class)
-        })
-        .unzip();
+    let mut train_x = BatchBuffer::with_width(width).unwrap();
+    let train_y: Vec<usize> = (0..240).map(|i| i % 3).collect();
+    for &class in &train_y {
+        for x in train_x.push_row() {
+            *x = (class as f64 + rng.normal(0.0, 0.4)) as f32;
+        }
+    }
     let config = CyberHdConfig::builder(width, 3)
         .dimension(512)
         .rbf_sigma(2.0)
@@ -280,11 +282,11 @@ fn fused_sign_encode_parity_survives_randomized_feature_sweeps() {
         .seed(37)
         .build()
         .unwrap();
-    let model = CyberHdTrainer::new(config).unwrap().fit(&train_x, &train_y).unwrap();
+    let model = CyberHdTrainer::new(config).unwrap().fit_view(train_x.view(), &train_y).unwrap();
     let deployed = model.quantize(BitWidth::B1);
-    let queries: Vec<Vec<f32>> =
-        (0..400).map(|_| (0..width).map(|_| rng.normal(0.0, 3.0) as f32).collect()).collect();
-    let fused = deployed.predict_batch(&queries).unwrap();
-    let reference = b1_reference(&model, &queries);
+    let queries: Vec<f32> = (0..400 * width).map(|_| rng.normal(0.0, 3.0) as f32).collect();
+    let queries = BatchView::new(&queries, width).unwrap();
+    let fused = deployed.predict_batch_view(queries).unwrap();
+    let reference = b1_reference(&model, queries);
     assert_eq!(fused, reference);
 }
