@@ -159,7 +159,8 @@ pub struct CyberHdConfigBuilder {
     learning_rate: f32,
     retrain_epochs: usize,
     regeneration_rate: f32,
-    encoder: EncoderKind,
+    /// Read by the detector builder, which picks its preprocessing by it.
+    pub(crate) encoder: EncoderKind,
     rbf_sigma: f32,
     id_level_levels: usize,
     ngram_order: usize,
@@ -187,6 +188,21 @@ impl CyberHdConfigBuilder {
             encode_threads: 1,
             batch: TrainingBatch::SERIAL,
         }
+    }
+
+    /// Sets the data shape — input width, class count and the symbolic
+    /// encoders' alphabets — that the detector builder derives from its
+    /// dataset.
+    pub(crate) fn shape(
+        mut self,
+        input_features: usize,
+        num_classes: usize,
+        symbol_alphabets: Vec<usize>,
+    ) -> Self {
+        self.input_features = input_features;
+        self.num_classes = num_classes;
+        self.symbol_alphabets = symbol_alphabets;
+        self
     }
 
     /// Sets the physical hypervector dimensionality `D`.

@@ -51,7 +51,9 @@ use crate::online::OnlineLearner;
 use crate::quantized::QuantizedModel;
 use crate::regeneration::RegenerationStats;
 use crate::trainer::CyberHdTrainer;
-use crate::{CyberHdConfig, CyberHdError, EncoderKind, Result, TrainingBatch};
+use crate::{
+    CyberHdConfig, CyberHdConfigBuilder, CyberHdError, EncoderKind, Result, TrainingBatch,
+};
 use eval::metrics::ConfusionMatrix;
 use hdc::codec::{CodecError, CodecResult, Reader, Writer};
 use hdc::{AssociativeMemory, BatchView, BitWidth, QuantizedHypervector};
@@ -222,17 +224,9 @@ impl fmt::Display for DetectorInfo {
 #[derive(Debug, Clone)]
 pub struct DetectorBuilder {
     normalization: Normalization,
-    dimension: usize,
-    learning_rate: f32,
-    retrain_epochs: usize,
-    regeneration_rate: f32,
-    encoder: EncoderKind,
-    rbf_sigma: f32,
-    id_level_levels: usize,
-    ngram_order: usize,
-    seed: u64,
-    encode_threads: usize,
-    batch: TrainingBatch,
+    /// The training knobs; [`DetectorBuilder::train`] fills in the shape
+    /// (input width, class count, symbol alphabets) from the dataset.
+    config: CyberHdConfigBuilder,
     quantize: Option<BitWidth>,
     open_set: Option<f64>,
     online: bool,
@@ -242,17 +236,7 @@ impl Default for DetectorBuilder {
     fn default() -> Self {
         Self {
             normalization: Normalization::MinMax,
-            dimension: 512,
-            learning_rate: 0.035,
-            retrain_epochs: 10,
-            regeneration_rate: 0.1,
-            encoder: EncoderKind::Rbf,
-            rbf_sigma: 1.0,
-            id_level_levels: 32,
-            ngram_order: 3,
-            seed: 0x5EED,
-            encode_threads: 1,
-            batch: TrainingBatch::SERIAL,
+            config: CyberHdConfig::builder(0, 0),
             quantize: None,
             open_set: None,
             online: false,
@@ -267,72 +251,67 @@ impl DetectorBuilder {
         self
     }
 
-    /// Sets the physical hypervector dimensionality `D`.
-    pub fn dimension(mut self, dimension: usize) -> Self {
-        self.dimension = dimension;
+    /// Applies one [`CyberHdConfigBuilder`] setter to the training knobs.
+    fn knob(mut self, set: impl FnOnce(CyberHdConfigBuilder) -> CyberHdConfigBuilder) -> Self {
+        self.config = set(self.config);
         self
     }
 
+    /// Sets the physical hypervector dimensionality `D`.
+    pub fn dimension(self, dimension: usize) -> Self {
+        self.knob(|c| c.dimension(dimension))
+    }
+
     /// Sets the learning rate `η` of the adaptive update.
-    pub fn learning_rate(mut self, learning_rate: f32) -> Self {
-        self.learning_rate = learning_rate;
-        self
+    pub fn learning_rate(self, learning_rate: f32) -> Self {
+        self.knob(|c| c.learning_rate(learning_rate))
     }
 
     /// Sets the number of retraining epochs (ignored by
     /// [`DetectorBuilder::online`] training).
-    pub fn retrain_epochs(mut self, retrain_epochs: usize) -> Self {
-        self.retrain_epochs = retrain_epochs;
-        self
+    pub fn retrain_epochs(self, retrain_epochs: usize) -> Self {
+        self.knob(|c| c.retrain_epochs(retrain_epochs))
     }
 
     /// Sets the regeneration rate `R` (zero disables regeneration).
-    pub fn regeneration_rate(mut self, regeneration_rate: f32) -> Self {
-        self.regeneration_rate = regeneration_rate;
-        self
+    pub fn regeneration_rate(self, regeneration_rate: f32) -> Self {
+        self.knob(|c| c.regeneration_rate(regeneration_rate))
     }
 
     /// Selects the encoder family.
-    pub fn encoder(mut self, encoder: EncoderKind) -> Self {
-        self.encoder = encoder;
-        self
+    pub fn encoder(self, encoder: EncoderKind) -> Self {
+        self.knob(|c| c.encoder(encoder))
     }
 
     /// Sets the Gaussian bandwidth of the RBF encoder.
-    pub fn rbf_sigma(mut self, rbf_sigma: f32) -> Self {
-        self.rbf_sigma = rbf_sigma;
-        self
+    pub fn rbf_sigma(self, rbf_sigma: f32) -> Self {
+        self.knob(|c| c.rbf_sigma(rbf_sigma))
     }
 
     /// Sets the level count of the ID–level encoder (also the
     /// numeric-column level count of the symbol-record encoder).
-    pub fn id_level_levels(mut self, id_level_levels: usize) -> Self {
-        self.id_level_levels = id_level_levels;
-        self
+    pub fn id_level_levels(self, id_level_levels: usize) -> Self {
+        self.knob(|c| c.id_level_levels(id_level_levels))
     }
 
     /// Sets the n-gram order of the [`EncoderKind::NGram`] encoder.
-    pub fn ngram_order(mut self, ngram_order: usize) -> Self {
-        self.ngram_order = ngram_order;
-        self
+    pub fn ngram_order(self, ngram_order: usize) -> Self {
+        self.knob(|c| c.ngram_order(ngram_order))
     }
 
     /// Sets the RNG seed (base vectors, shuffling, regeneration).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
+    pub fn seed(self, seed: u64) -> Self {
+        self.knob(|c| c.seed(seed))
     }
 
     /// Sets the worker-thread count for batch encoding.
-    pub fn encode_threads(mut self, encode_threads: usize) -> Self {
-        self.encode_threads = encode_threads;
-        self
+    pub fn encode_threads(self, encode_threads: usize) -> Self {
+        self.knob(|c| c.encode_threads(encode_threads))
     }
 
     /// Sets the full mini-batch shape of the training engine.
-    pub fn training_batch(mut self, batch: TrainingBatch) -> Self {
-        self.batch = batch;
-        self
+    pub fn training_batch(self, batch: TrainingBatch) -> Self {
+        self.knob(|c| c.training_batch(batch))
     }
 
     /// Deploys the class memory at the given element bitwidth.
@@ -383,29 +362,18 @@ impl DetectorBuilder {
         // the symbolic preprocessing mode regardless of what the builder was
         // given — a silent one-hot expansion would destroy the symbol
         // identities the item memories key on.
+        let encoder = self.config.encoder;
         let normalization =
-            if self.encoder.is_symbolic() { Normalization::Symbolic } else { self.normalization };
-        let symbol_alphabets = derive_symbol_alphabets(self.encoder, dataset.schema())?;
+            if encoder.is_symbolic() { Normalization::Symbolic } else { self.normalization };
+        let symbol_alphabets = derive_symbol_alphabets(encoder, dataset.schema())?;
         let preprocessor = Preprocessor::fit(dataset, normalization)?;
         let matrix = preprocessor.transform_matrix(dataset)?;
         let width = preprocessor.output_width();
         let view = BatchView::new(&matrix, width).map_err(CyberHdError::from)?;
         let labels = dataset.labels();
 
-        let config = CyberHdConfig::builder(width, dataset.num_classes())
-            .dimension(self.dimension)
-            .learning_rate(self.learning_rate)
-            .retrain_epochs(self.retrain_epochs)
-            .regeneration_rate(self.regeneration_rate)
-            .encoder(self.encoder)
-            .rbf_sigma(self.rbf_sigma)
-            .id_level_levels(self.id_level_levels)
-            .ngram_order(self.ngram_order)
-            .symbol_alphabets(symbol_alphabets)
-            .seed(self.seed)
-            .encode_threads(self.encode_threads)
-            .training_batch(self.batch)
-            .build()?;
+        let config =
+            self.config.clone().shape(width, dataset.num_classes(), symbol_alphabets).build()?;
 
         let model = if self.online {
             crate::validate_dataset_view(view, labels, width, config.num_classes)?;
@@ -741,38 +709,34 @@ impl Detector {
     /// so corrupted checkpoints fail loudly instead of loading a silently
     /// wrong model.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.bytes(MAGIC);
-        w.u32(FORMAT_VERSION);
-        self.state.preprocessor.write_to(&mut w);
-        write_config(&mut w, &self.state.config);
-        match &self.state.engine {
-            Engine::Dense { model, .. } => {
-                w.u8(0);
-                model.encoder().write_to(&mut w);
-                model.memory().write_to(&mut w);
-                write_report(&mut w, model.report());
-            }
-            Engine::Quantized(model) => {
-                w.u8(1);
-                model.encoder().write_to(&mut w);
-                w.u8(model.width().bits() as u8);
-                w.usize(model.classes().len());
-                for class in model.classes() {
-                    class.write_to(&mut w);
+        hdc::codec::seal(MAGIC, FORMAT_VERSION, |w| {
+            self.state.preprocessor.write_to(w);
+            write_config(w, &self.state.config);
+            match &self.state.engine {
+                Engine::Dense { model, .. } => {
+                    w.u8(0);
+                    model.encoder().write_to(w);
+                    model.memory().write_to(w);
+                    write_report(w, model.report());
+                }
+                Engine::Quantized(model) => {
+                    w.u8(1);
+                    model.encoder().write_to(w);
+                    w.u8(model.width().bits() as u8);
+                    w.usize(model.classes().len());
+                    for class in model.classes() {
+                        class.write_to(w);
+                    }
                 }
             }
-        }
-        match self.thresholds() {
-            None => w.bool(false),
-            Some(thresholds) => {
-                w.bool(true);
-                w.f32_slice(thresholds);
+            match self.thresholds() {
+                None => w.bool(false),
+                Some(thresholds) => {
+                    w.bool(true);
+                    w.f32_slice(thresholds);
+                }
             }
-        }
-        let crc = hdc::codec::crc32(w.as_slice());
-        w.u32(crc);
-        w.into_bytes()
+        })
     }
 
     /// Deserializes an artifact produced by [`Detector::to_bytes`]; the
@@ -1121,40 +1085,9 @@ fn read_report(r: &mut Reader<'_>) -> CodecResult<TrainingReport> {
 }
 
 fn read_detector(bytes: &[u8]) -> CodecResult<Detector> {
-    let mut head = Reader::new(bytes);
-    let magic = head.take(4)?;
-    if magic != MAGIC {
-        return Err(CodecError::Invalid(format!(
-            "not a detector artifact (magic {magic:02X?}, expected {MAGIC:02X?})"
-        )));
-    }
-    let version = head.u32()?;
-    if version != FORMAT_VERSION {
-        return Err(CodecError::Invalid(format!(
-            "artifact format version {version} is not supported (this build reads version \
-             {FORMAT_VERSION})"
-        )));
-    }
-    // Verify the CRC-32 trailer over everything before it, so a corrupted
-    // artifact fails here instead of parsing garbage.
-    if bytes.len() < 12 {
-        return Err(CodecError::UnexpectedEof { needed: 12, remaining: bytes.len() });
-    }
-    let trailer_at = bytes.len() - 4;
-    let stored = u32::from_le_bytes([
-        bytes[trailer_at],
-        bytes[trailer_at + 1],
-        bytes[trailer_at + 2],
-        bytes[trailer_at + 3],
-    ]);
-    let computed = hdc::codec::crc32(&bytes[..trailer_at]);
-    if stored != computed {
-        return Err(CodecError::Invalid(format!(
-            "artifact checksum mismatch (stored {stored:08X}, computed {computed:08X}): the \
-             bytes were corrupted after sealing"
-        )));
-    }
-    let r = &mut Reader::new(&bytes[8..trailer_at]);
+    // The CRC-32 trailer is verified before the payload is parsed, so a
+    // corrupted artifact fails here instead of parsing garbage.
+    let r = &mut hdc::codec::unseal(bytes, "detector artifact", MAGIC, FORMAT_VERSION)?;
     let preprocessor = Preprocessor::read_from(r)?;
     let config = read_config(r)?;
     if config.input_features != preprocessor.output_width() {

@@ -822,9 +822,11 @@ fn replay_err(index: u64, e: &ServeError) -> ServeError {
 
 /// Serializes a checkpoint: `CYCK` + version + payload + CRC-32 trailer.
 fn encode_checkpoint(config: &DurableConfig, events: u64, state: &LaneCheckpoint) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.bytes(CKPT_MAGIC);
-    w.u32(CKPT_VERSION);
+    hdc::codec::seal(CKPT_MAGIC, CKPT_VERSION, |w| write_checkpoint(w, config, events, state))
+}
+
+/// The payload of a checkpoint frame.
+fn write_checkpoint(w: &mut Writer, config: &DurableConfig, events: u64, state: &LaneCheckpoint) {
     let a = &config.adaptive;
     w.usize(a.max_batch);
     w.u64(a.max_delay.as_nanos() as u64);
@@ -851,7 +853,7 @@ fn encode_checkpoint(config: &DurableConfig, events: u64, state: &LaneCheckpoint
     w.bytes(&state.detector_bytes);
     w.bool(state.thresholds.is_some());
     w.f32_slice(state.thresholds.as_deref().unwrap_or(&[]));
-    state.monitor.write_to(&mut w);
+    state.monitor.write_to(w);
     w.u64(state.next_seq);
     w.usize(state.retained.len());
     for (seq, record) in &state.retained {
@@ -871,34 +873,11 @@ fn encode_checkpoint(config: &DurableConfig, events: u64, state: &LaneCheckpoint
     for counter in state.counters {
         w.u64(counter);
     }
-    let crc = hdc::codec::crc32(w.as_slice());
-    w.u32(crc);
-    w.into_bytes()
 }
 
 /// Parses and validates a checkpoint file's bytes.
 fn decode_checkpoint(bytes: &[u8]) -> CodecResult<(DurableConfig, u64, LaneCheckpoint)> {
-    if bytes.len() < 12 {
-        return Err(CodecError::Invalid("checkpoint too short for its frame".into()));
-    }
-    let trailer_at = bytes.len() - 4;
-    let stored = u32::from_le_bytes(bytes[trailer_at..].try_into().expect("4 bytes"));
-    let computed = hdc::codec::crc32(&bytes[..trailer_at]);
-    if stored != computed {
-        return Err(CodecError::Invalid(format!(
-            "checkpoint checksum mismatch (stored {stored:08X}, computed {computed:08X})"
-        )));
-    }
-    let r = &mut Reader::new(&bytes[..trailer_at]);
-    if r.take(4)? != CKPT_MAGIC {
-        return Err(CodecError::Invalid("not a cyberhd checkpoint".into()));
-    }
-    let version = r.u32()?;
-    if version != CKPT_VERSION {
-        return Err(CodecError::Invalid(format!(
-            "checkpoint version {version}; this build reads version {CKPT_VERSION}"
-        )));
-    }
+    let r = &mut hdc::codec::unseal(bytes, "checkpoint", CKPT_MAGIC, CKPT_VERSION)?;
     let max_batch = r.usize()?;
     let max_delay = Duration::from_nanos(r.u64()?);
     let queue_capacity = r.usize()?;
@@ -1483,7 +1462,7 @@ mod tests {
         for cut in [1usize, 4, 8, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode_checkpoint(&bytes[..cut]).is_err(), "truncation at {cut} must fail");
         }
-        // Any byte flip trips the CRC.
+        // Any byte flip fails: the magic, the version or the CRC.
         for at in [0usize, 5, bytes.len() / 3, bytes.len() - 2] {
             let mut bad = bytes.clone();
             bad[at] ^= 0x01;

@@ -12,9 +12,10 @@
 //! original bit for bit, which is the contract the detector artifact tests
 //! pin.
 //!
-//! Versioning lives one level up: the artifact container (see
-//! `cyberhd::detector`) prefixes the payload with a magic tag and a format
-//! version and refuses anything it does not understand.
+//! Versioning lives one level up, in one frame shared by every persisted
+//! format ([`seal`] / [`unseal`]): a magic tag, a format version, the
+//! payload and a CRC-32 trailer.  Readers refuse anything they do not
+//! understand.
 
 use std::error::Error;
 use std::fmt;
@@ -82,6 +83,64 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
+}
+
+/// Seals a versioned frame: `magic`, then `version`, then whatever
+/// `payload` writes, then a CRC-32 trailer over every preceding byte.  The
+/// payload is written straight into the frame, never copied a second time.
+pub fn seal(magic: &[u8; 4], version: u32, payload: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.bytes(magic);
+    w.u32(version);
+    payload(&mut w);
+    let crc = crc32(w.as_slice());
+    w.u32(crc);
+    w.into_bytes()
+}
+
+/// Opens a frame written by [`seal`], returning a reader over its payload.
+///
+/// Checks the magic tag, then the version, then the CRC-32 trailer, so a
+/// patched version word reports "version N is not supported" rather than a
+/// checksum mismatch.  `what` names the format in every error.
+///
+/// # Errors
+///
+/// Returns [`CodecError::Invalid`] for a foreign magic tag, another version
+/// or a checksum mismatch, and [`CodecError::UnexpectedEof`] for a frame too
+/// short to hold its header and trailer.
+pub fn unseal<'a>(
+    bytes: &'a [u8],
+    what: &str,
+    magic: &[u8; 4],
+    version: u32,
+) -> CodecResult<Reader<'a>> {
+    let mut head = Reader::new(bytes);
+    let found = head.take(4)?;
+    if found != magic {
+        return Err(CodecError::Invalid(format!(
+            "not a {what} (magic {found:02X?}, expected {magic:02X?})"
+        )));
+    }
+    let found = head.u32()?;
+    if found != version {
+        return Err(CodecError::Invalid(format!(
+            "{what} format version {found} is not supported (this build reads version {version})"
+        )));
+    }
+    if head.remaining() < 4 {
+        return Err(CodecError::UnexpectedEof { needed: 4, remaining: head.remaining() });
+    }
+    let trailer_at = bytes.len() - 4;
+    let stored = u32::from_le_bytes(bytes[trailer_at..].try_into().expect("4 bytes"));
+    let computed = crc32(&bytes[..trailer_at]);
+    if stored != computed {
+        return Err(CodecError::Invalid(format!(
+            "{what} checksum mismatch (stored {stored:08X}, computed {computed:08X}): the bytes \
+             were corrupted after sealing"
+        )));
+    }
+    Ok(Reader::new(&bytes[8..trailer_at]))
 }
 
 /// Appends little-endian fields to a byte buffer.
@@ -410,6 +469,30 @@ mod tests {
                 assert_ne!(crc32(&bytes), clean, "flip at byte {i} bit {bit} went undetected");
                 bytes[i] ^= 1 << bit;
             }
+        }
+    }
+
+    #[test]
+    fn sealed_frames_round_trip_and_name_their_format_in_errors() {
+        let frame = seal(b"TEST", 3, |w| w.u64(42));
+        assert_eq!(frame.len(), 4 + 4 + 8 + 4);
+        let mut r = unseal(&frame, "test frame", b"TEST", 3).unwrap();
+        assert_eq!(r.u64().unwrap(), 42);
+        assert!(r.is_exhausted());
+
+        let err = unseal(&frame, "test frame", b"ELSE", 3).unwrap_err();
+        assert!(err.to_string().contains("not a test frame"), "{err}");
+        // A patched version word reports the version, not the checksum.
+        let mut old = frame.clone();
+        old[4..8].copy_from_slice(&2u32.to_le_bytes());
+        let err = unseal(&old, "test frame", b"TEST", 3).unwrap_err();
+        assert!(err.to_string().contains("test frame format version 2 is not supported"), "{err}");
+        let mut flipped = frame.clone();
+        flipped[10] ^= 0x40;
+        let err = unseal(&flipped, "test frame", b"TEST", 3).unwrap_err();
+        assert!(err.to_string().contains("test frame checksum mismatch"), "{err}");
+        for cut in [0, 3, 7, 10] {
+            assert!(unseal(&frame[..cut], "test frame", b"TEST", 3).is_err(), "cut {cut}");
         }
     }
 
