@@ -60,7 +60,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .regeneration_rate(0.0)
             .retrain_epochs(epochs)
             .learning_rate(0.05)
-            .encode_threads(4)
             .seed(43)
             .build()?;
         let model = CyberHdTrainer::new(config)?.fit_view(data.train_x.view(), &data.train_y)?;

@@ -194,7 +194,6 @@ pub fn cyberhd_config(
         .retrain_epochs(epochs)
         .regeneration_rate(regeneration_rate)
         .learning_rate(0.05)
-        .encode_threads(4)
         .seed(seed)
         .build()
 }

@@ -43,47 +43,6 @@ impl EncoderKind {
     }
 }
 
-/// Mini-batch shape of the training engine.
-///
-/// The trainer scores every sample of a mini-batch against a frozen snapshot
-/// of the class memory, accumulates the adaptive deltas in parallel over row
-/// chunks and applies the merged deltas once per batch.  Results are
-/// **deterministic for a fixed seed at every thread count** (chunk
-/// boundaries and the merge order never depend on `threads`).
-///
-/// * `size == 1` reproduces the classic serial adaptive rule **bit for
-///   bit** — every sample sees the model updated by its predecessors.
-/// * Larger sizes trade update freshness for parallelism and locality:
-///   samples within a batch are scored against the same snapshot
-///   (OnlineHD-style mini-batch training), which typically costs a little
-///   per-epoch accuracy on small corpora and nothing measurable at NIDS
-///   scale, while letting `fit` scale across cores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TrainingBatch {
-    /// Samples per mini-batch (must be at least 1).
-    pub size: usize,
-    /// Worker threads for the mini-batch fan-out; `0` uses the engine
-    /// default (`hdc::parallel::engine_threads`, honouring
-    /// `CYBERHD_THREADS`).
-    pub threads: usize,
-}
-
-impl TrainingBatch {
-    /// The bit-exact serial rule: one sample per batch.
-    pub const SERIAL: TrainingBatch = TrainingBatch { size: 1, threads: 0 };
-
-    /// A mini-batch of `size` samples with the default thread fan-out.
-    pub fn of(size: usize) -> Self {
-        Self { size, threads: 0 }
-    }
-}
-
-impl Default for TrainingBatch {
-    fn default() -> Self {
-        Self::SERIAL
-    }
-}
-
 /// Fully validated CyberHD training configuration.
 ///
 /// Construct it through [`CyberHdConfig::builder`]; all fields are public for
@@ -123,11 +82,17 @@ pub struct CyberHdConfig {
     /// RNG seed governing base-vector generation, shuffling and
     /// regeneration.
     pub seed: u64,
-    /// Number of worker threads used for batch encoding (1 = sequential).
-    pub encode_threads: usize,
-    /// Mini-batch shape of the training engine (size 1 = bit-exact serial
-    /// rule; larger sizes enable the parallel mini-batch path).
-    pub batch: TrainingBatch,
+    /// Samples per training mini-batch (at least 1).
+    ///
+    /// * `1` (the default) is the classic serial adaptive rule: every
+    ///   sample is scored against the model its predecessors updated.
+    /// * Larger sizes score every sample of a mini-batch against a frozen
+    ///   snapshot of the class memory and apply the merged deltas once per
+    ///   batch (OnlineHD-style), which lets `fit` fan out across cores for
+    ///   a little per-epoch freshness.
+    ///
+    /// Either way a fixed seed gives the same model at every thread count.
+    pub batch_size: usize,
 }
 
 impl CyberHdConfig {
@@ -166,8 +131,7 @@ pub struct CyberHdConfigBuilder {
     ngram_order: usize,
     symbol_alphabets: Vec<usize>,
     seed: u64,
-    encode_threads: usize,
-    batch: TrainingBatch,
+    batch_size: usize,
 }
 
 impl CyberHdConfigBuilder {
@@ -185,8 +149,7 @@ impl CyberHdConfigBuilder {
             ngram_order: 3,
             symbol_alphabets: Vec::new(),
             seed: 0x5EED,
-            encode_threads: 1,
-            batch: TrainingBatch::SERIAL,
+            batch_size: 1,
         }
     }
 
@@ -268,29 +231,10 @@ impl CyberHdConfigBuilder {
         self
     }
 
-    /// Sets the number of worker threads used for batch encoding.
-    pub fn encode_threads(mut self, encode_threads: usize) -> Self {
-        self.encode_threads = encode_threads;
-        self
-    }
-
-    /// Sets the full mini-batch shape of the training engine.
-    pub fn training_batch(mut self, batch: TrainingBatch) -> Self {
-        self.batch = batch;
-        self
-    }
-
-    /// Sets the training mini-batch size, keeping the default thread
-    /// fan-out (`1` = the bit-exact serial adaptive rule).
-    pub fn batch_size(mut self, size: usize) -> Self {
-        self.batch.size = size;
-        self
-    }
-
-    /// Sets the worker-thread count of the training mini-batch fan-out
-    /// (`0` = engine default).
-    pub fn train_threads(mut self, threads: usize) -> Self {
-        self.batch.threads = threads;
+    /// Sets the training mini-batch size (`1` = the serial adaptive rule;
+    /// see [`CyberHdConfig::batch_size`]).
+    pub fn batch_size(mut self, batch_size: usize) -> Self {
+        self.batch_size = batch_size;
         self
     }
 
@@ -340,10 +284,7 @@ impl CyberHdConfigBuilder {
         if self.id_level_levels < 2 {
             return Err(CyberHdError::InvalidConfig("id_level_levels must be at least 2".into()));
         }
-        if self.encode_threads == 0 {
-            return Err(CyberHdError::InvalidConfig("encode_threads must be non-zero".into()));
-        }
-        if self.batch.size == 0 {
+        if self.batch_size == 0 {
             return Err(CyberHdError::InvalidConfig(
                 "training batch size must be at least 1".into(),
             ));
@@ -387,8 +328,7 @@ impl CyberHdConfigBuilder {
             ngram_order: self.ngram_order,
             symbol_alphabets: self.symbol_alphabets,
             seed: self.seed,
-            encode_threads: self.encode_threads,
-            batch: self.batch,
+            batch_size: self.batch_size,
         })
     }
 }
@@ -420,27 +360,15 @@ mod tests {
         assert!(CyberHdConfig::builder(0, 2).build().is_err());
         assert!(CyberHdConfig::builder(4, 1).build().is_err());
         assert!(CyberHdConfig::builder(4, 2).dimension(0).build().is_err());
-        assert!(CyberHdConfig::builder(4, 2).encode_threads(0).build().is_err());
         assert!(CyberHdConfig::builder(4, 2).batch_size(0).build().is_err());
     }
 
     #[test]
-    fn training_batch_knob_round_trips() {
-        // Default is the bit-exact serial rule.
-        let config = CyberHdConfig::builder(4, 2).build().unwrap();
-        assert_eq!(config.batch, TrainingBatch::SERIAL);
-        assert_eq!(config.batch, TrainingBatch::default());
-        // Mini-batch with explicit threads.
-        let config = CyberHdConfig::builder(4, 2)
-            .training_batch(TrainingBatch { size: 128, threads: 4 })
-            .build()
-            .unwrap();
-        assert_eq!(config.batch.size, 128);
-        assert_eq!(config.batch.threads, 4);
-        // Convenience setters compose.
-        let config = CyberHdConfig::builder(4, 2).batch_size(64).train_threads(2).build().unwrap();
-        assert_eq!(config.batch, TrainingBatch { size: 64, threads: 2 });
-        assert_eq!(TrainingBatch::of(256), TrainingBatch { size: 256, threads: 0 });
+    fn batch_size_knob_round_trips() {
+        // Default is the serial adaptive rule.
+        assert_eq!(CyberHdConfig::builder(4, 2).build().unwrap().batch_size, 1);
+        let config = CyberHdConfig::builder(4, 2).batch_size(64).build().unwrap();
+        assert_eq!(config.batch_size, 64);
     }
 
     #[test]

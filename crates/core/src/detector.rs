@@ -51,9 +51,7 @@ use crate::online::OnlineLearner;
 use crate::quantized::QuantizedModel;
 use crate::regeneration::RegenerationStats;
 use crate::trainer::CyberHdTrainer;
-use crate::{
-    CyberHdConfig, CyberHdConfigBuilder, CyberHdError, EncoderKind, Result, TrainingBatch,
-};
+use crate::{CyberHdConfig, CyberHdConfigBuilder, CyberHdError, EncoderKind, Result};
 use eval::metrics::ConfusionMatrix;
 use hdc::codec::{CodecError, CodecResult, Reader, Writer};
 use hdc::{AssociativeMemory, BatchView, BitWidth, QuantizedHypervector};
@@ -69,11 +67,13 @@ const MAGIC: &[u8; 4] = b"CYHD";
 /// a clear error instead of misinterpreting the payload; bump it whenever
 /// the field layout changes.
 ///
-/// Version 2 appends a CRC-32 integrity trailer over everything before it,
+/// Version 2 appended a CRC-32 integrity trailer over everything before it,
 /// so silent on-disk corruption of a checkpointed artifact is detected at
-/// load instead of deserializing garbage that happens to parse.  Version 1
-/// artifacts (no trailer, so no way to verify them) are rejected.
-const FORMAT_VERSION: u32 = 2;
+/// load instead of deserializing garbage that happens to parse.  Version 3
+/// drops the two thread-count words from the sealed config: the worker
+/// count belongs to the host, not the model.  Versions 1 and 2 are
+/// rejected.
+const FORMAT_VERSION: u32 = 3;
 
 /// Rows per streaming burst of the builder's `.online()` single-pass
 /// training mode: large enough to amortize the batched kernels, small
@@ -304,14 +304,10 @@ impl DetectorBuilder {
         self.knob(|c| c.seed(seed))
     }
 
-    /// Sets the worker-thread count for batch encoding.
-    pub fn encode_threads(self, encode_threads: usize) -> Self {
-        self.knob(|c| c.encode_threads(encode_threads))
-    }
-
-    /// Sets the full mini-batch shape of the training engine.
-    pub fn training_batch(self, batch: TrainingBatch) -> Self {
-        self.knob(|c| c.training_batch(batch))
+    /// Sets the training mini-batch size (`1` = the serial adaptive rule;
+    /// see [`CyberHdConfig::batch_size`]).
+    pub fn batch_size(self, batch_size: usize) -> Self {
+        self.knob(|c| c.batch_size(batch_size))
     }
 
     /// Deploys the class memory at the given element bitwidth.
@@ -704,7 +700,7 @@ impl Detector {
     /// the versioned binary format.  A load of these bytes reproduces every
     /// prediction **bit for bit** (floats travel as IEEE-754 bit patterns).
     ///
-    /// The version-2 frame ends with a CRC-32 trailer over every preceding
+    /// The frame ends with a CRC-32 trailer over every preceding
     /// byte; [`Detector::from_bytes`] verifies it before parsing anything,
     /// so corrupted checkpoints fail loudly instead of loading a silently
     /// wrong model.
@@ -1004,9 +1000,7 @@ fn write_config(w: &mut Writer, config: &CyberHdConfig) {
     w.f32(config.rbf_sigma);
     w.usize(config.id_level_levels);
     w.u64(config.seed);
-    w.usize(config.encode_threads);
-    w.usize(config.batch.size);
-    w.usize(config.batch.threads);
+    w.usize(config.batch_size);
 }
 
 fn read_config(r: &mut Reader<'_>) -> CodecResult<CyberHdConfig> {
@@ -1038,8 +1032,7 @@ fn read_config(r: &mut Reader<'_>) -> CodecResult<CyberHdConfig> {
     let rbf_sigma = r.f32()?;
     let id_level_levels = r.usize()?;
     let seed = r.u64()?;
-    let encode_threads = r.usize()?;
-    let batch = TrainingBatch { size: r.usize()?, threads: r.usize()? };
+    let batch_size = r.usize()?;
     CyberHdConfig::builder(input_features, num_classes)
         .dimension(dimension)
         .learning_rate(learning_rate)
@@ -1051,8 +1044,7 @@ fn read_config(r: &mut Reader<'_>) -> CodecResult<CyberHdConfig> {
         .ngram_order(ngram_order)
         .symbol_alphabets(symbol_alphabets)
         .seed(seed)
-        .encode_threads(encode_threads)
-        .training_batch(batch)
+        .batch_size(batch_size)
         .build()
         .map_err(|e| CodecError::Invalid(format!("config: {e}")))
 }
@@ -1390,7 +1382,7 @@ mod tests {
         assert!(err.to_string().contains("version"), "{err}");
         let truncated = &bytes[..bytes.len() / 2];
         assert!(Detector::from_bytes(truncated).is_err());
-        // Any corruption of a v2 frame — including appended garbage, which
+        // Any corruption of the frame — including appended garbage, which
         // shifts the CRC trailer — fails the checksum before parsing.
         let mut trailing = bytes.clone();
         trailing.push(0);
@@ -1407,15 +1399,24 @@ mod tests {
     fn legacy_v1_artifacts_are_rejected_as_an_unsupported_version() {
         let data = dataset(300, 31);
         let detector = quick_builder().train(&data).unwrap();
-        // Exactly the bytes a pre-CRC build would have written: the v2
-        // frame without its trailer, version field patched back to 1.
-        // They carry no checksum, so loading them would be the one way
-        // to deserialize unverified bytes.
-        let v2 = detector.to_bytes();
-        let mut v1 = v2[..v2.len() - 4].to_vec();
+        // Exactly the bytes a pre-CRC build would have written: the frame
+        // without its trailer, version field patched back to 1.  They carry
+        // no checksum, so loading them would be the one way to deserialize
+        // unverified bytes.
+        let v3 = detector.to_bytes();
+        let mut v1 = v3[..v3.len() - 4].to_vec();
         v1[4..8].copy_from_slice(&1u32.to_le_bytes());
         let err = Detector::from_bytes(&v1).unwrap_err();
         assert!(err.to_string().contains("version 1 is not supported"), "{err}");
+        // A version-2 frame (thread words in the config) with a valid
+        // trailer is refused by its version, before the payload is read.
+        let mut v2 = v3[..v3.len() - 4].to_vec();
+        v2[4..8].copy_from_slice(&2u32.to_le_bytes());
+        let crc = hdc::codec::crc32(&v2);
+        v2.extend_from_slice(&crc.to_le_bytes());
+        let err = Detector::from_bytes(&v2).unwrap_err();
+        assert!(matches!(err, CyberHdError::Persist(_)), "{err:?}");
+        assert!(err.to_string().contains("version 2 is not supported"), "{err}");
     }
 
     #[test]

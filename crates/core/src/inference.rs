@@ -9,8 +9,8 @@
 //!
 //! 1. the batch arrives as a zero-copy row-major [`hdc::BatchView`], is
 //!    split into [`CHUNK_ROWS`]-row sub-views (no data movement), and fanned
-//!    out across scoped threads ([`hdc::parallel`], behind the `parallel`
-//!    feature);
+//!    out across scoped threads ([`hdc::parallel`], sized by
+//!    `CYBERHD_THREADS`);
 //! 2. each chunk is encoded into one reusable chunk-local `rows × dim`
 //!    buffer with the encoder's cache-blocked batch kernel (**zero
 //!    per-sample allocations**, base matrix streamed once per sample block

@@ -74,7 +74,7 @@ pub mod regeneration;
 pub mod serve;
 pub mod trainer;
 
-pub use config::{CyberHdConfig, CyberHdConfigBuilder, EncoderKind, TrainingBatch};
+pub use config::{CyberHdConfig, CyberHdConfigBuilder, EncoderKind};
 pub use detector::{Detector, DetectorBuilder, DetectorInfo, OnlineDetector, Verdict};
 pub use durable::{DurableConfig, DurableLane, RecoveryReport};
 pub use model::{CyberHdModel, TrainingReport};

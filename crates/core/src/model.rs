@@ -369,7 +369,7 @@ impl CyberHdModel {
     /// Predicts the classes of a zero-copy row-major batch view on the
     /// fused batched engine (the crate-private `inference` module): chunked
     /// zero-allocation encoding, class norms computed once per batch, and
-    /// chunk fan-out across threads behind the `parallel` feature.
+    /// chunk fan-out across [`hdc::parallel::engine_threads`] threads.
     ///
     /// Callers holding contiguous data (a preprocessed matrix, a capture
     /// buffer) pay **zero copies**.

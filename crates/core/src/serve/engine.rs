@@ -425,8 +425,8 @@ impl ServeEngine {
     }
 
     /// Flushes every lane unconditionally, fanning the per-tenant flushes
-    /// out across worker threads ([`hdc::parallel::for_each_task`], behind
-    /// the `parallel` feature) — batches of different tenants are
+    /// out across worker threads ([`hdc::parallel::for_each_task`] on
+    /// [`hdc::parallel::engine_threads`]) — batches of different tenants are
     /// independent, so the fan-out cannot affect any verdict.  Returns the
     /// number of flows scored.
     pub fn flush_all(&self) -> usize {

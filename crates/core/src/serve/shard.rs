@@ -61,9 +61,9 @@ pub struct ShardConfig {
     /// Admission-control policy; `None` disables shedding entirely
     /// (submissions then only fail on [`ServeError::Backpressure`]).
     pub admission: Option<AdmissionConfig>,
-    /// Spawn one flusher thread per shard that enforces `max_delay`
-    /// (requires the `parallel` feature; without it the engine falls back
-    /// to caller-driven [`ShardedServeEngine::poll`]).
+    /// Spawn one flusher thread per shard that enforces `max_delay`;
+    /// `false` leaves deadlines to caller-driven
+    /// [`ShardedServeEngine::poll`].
     pub background_flush: bool,
 }
 
@@ -201,7 +201,7 @@ pub struct ShardedServeEngine {
 
 impl ShardedServeEngine {
     /// Creates a sharded engine routing through `registry`, spawning the
-    /// flusher threads if configured (and the `parallel` feature is on).
+    /// flusher threads if [`ShardConfig::background_flush`] asks for them.
     ///
     /// # Errors
     ///
@@ -214,7 +214,7 @@ impl ShardedServeEngine {
             .map(|_| Ok(Arc::new(ServeEngine::new(Arc::clone(&registry), config.serve)?)))
             .collect::<ServeResult<Vec<_>>>()?;
         let admission = config.admission.map(AdmissionController::new).transpose()?;
-        let flushers = if cfg!(feature = "parallel") && config.background_flush {
+        let flushers = if config.background_flush {
             let named = |i| std::thread::Builder::new().name(format!("cyberhd-flusher-{i}"));
             (0..)
                 .zip(&shards)
@@ -226,9 +226,8 @@ impl ShardedServeEngine {
         Ok(Self { registry, config, shards, flushers, admission })
     }
 
-    /// Whether submissions arm deadlines for background flushers.
-    /// Without the `parallel` feature the engine is caller-driven
-    /// regardless of [`ShardConfig::background_flush`].
+    /// Whether submissions arm deadlines for background flushers — exactly
+    /// when the engine was built with [`ShardConfig::background_flush`].
     pub fn background_flush_active(&self) -> bool {
         !self.flushers.is_empty()
     }
@@ -349,8 +348,7 @@ impl ShardedServeEngine {
 
     /// Caller-driven deadline pass over every shard —
     /// [`ServeEngine::poll`] fanned across the fleet, for deployments
-    /// without background flushers (e.g. builds without the `parallel`
-    /// feature).  Harmless with flushers live: armed deadlines stay armed
+    /// built without background flushers.  Harmless with flushers live: armed deadlines stay armed
     /// and find their batch already flushed.  Returns the number of flows
     /// scored.
     pub fn poll(&self) -> usize {
@@ -607,7 +605,6 @@ mod tests {
         assert_eq!(fleet.flows_served, 32);
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn background_flusher_serves_without_polling() {
         let (detector, dataset) = small_detector();

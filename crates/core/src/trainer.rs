@@ -4,7 +4,8 @@
 //! paper:
 //!
 //! 1. **(A) Encoding** — every training sample is encoded once into
-//!    hyperspace (in parallel across `encode_threads` workers).
+//!    hyperspace (fanned out across [`hdc::parallel::engine_threads`]
+//!    workers).
 //! 2. **(B) Adaptive learning** — class hypervectors are updated with
 //!    similarity-weighted deltas: a sample that is already well represented
 //!    (`δ ≈ 1`) barely changes the model, a novel pattern (`δ ≈ 0`) is added
@@ -15,9 +16,9 @@
 //! 4. **(H) Regeneration** — the dropped dimensions' encoder base vectors are
 //!    redrawn from the Gaussian distribution, only the regenerated columns of
 //!    the cached encodings are re-encoded (one column block per round,
-//!    through [`hdc::encoder::RbfEncoder::encode_dimensions_batch`], in
-//!    parallel across `encode_threads` workers) and written back in place,
-//!    and training continues.
+//!    through [`hdc::encoder::RbfEncoder::encode_dimensions_batch`],
+//!    fanned out the same way) and written back in place, and training
+//!    continues.
 //!
 //! Setting `regeneration_rate` to zero turns the same loop into the paper's
 //! *baselineHD* (static encoder, adaptive retraining only).
@@ -26,18 +27,22 @@
 //!
 //! The adaptive update is order-dependent — every mispredict changes the
 //! model the next sample is scored against — which pins the classic rule to
-//! one thread.  The [`crate::TrainingBatch`] knob trades a bounded amount of
-//! that freshness for parallelism: with `batch.size > 1` each mini-batch is
+//! one thread.  [`CyberHdConfig::batch_size`] trades a bounded amount of
+//! that freshness for parallelism: with `batch_size > 1` each mini-batch is
 //! scored against a **frozen snapshot** of the class memory, the adaptive
 //! deltas are accumulated per row chunk (fanned out through
 //! [`hdc::parallel`]), merged in fixed chunk order and applied once per
 //! batch, after which exactly the touched class norms are refreshed.  Chunk
 //! boundaries and the merge order depend only on the batch size — never on
 //! the thread count — so a fixed seed produces bit-identical models at any
-//! parallelism.  `batch.size == 1` (the default) runs the untouched serial
+//! parallelism.  `batch_size == 1` (the default) runs the untouched serial
 //! loop and reproduces the classic rule bit for bit.
+//!
+//! The worker count is the host's, not the model's: `fit_view` reads
+//! [`hdc::parallel::engine_threads`] (`CYBERHD_THREADS`, else the available
+//! parallelism) once, and no configuration field or artifact records it.
 
-use crate::config::{CyberHdConfig, TrainingBatch};
+use crate::config::CyberHdConfig;
 use crate::model::{AnyEncoder, CyberHdModel, TrainingReport};
 use crate::regeneration::{RegenerationPlan, RegenerationStats};
 use crate::{validate_dataset_view, CyberHdError, Result};
@@ -157,8 +162,8 @@ impl CyberHdTrainer {
     /// # Errors
     ///
     /// Currently infallible for a [`CyberHdConfig`] built through its
-    /// builder, but kept fallible so future cross-field checks (e.g.
-    /// dimension vs. thread count) do not break the API.
+    /// builder, but kept fallible so future cross-field checks do not
+    /// break the API.
     pub fn new(config: CyberHdConfig) -> Result<Self> {
         Ok(Self { config })
     }
@@ -170,23 +175,32 @@ impl CyberHdTrainer {
 
     /// Trains a model on a row-major batch view of preprocessed features
     /// (one row per sample) and their labels.  Callers holding contiguous
-    /// data (a preprocessed matrix) pay no copies.
+    /// data (a preprocessed matrix) pay no copies.  Encoding, regeneration
+    /// and the mini-batch engine fan out across
+    /// [`hdc::parallel::engine_threads`] workers; the model is the same at
+    /// every thread count.
     ///
     /// # Errors
     ///
     /// Returns [`CyberHdError::InvalidData`] if the dataset is empty or
     /// inconsistent with the configuration, and propagates encoder errors.
     pub fn fit_view(&self, features: BatchView<'_>, labels: &[usize]) -> Result<CyberHdModel> {
+        self.fit_on(features, labels, hdc::parallel::engine_threads())
+    }
+
+    /// [`CyberHdTrainer::fit_view`] on an explicit worker count.
+    pub(crate) fn fit_on(
+        &self,
+        features: BatchView<'_>,
+        labels: &[usize],
+        threads: usize,
+    ) -> Result<CyberHdModel> {
         let config = &self.config;
         validate_dataset_view(features, labels, config.input_features, config.num_classes)?;
 
         let mut encoder = AnyEncoder::from_config(config)?;
-        let mut encoded = EncodedMatrix::encode(
-            &encoder,
-            features,
-            config.encode_threads,
-            config.batch.size > 1,
-        )?;
+        let mut encoded =
+            EncodedMatrix::encode(&encoder, features, threads, config.batch_size > 1)?;
         let mut memory = AssociativeMemory::new(config.num_classes, config.dimension)?;
         let mut rng = HdcRng::seed_from(config.seed ^ 0xA5A5_A5A5_DEAD_BEEF);
         let mut stats = RegenerationStats::new();
@@ -196,7 +210,7 @@ impl CyberHdTrainer {
         // classic rule) or the parallel mini-batch engine, both maintaining
         // cached class norms incrementally instead of recomputing every
         // norm per sample.
-        let mut updater = Updater::new(&memory, config.batch, encoded.rows());
+        let mut updater = Updater::new(&memory, config.batch_size, threads, encoded.rows());
 
         // Initial adaptive pass over the data in its natural order.
         let initial_correct =
@@ -216,7 +230,7 @@ impl CyberHdTrainer {
                         &mut encoded,
                         features,
                         &plan,
-                        config.encode_threads,
+                        threads,
                     )?;
                     stats.record_round(&plan);
                     // Zeroed dimensions invalidate every cached class norm.
@@ -329,19 +343,19 @@ impl EpochScorer {
 }
 
 /// The trainer's per-epoch update strategy, dispatched by
-/// [`TrainingBatch::size`]: the classic serial rule at size 1, the parallel
-/// mini-batch engine otherwise.
+/// [`CyberHdConfig::batch_size`]: the classic serial rule at size 1, the
+/// parallel mini-batch engine otherwise.
 enum Updater {
     Serial(EpochScorer),
     MiniBatch(MiniBatchEngine),
 }
 
 impl Updater {
-    fn new(memory: &AssociativeMemory, batch: TrainingBatch, rows: usize) -> Self {
-        if batch.size <= 1 {
+    fn new(memory: &AssociativeMemory, batch_size: usize, threads: usize, rows: usize) -> Self {
+        if batch_size <= 1 {
             Updater::Serial(EpochScorer::new(memory))
         } else {
-            Updater::MiniBatch(MiniBatchEngine::new(memory, batch, rows))
+            Updater::MiniBatch(MiniBatchEngine::new(memory, batch_size, threads, rows))
         }
     }
 
@@ -500,16 +514,21 @@ pub(crate) struct MiniBatchEngine {
 }
 
 impl MiniBatchEngine {
-    pub(crate) fn new(memory: &AssociativeMemory, batch: TrainingBatch, rows: usize) -> Self {
+    /// An engine for `batch_size`-sample mini-batches over `rows` samples,
+    /// fanning each batch out across at most `threads` workers.
+    pub(crate) fn new(
+        memory: &AssociativeMemory,
+        batch_size: usize,
+        threads: usize,
+        rows: usize,
+    ) -> Self {
         let classes = memory.num_classes();
         let dim = memory.dim();
-        let batch_size = batch.size.max(1).min(rows.max(1));
-        let threads =
-            if batch.threads == 0 { hdc::parallel::engine_threads() } else { batch.threads.max(1) };
+        let batch_size = batch_size.max(1).min(rows.max(1));
         let chunk_count = batch_size.div_ceil(TRAIN_CHUNK_ROWS);
         Self {
             batch_size,
-            threads,
+            threads: threads.max(1),
             class_norms: memory.class_norms(),
             chunks: (0..chunk_count).map(|_| ChunkScratch::new(classes, dim)).collect(),
             dirty: vec![false; classes],
@@ -806,13 +825,12 @@ mod tests {
         for (threads, batch) in [(1, 1), (4, 32)] {
             let config = CyberHdConfig::builder(11, 3)
                 .dimension(2100)
-                .encode_threads(threads)
                 .batch_size(batch)
                 .seed(4)
                 .build()
                 .unwrap();
             let mut encoder = AnyEncoder::from_config(&config).unwrap();
-            let cache_norms = config.batch.size > 1;
+            let cache_norms = config.batch_size > 1;
             let mut encoded =
                 EncodedMatrix::encode(&encoder, buffer.view(), threads, cache_norms).unwrap();
             let mut memory = AssociativeMemory::new(3, 2100).unwrap();
@@ -827,7 +845,7 @@ mod tests {
                 &mut encoded,
                 buffer.view(),
                 &plan,
-                config.encode_threads,
+                threads,
             )
             .unwrap();
             let fresh = EncodedMatrix::encode(&encoder, buffer.view(), 1, cache_norms).unwrap();
@@ -890,8 +908,7 @@ mod tests {
         let mut serial_memory = memory.clone();
         let mut batch_memory = memory;
         let mut scorer = EpochScorer::new(&serial_memory);
-        let mut engine =
-            MiniBatchEngine::new(&batch_memory, crate::TrainingBatch::of(1), encoded.rows());
+        let mut engine = MiniBatchEngine::new(&batch_memory, 1, 1, encoded.rows());
         for (epoch, order) in [None, Some(order.as_slice()), None].into_iter().enumerate() {
             let serial_correct =
                 scorer.adaptive_epoch_ordered(&mut serial_memory, &encoded, &labels, order, 0.05);
@@ -906,21 +923,13 @@ mod tests {
         let (encoded, labels, memory, order) = engine_fixture(43);
         let reference: Vec<AssociativeMemory> = {
             let mut m = memory.clone();
-            let mut engine = MiniBatchEngine::new(
-                &m,
-                crate::TrainingBatch { size: 48, threads: 1 },
-                encoded.rows(),
-            );
+            let mut engine = MiniBatchEngine::new(&m, 48, 1, encoded.rows());
             engine.epoch(&mut m, &encoded, &labels, Some(&order), 0.05);
             vec![m]
         };
         for threads in [2, 4, 8] {
             let mut m = memory.clone();
-            let mut engine = MiniBatchEngine::new(
-                &m,
-                crate::TrainingBatch { size: 48, threads },
-                encoded.rows(),
-            );
+            let mut engine = MiniBatchEngine::new(&m, 48, threads, encoded.rows());
             engine.epoch(&mut m, &encoded, &labels, Some(&order), 0.05);
             assert_eq!(m, reference[0], "{threads} threads diverged from 1 thread");
         }
@@ -943,30 +952,69 @@ mod tests {
         assert!(accuracy > 0.9, "mini-batch training accuracy {accuracy} too low");
     }
 
+    /// An NSL-KDD-shaped training matrix (min-max scaled) and its labels.
+    fn traffic(samples: usize, seed: u64) -> (BatchBuffer, Vec<usize>, usize) {
+        use nids_data::preprocess::{Normalization, Preprocessor};
+        let dataset = nids_data::DatasetKind::NslKdd
+            .generate(&nids_data::synth::SyntheticConfig::new(samples, seed).difficulty(1.8))
+            .unwrap();
+        let (train, _) = nids_data::split::train_test_split(&dataset, 0.4, seed).unwrap();
+        let preprocessor = Preprocessor::fit(&train, Normalization::MinMax).unwrap();
+        let width = preprocessor.output_width();
+        let matrix = preprocessor.transform_matrix(&train).unwrap();
+        (
+            BatchBuffer::from_data(matrix, width).unwrap(),
+            train.labels().to_vec(),
+            dataset.num_classes(),
+        )
+    }
+
     #[test]
     fn minibatch_fit_is_deterministic_across_thread_counts_and_regeneration() {
-        let (xs, ys) = blobs(3, 35, 5, 0.1, 19);
-        let fit_with = |threads: usize| {
-            let config = CyberHdConfig::builder(5, 3)
-                .dimension(128)
-                .retrain_epochs(4)
-                .regeneration_rate(0.2)
-                .batch_size(24)
-                .train_threads(threads)
-                .seed(9)
-                .build()
-                .unwrap();
-            CyberHdTrainer::new(config).unwrap().fit_view(xs.view(), &ys).unwrap()
-        };
-        let one = fit_with(1);
-        for threads in [2, 8] {
-            let many = fit_with(threads);
-            assert_eq!(one.class_hypervectors(), many.class_hypervectors());
-            assert_eq!(one.report().epoch_accuracy, many.report().epoch_accuracy);
-            assert_eq!(
-                one.report().regeneration.total_regenerated,
-                many.report().regeneration.total_regenerated
-            );
+        // Blobs at batch 24, and the full NIDS pipeline (RBF encoder,
+        // regeneration, several epochs) at batch 64: 1, 2 and 8 workers and
+        // the engine default all produce bit-identical models.
+        let (blob_x, blob_y) = blobs(3, 35, 5, 0.1, 19);
+        let blob_config = CyberHdConfig::builder(5, 3)
+            .dimension(128)
+            .retrain_epochs(4)
+            .regeneration_rate(0.2)
+            .batch_size(24)
+            .seed(9)
+            .build()
+            .unwrap();
+        let (traffic_x, traffic_y, classes) = traffic(900, 9);
+        let traffic_config = CyberHdConfig::builder(traffic_x.width(), classes)
+            .dimension(256)
+            .retrain_epochs(4)
+            .regeneration_rate(0.2)
+            .learning_rate(0.05)
+            .batch_size(64)
+            .seed(13)
+            .build()
+            .unwrap();
+        for (config, xs, ys) in
+            [(blob_config, &blob_x, &blob_y), (traffic_config, &traffic_x, &traffic_y)]
+        {
+            let trainer = CyberHdTrainer::new(config).unwrap();
+            let one = trainer.fit_on(xs.view(), ys, 1).unwrap();
+            let runs = [
+                ("2 threads", trainer.fit_on(xs.view(), ys, 2).unwrap()),
+                ("8 threads", trainer.fit_on(xs.view(), ys, 8).unwrap()),
+                ("the engine default", trainer.fit_view(xs.view(), ys).unwrap()),
+            ];
+            for (run, many) in runs {
+                assert_eq!(
+                    one.class_hypervectors(),
+                    many.class_hypervectors(),
+                    "{run} diverged from 1 thread"
+                );
+                assert_eq!(one.report().epoch_accuracy, many.report().epoch_accuracy);
+                assert_eq!(
+                    one.report().regeneration.total_regenerated,
+                    many.report().regeneration.total_regenerated
+                );
+            }
         }
     }
 

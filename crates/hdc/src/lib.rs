@@ -25,7 +25,7 @@
 //! * [`codec`] — the bit-exact little-endian codec trained artifacts are
 //!   persisted with (the vendored `serde` is a marker stub).
 //! * [`parallel`] — the chunked fork-join primitive of the batched
-//!   inference engine (scoped threads behind the `parallel` feature).
+//!   inference engine (scoped threads, sized by `CYBERHD_THREADS`).
 //! * [`rng`] — deterministic, seedable random sources (Gaussian via
 //!   Box–Muller) used for base-vector generation.
 //! * [`wal`] — an append-only, CRC-checksummed write-ahead log with

@@ -337,8 +337,9 @@ impl AssociativeMemory {
     /// Scores a row-major `rows × dim` query matrix against every class,
     /// writing a row-major `rows × num_classes` score matrix.
     ///
-    /// Class norms are computed **once** and shared by all rows; with the
-    /// `parallel` feature the rows are fanned out across scoped threads.
+    /// Class norms are computed **once** and shared by all rows, and the
+    /// rows are fanned out across [`crate::parallel::engine_threads`]
+    /// scoped threads.
     /// Row `i` of the output equals `self.similarities(query_i)` exactly.
     ///
     /// # Errors

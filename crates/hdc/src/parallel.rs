@@ -2,14 +2,18 @@
 //!
 //! The engines split a batch into contiguous row chunks and process each
 //! chunk independently (encode into a chunk-local buffer, score, write the
-//! chunk's slice of the output).  With the `parallel` cargo feature (on by
-//! default) chunks are claimed from a shared atomic-counter work queue by
-//! `std::thread::scope` workers; the dependency-free build environment has
-//! no `rayon`, and scoped threads plus a fetch-add counter give the same
-//! work-stealing shape for this embarrassingly parallel workload.  Without
-//! the feature the same kernels run serially, so results are identical
-//! either way (each output element is written by exactly one chunk, and
+//! chunk's slice of the output).  Chunks are claimed from a shared
+//! atomic-counter work queue by `std::thread::scope` workers; the
+//! dependency-free build environment has no `rayon`, and scoped threads
+//! plus a fetch-add counter give the same work-stealing shape for this
+//! embarrassingly parallel workload.  At one worker the same kernels run
+//! serially on the calling thread, and results are identical at every
+//! worker count (each output element is written by exactly one chunk, and
 //! kernels are deterministic per row).
+//!
+//! The worker count is a property of the host, so it has exactly one
+//! setting: [`engine_threads`], which reads the `CYBERHD_THREADS`
+//! environment variable.
 
 /// A contiguous range of batch rows assigned to one worker invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,29 +45,24 @@ pub fn chunks_of(rows: usize, chunk_rows: usize) -> Vec<RowChunk> {
         .collect()
 }
 
-/// Number of worker threads the engine fans out across.
+/// Number of worker threads every fan-out of the engine uses: batched
+/// inference, training, regeneration and the serve engine's flushes.
 ///
-/// `1` when the `parallel` feature is disabled; otherwise the machine's
-/// available parallelism, overridable (and capped) via the
-/// `CYBERHD_THREADS` environment variable.
+/// `CYBERHD_THREADS` when it is set to a number (`0` counts as `1`);
+/// otherwise — unset or unparseable — the machine's available parallelism.
+/// `CYBERHD_THREADS=1` runs every engine serially on the calling thread.
+/// Read on every call, so it is the one thread setting of the engine.
 pub fn engine_threads() -> usize {
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
-    }
-    #[cfg(feature = "parallel")]
-    {
-        if let Ok(v) = std::env::var("CYBERHD_THREADS") {
-            if let Ok(n) = v.parse::<usize>() {
-                return n.max(1);
-            }
+    if let Ok(v) = std::env::var("CYBERHD_THREADS") {
+        if let Ok(n) = v.parse::<usize>() {
+            return n.max(1);
         }
-        std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
     }
+    available_cores()
 }
 
-/// The machine's available parallelism, independent of the `parallel`
-/// feature and the `CYBERHD_THREADS` override — the sizing signal for
+/// The machine's available parallelism, independent of the
+/// `CYBERHD_THREADS` override — the sizing signal for
 /// things that scale with *hardware* rather than with the engine's worker
 /// pool (default shard counts, bench scaling assertions that only hold on
 /// multi-core hosts).  Always at least 1.
@@ -88,7 +87,7 @@ pub fn available_cores() -> usize {
 ///
 /// This is the single fork-join primitive the whole engine builds on; with
 /// `threads <= 1` (or a single chunk) it degrades to a plain serial loop
-/// with no thread overhead.
+/// on the calling thread with no thread overhead.
 pub fn for_each_chunk<T, F>(
     rows: usize,
     chunk_rows: usize,
@@ -115,13 +114,6 @@ pub fn for_each_chunk<T, F>(
         }
     }
 
-    // Without the `parallel` feature the engine is serial by contract, even
-    // for callers that request an explicit thread count.
-    #[cfg(not(feature = "parallel"))]
-    let threads = {
-        let _ = threads;
-        1
-    };
     let workers = threads.max(1).min(jobs.len().max(1));
     if workers <= 1 {
         for (chunk, slice) in jobs {
@@ -160,20 +152,15 @@ pub fn for_each_chunk<T, F>(
 ///
 /// Jobs are claimed from the same atomic fetch-add queue as
 /// [`for_each_chunk`], so stragglers never idle statically assigned peers.
-/// Without the `parallel` feature (or with `threads <= 1`) the jobs run
-/// serially **in order** on the calling thread; with it, completion order
-/// is unspecified, so `work` must not depend on inter-job ordering.
+/// With `threads <= 1` (or a single job) the jobs run serially **in
+/// order** on the calling thread; otherwise completion order is
+/// unspecified, so `work` must not depend on inter-job ordering.
 /// Worker panics propagate to the caller.
 pub fn for_each_task<T, F>(jobs: Vec<T>, threads: usize, work: F)
 where
     T: Send,
     F: Fn(T) + Sync,
 {
-    #[cfg(not(feature = "parallel"))]
-    let threads = {
-        let _ = threads;
-        1
-    };
     let workers = threads.max(1).min(jobs.len());
     if workers <= 1 {
         for job in jobs {

@@ -35,7 +35,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .retrain_epochs(10)
             .regeneration_rate(0.2)
             .learning_rate(0.05)
-            .encode_threads(4)
             .seed(7)
             .train(&train)
     });

@@ -25,7 +25,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .dimension(512)
         .retrain_epochs(10)
         .regeneration_rate(0.2)
-        .encode_threads(4)
         .seed(5)
         .build()?;
     let model = CyberHdTrainer::new(config)?.fit_view(train_x.view(), train_y)?;

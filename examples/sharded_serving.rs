@@ -5,10 +5,8 @@
 //! shape: 24 tenants with heavy-tailed (Zipf) traffic submit raw flows
 //! one at a time into a [`ShardedServeEngine`] that partitions them
 //! across 4 shards by tenant hash, flushes each lane on its batch
-//! deadline (per-shard flusher threads that sleep until the next deadline
-//! under the `parallel` feature, a caller-driven
-//! [`ShardedServeEngine::poll`] loop without it), and
-//! sheds the hottest tenant with a token-bucket quota so the head of the
+//! deadline (per-shard flusher threads that sleep until the next
+//! deadline), and sheds the hottest tenant with a token-bucket quota so the head of the
 //! Zipf curve cannot starve the tail.
 //!
 //! The punchline is the same as for the single-shard engine: sharding,
@@ -54,11 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..ShardConfig::default()
         },
     )?;
-    println!(
-        "sharded engine: {} shards, background flushers {}",
-        engine.shard_count(),
-        if engine.background_flush_active() { "on (deadline queue)" } else { "off (caller polls)" }
-    );
+    println!("sharded engine: {} shards, background flushers on", engine.shard_count());
     let mut per_shard = vec![0usize; engine.shard_count()];
     for tenant in &tenants {
         per_shard[engine.shard_of(tenant)] += 1;
@@ -80,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut submitted: Vec<Vec<usize>> = vec![Vec::new(); TENANTS];
     let mut cursor = [0usize; TENANTS];
     let mut shed = 0usize;
-    for (i, &t) in schedule.iter().enumerate() {
+    for &t in &schedule {
         let record = cursor[t] % live.len();
         cursor[t] += 1;
         match engine.submit(&tenants[t], &live.records()[record]) {
@@ -90,11 +84,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
             Err(cyberhd::serve::ServeError::Shed { .. }) => shed += 1,
             Err(e) => return Err(e.into()),
-        }
-        // Without background flushers the caller's event loop owns the
-        // max_delay watermark; with them this branch never runs.
-        if !engine.background_flush_active() && i % 256 == 0 {
-            engine.poll();
         }
     }
     engine.flush_all();

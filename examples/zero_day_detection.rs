@@ -46,7 +46,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .dimension(512)
         .retrain_epochs(8)
         .regeneration_rate(0.2)
-        .encode_threads(4)
         .seed(2)
         .build()?;
     let model = CyberHdTrainer::new(config)?.fit_view(known_x.view(), &known_y)?;

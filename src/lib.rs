@@ -73,8 +73,7 @@ pub mod prelude {
         DetectorInfo, DetectorRegistry, DriftMonitor, DriftMonitorConfig, DurableConfig,
         DurableLane, EncoderKind, FlusherStats, OnlineDetector, OnlineLearner, OpenSetDetector,
         OpenSetPrediction, Priority, QuantizedModel, RecoveryReport, ServeConfig, ServeEngine,
-        ServeError, ServeStats, ShardConfig, ShardedServeEngine, TenantQuota, Ticket,
-        TrainingBatch, Verdict,
+        ServeError, ServeStats, ShardConfig, ShardedServeEngine, TenantQuota, Ticket, Verdict,
     };
     pub use eval::detection::{DetectionCounts, RocCurve};
     pub use eval::metrics::{accuracy, ConfusionMatrix};

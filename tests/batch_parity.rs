@@ -7,10 +7,10 @@
 //! arithmetic at `n = 1`).  Cases are generated deterministically from
 //! seeds, so every run checks the same (many) inputs.
 //!
-//! The whole suite runs twice in CI — once with the default `parallel`
-//! feature (chunk fan-out across scoped threads) and once with
-//! `--no-default-features` (serial chunk loop) — which is what makes these
-//! properties cover both engine configurations.
+//! The whole suite runs twice in CI — once at the engine's default thread
+//! count (chunk fan-out across scoped threads) and once under
+//! `CYBERHD_THREADS=1` (serial chunk loop) — which is what makes these
+//! properties cover both engine shapes.
 
 use cyberhd_suite::prelude::*;
 use hdc::rng::HdcRng;

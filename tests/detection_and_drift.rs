@@ -34,7 +34,6 @@ fn train(
         .retrain_epochs(5)
         .regeneration_rate(0.2)
         .learning_rate(0.05)
-        .encode_threads(2)
         .seed(seed)
         .build()
         .expect("valid config");

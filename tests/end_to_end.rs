@@ -38,7 +38,6 @@ fn train_cyberhd(
         .retrain_epochs(5)
         .regeneration_rate(regeneration)
         .learning_rate(0.05)
-        .encode_threads(2)
         .seed(seed)
         .build()
         .expect("valid config");

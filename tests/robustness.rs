@@ -42,7 +42,6 @@ fn one_bit_cyberhd_survives_heavy_bit_flips() {
         .dimension(512)
         .retrain_epochs(5)
         .regeneration_rate(0.2)
-        .encode_threads(2)
         .seed(3)
         .build()
         .unwrap();
@@ -67,7 +66,6 @@ fn hdc_is_more_robust_than_the_dnn_at_matching_flip_rates() {
         .dimension(512)
         .retrain_epochs(5)
         .regeneration_rate(0.2)
-        .encode_threads(2)
         .seed(5)
         .build()
         .unwrap();
@@ -108,7 +106,6 @@ fn robustness_decreases_as_hdc_precision_grows() {
         .dimension(512)
         .retrain_epochs(5)
         .regeneration_rate(0.2)
-        .encode_threads(2)
         .seed(7)
         .build()
         .unwrap();

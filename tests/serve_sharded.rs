@@ -65,7 +65,7 @@ fn verdicts_are_bit_identical_across_shard_counts_and_interleavings() {
         for shards in [1usize, 2, 8] {
             // >= 3 seeded interleavings per (kind, shard count), each with
             // randomized micro-batch watermarks and flush boundaries, with
-            // the background flushers live (under `parallel`).
+            // the background flushers live.
             for trial in 0..3u64 {
                 let mut rng = HdcRng::seed_from(10_000 * trial + 100 * shards as u64 + kind as u64);
                 let registry = Arc::new(DetectorRegistry::new());
@@ -492,7 +492,6 @@ fn fleet_stats_merges_lanes_across_shards_coherently() {
 
 /// The flusher threads keep `max_delay` on their own: these tests never
 /// flush, and poll only where the poll is the point.
-#[cfg(feature = "parallel")]
 mod flushers {
     use super::*;
 

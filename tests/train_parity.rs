@@ -1,19 +1,20 @@
 //! Parity and determinism properties of the mini-batch training engine and
 //! the fused 1-bit sign-encode path.
 //!
-//! Three contracts from the PR that introduced them:
+//! Three contracts:
 //!
 //! 1. `batch_size = 1` training is **bit-exact** with the serial adaptive
 //!    rule (checked here against an [`OnlineLearner`] stream applying the
 //!    same rule sample by sample, and internally by the trainer's own unit
 //!    suite against the serial epoch scorer).
-//! 2. Mini-batch training is **deterministic for a fixed seed at every
-//!    thread count** — 1, 2 and 8 workers produce bit-identical models.
+//! 2. Mini-batch training keeps detection accuracy in the serial rule's
+//!    band.  Its determinism at every thread count is pinned by the
+//!    trainer's unit suite, which owns the worker-count argument.
 //! 3. Fused sign-encode predictions are **bit-exact** against the
 //!    encode-then-quantize 1-bit pipeline on all three encoders.
 //!
-//! Like `batch_parity.rs`, the suite runs in CI both with the default
-//! `parallel` feature and with `--no-default-features`.
+//! Like `batch_parity.rs`, the suite runs in CI both at the engine's
+//! default thread count and under `CYBERHD_THREADS=1`.
 
 use cyberhd::model::AnyEncoder;
 use cyberhd::QuantizedModel;
@@ -73,73 +74,6 @@ fn batch_size_one_training_is_bit_exact_with_the_streaming_serial_rule() {
         streamed.class_hypervectors(),
         "batch_size = 1 fit must apply exactly the serial adaptive rule"
     );
-}
-
-#[test]
-fn batch_size_one_ignores_the_thread_knob() {
-    let (train_x, train_y, _, width, classes) = traffic(500, 5);
-    let fit_with = |threads: usize| {
-        let config = CyberHdConfig::builder(width, classes)
-            .dimension(128)
-            .retrain_epochs(3)
-            .regeneration_rate(0.2)
-            .batch_size(1)
-            .train_threads(threads)
-            .seed(11)
-            .build()
-            .unwrap();
-        CyberHdTrainer::new(config).unwrap().fit_view(train_x.view(), &train_y).unwrap()
-    };
-    let one = fit_with(1);
-    let eight = fit_with(8);
-    assert_eq!(one.class_hypervectors(), eight.class_hypervectors());
-    assert_eq!(one.report().epoch_accuracy, eight.report().epoch_accuracy);
-}
-
-#[test]
-fn minibatch_training_is_deterministic_across_thread_counts() {
-    // The full pipeline — RBF encoder, regeneration, several epochs — at
-    // batch 64 must produce bit-identical models at 1, 2 and 8 workers.
-    let (train_x, train_y, _, width, classes) = traffic(900, 9);
-    let fit_with = |threads: usize| {
-        let config = CyberHdConfig::builder(width, classes)
-            .dimension(256)
-            .retrain_epochs(4)
-            .regeneration_rate(0.2)
-            .learning_rate(0.05)
-            .batch_size(64)
-            .train_threads(threads)
-            .seed(13)
-            .build()
-            .unwrap();
-        CyberHdTrainer::new(config).unwrap().fit_view(train_x.view(), &train_y).unwrap()
-    };
-    let reference = fit_with(1);
-    for threads in [2, 8] {
-        let model = fit_with(threads);
-        assert_eq!(
-            reference.class_hypervectors(),
-            model.class_hypervectors(),
-            "{threads} threads diverged from 1 thread"
-        );
-        assert_eq!(reference.report().epoch_accuracy, model.report().epoch_accuracy);
-        assert_eq!(
-            reference.report().regeneration.total_regenerated,
-            model.report().regeneration.total_regenerated
-        );
-    }
-    // And the default-thread run (engine-chosen worker count) agrees too.
-    let config = CyberHdConfig::builder(width, classes)
-        .dimension(256)
-        .retrain_epochs(4)
-        .regeneration_rate(0.2)
-        .learning_rate(0.05)
-        .batch_size(64)
-        .seed(13)
-        .build()
-        .unwrap();
-    let auto = CyberHdTrainer::new(config).unwrap().fit_view(train_x.view(), &train_y).unwrap();
-    assert_eq!(reference.class_hypervectors(), auto.class_hypervectors());
 }
 
 #[test]
