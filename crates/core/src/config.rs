@@ -88,8 +88,8 @@ pub struct CyberHdConfig {
     ///   sample is scored against the model its predecessors updated.
     /// * Larger sizes score every sample of a mini-batch against a frozen
     ///   snapshot of the class memory and apply the merged deltas once per
-    ///   batch (OnlineHD-style), which lets `fit` fan out across cores for
-    ///   a little per-epoch freshness.
+    ///   batch (OnlineHD-style): a little per-epoch freshness traded for a
+    ///   `fit` that fans out across cores.
     ///
     /// Either way a fixed seed gives the same model at every thread count.
     pub batch_size: usize,

@@ -700,9 +700,9 @@ impl Detector {
     /// the versioned binary format.  A load of these bytes reproduces every
     /// prediction **bit for bit** (floats travel as IEEE-754 bit patterns).
     ///
-    /// The frame ends with a CRC-32 trailer over every preceding
-    /// byte; [`Detector::from_bytes`] verifies it before parsing anything,
-    /// so corrupted checkpoints fail loudly instead of loading a silently
+    /// The frame ends with a CRC-32 trailer over every preceding byte;
+    /// [`Detector::from_bytes`] verifies it before parsing anything, so
+    /// corrupted checkpoints fail loudly instead of loading a silently
     /// wrong model.
     pub fn to_bytes(&self) -> Vec<u8> {
         hdc::codec::seal(MAGIC, FORMAT_VERSION, |w| {

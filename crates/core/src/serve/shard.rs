@@ -348,9 +348,9 @@ impl ShardedServeEngine {
 
     /// Caller-driven deadline pass over every shard —
     /// [`ServeEngine::poll`] fanned across the fleet, for deployments
-    /// built without background flushers.  Harmless with flushers live: armed deadlines stay armed
-    /// and find their batch already flushed.  Returns the number of flows
-    /// scored.
+    /// built without background flushers.  Harmless with flushers live:
+    /// armed deadlines stay armed and find their batch already flushed.
+    /// Returns the number of flows scored.
     pub fn poll(&self) -> usize {
         self.shards.iter().map(|shard| shard.poll()).sum()
     }

@@ -528,7 +528,7 @@ impl MiniBatchEngine {
         let chunk_count = batch_size.div_ceil(TRAIN_CHUNK_ROWS);
         Self {
             batch_size,
-            threads: threads.max(1),
+            threads,
             class_norms: memory.class_norms(),
             chunks: (0..chunk_count).map(|_| ChunkScratch::new(classes, dim)).collect(),
             dirty: vec![false; classes],

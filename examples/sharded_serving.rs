@@ -6,8 +6,8 @@
 //! one at a time into a [`ShardedServeEngine`] that partitions them
 //! across 4 shards by tenant hash, flushes each lane on its batch
 //! deadline (per-shard flusher threads that sleep until the next
-//! deadline), and sheds the hottest tenant with a token-bucket quota so the head of the
-//! Zipf curve cannot starve the tail.
+//! deadline), and sheds the hottest tenant with a token-bucket quota so
+//! the head of the Zipf curve cannot starve the tail.
 //!
 //! The punchline is the same as for the single-shard engine: sharding,
 //! flush timing, flusher threads and shedding are all invisible in the
