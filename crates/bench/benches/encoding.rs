@@ -1,10 +1,11 @@
 //! Micro-benchmarks of the encoders: RBF vs. ID-level vs. record encoding of
-//! NIDS-sized feature vectors, plus the cost of single-dimension
-//! regeneration and of re-encoding a block of regenerated dimensions.
+//! NIDS-sized feature vectors, the symbolic n-gram encoder's dense and 1-bit
+//! paths, plus the cost of single-dimension regeneration and of re-encoding
+//! a block of regenerated dimensions.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hdc::encoder::{Encoder, IdLevelEncoder, RbfEncoder, RecordEncoder};
-use hdc::BatchView;
+use hdc::{BatchView, NGramEncoder};
 use std::hint::black_box;
 
 /// A feature vector shaped like a preprocessed NSL-KDD record (~120 dense
@@ -33,6 +34,33 @@ fn bench_encoders(c: &mut Criterion) {
     group.finish();
 }
 
+/// The language-identification shape: 64-symbol records over a 27-letter
+/// alphabet, trigrams, D = 2048.  The dense arm builds the f32 count
+/// profile; the sign arm packs its 1-bit majority profile.
+fn bench_ngram(c: &mut Criterion) {
+    const DIM: usize = 2048;
+    let encoder = NGramEncoder::new(64, 27, 3, DIM, 6).unwrap();
+    let sequence: Vec<f32> = (0..64).map(|i| ((i * 11 + i / 7) % 27) as f32).collect();
+    let batch = BatchView::new(&sequence, 64).unwrap();
+    let mut group = c.benchmark_group("ngram_encode");
+    let mut profile = vec![0.0f32; DIM];
+    group.bench_function("dense", |bencher| {
+        bencher.iter(|| {
+            encoder.encode_into(&sequence, &mut profile).unwrap();
+            black_box(&profile);
+        })
+    });
+    let mut words = vec![0u64; DIM / 64];
+    let mut zero_rows = [false];
+    group.bench_function("signs", |bencher| {
+        bencher.iter(|| {
+            encoder.encode_signs_into(batch, &mut words, &mut zero_rows).unwrap();
+            black_box(&words);
+        })
+    });
+    group.finish();
+}
+
 fn bench_regeneration(c: &mut Criterion) {
     c.bench_function("rbf_regenerate_dimension_512", |bencher| {
         let mut encoder = RbfEncoder::new(120, 512, 4).unwrap();
@@ -57,5 +85,5 @@ fn bench_regeneration(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_encoders, bench_regeneration);
+criterion_group!(benches, bench_encoders, bench_ngram, bench_regeneration);
 criterion_main!(benches);

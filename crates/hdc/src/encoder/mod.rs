@@ -124,9 +124,10 @@ pub trait Encoder: Send + Sync {
     /// The default implementation encodes through
     /// [`Encoder::encode_batch_into`] and thresholds, so it is bit-exact
     /// with encode-then-quantize by construction; encoders with a fused
-    /// kernel (the RBF encoder reduces the cosine to a quadrant test and
-    /// never materializes the f32 row) override it and must preserve that
-    /// bit-exactness.
+    /// kernel override it and must preserve that bit-exactness.  The RBF
+    /// encoder reduces the cosine to a quadrant test, and the symbolic
+    /// n-gram and record encoders threshold their bit-sliced bundle
+    /// counters against the majority; neither materializes the f32 row.
     ///
     /// # Errors
     ///

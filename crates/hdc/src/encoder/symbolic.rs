@@ -27,16 +27,25 @@
 //! Both encoders implement [`Encoder`] by emitting the **bipolar n-gram /
 //! column count profile** as `f32`: output element `d` is the number of
 //! bundled vectors with bit `d` set minus the number with it cleared.  The
-//! sign threshold of that profile (which the default
-//! [`Encoder::encode_signs_into`] takes, with ties at `0.0` counting as
-//! positive — the [`BinaryHypervector::from_dense`] convention) *is* the
-//! classic majority-bundled binary profile, so the dense training path and
-//! the fused 1-bit scoring path both consume the textbook encoding without
-//! any engine changes.
+//! sign threshold of that profile (ties at `0.0` counting as positive — the
+//! [`BinaryHypervector::from_dense`] convention) *is* the classic
+//! majority-bundled binary profile, so the dense training path and the
+//! 1-bit scoring path both consume the textbook encoding.
+//!
+//! Bundling is **bit-sliced**: a row's bound vectors (its n-gram windows or
+//! its record columns) are added into per-bit counters held as
+//! `⌈log₂(n + 1)⌉` bit-plane words per packed output word, with a ripple
+//! carry, so one word operation counts 64 output bits.  The dense profile is read
+//! off the counters as `2·count − n`, exact small integers; the 1-bit path
+//! ([`Encoder::encode_signs_into`], overridden by both encoders) compares
+//! the planes against `⌈n/2⌉` bit-sliced and never builds an f32 row.
+//! Single-row, batched and sign encodings share this one arithmetic, so
+//! they are bit-identical by construction.
 
+use crate::batch::BatchView;
 use crate::binary::words_for_dim;
 use crate::codec::{CodecError, CodecResult, Reader, Writer};
-use crate::encoder::Encoder;
+use crate::encoder::{check_batch_shape, check_sign_batch_shape, Encoder};
 use crate::rng::HdcRng;
 use crate::{BinaryHypervector, HdcError, Result};
 use serde::{Deserialize, Serialize};
@@ -59,16 +68,175 @@ fn symbol_index(value: f32, bound: usize, what: &str) -> Result<usize> {
     Ok(value as usize)
 }
 
-/// Adds the bipolar expansion of packed `words` (`+1` per set bit, `-1`
-/// per cleared bit over the first `dim` positions) into `out`.
-fn accumulate_bipolar(words: &[u64], dim: usize, out: &mut [f32]) {
-    for (w, &word) in words.iter().enumerate() {
-        let base = w * WORD_BITS;
-        let end = (base + WORD_BITS).min(dim);
-        for d in base..end {
-            out[d] += ((word >> (d - base)) & 1) as f32 * 2.0 - 1.0;
+/// Bits needed to hold every count in `0..=n`.
+fn count_bits(n: usize) -> usize {
+    (usize::BITS - n.leading_zeros()) as usize
+}
+
+/// Bit-sliced bundling counter over packed `dim`-bit vectors.
+///
+/// Bit `d` of the counter counts how many added vectors have bit `d` set.
+/// The counts are stored as bit planes — `planes[b * words + w]` holds bit
+/// `b` of the counts of word `w`'s 64 bits — and an addition ripples the
+/// added word row through them (`t = plane & carry; plane ^= carry;
+/// carry = t`).  One word operation thus counts 64 bits, and every loop
+/// runs over a whole row of words, which vectorizes across words.
+struct BundleCounter {
+    dim: usize,
+    words: usize,
+    planes: Vec<u64>,
+    /// The row the next [`BundleCounter::add_pending`] adds; the ripple
+    /// consumes it as its carry.
+    pending: Vec<u64>,
+    /// Vectors added since the last [`BundleCounter::clear`].
+    added: usize,
+}
+
+impl BundleCounter {
+    /// A counter for `dim`-bit vectors with room for `capacity` additions
+    /// between clears.
+    fn new(dim: usize, capacity: usize) -> Self {
+        let words = words_for_dim(dim);
+        Self {
+            dim,
+            words,
+            planes: vec![0; count_bits(capacity) * words],
+            pending: vec![0; words],
+            added: 0,
         }
     }
+
+    fn clear(&mut self) {
+        self.planes.fill(0);
+        self.added = 0;
+    }
+
+    /// Adds the pending row into the counts (and clobbers it).
+    fn add_pending(&mut self) {
+        self.added += 1;
+        // After `added` additions no count exceeds `added`, so the carry
+        // never leaves the low `count_bits(added)` planes.
+        let planes = count_bits(self.added);
+        debug_assert!(planes * self.words <= self.planes.len(), "counter capacity exceeded");
+        for plane in self.planes.chunks_exact_mut(self.words).take(planes) {
+            for (bit, carry) in plane.iter_mut().zip(self.pending.iter_mut()) {
+                let overflow = *bit & *carry;
+                *bit ^= *carry;
+                *carry = overflow;
+            }
+        }
+    }
+
+    /// Adds one packed vector into the counts.
+    fn add(&mut self, vector: &[u64]) {
+        self.pending.copy_from_slice(vector);
+        self.add_pending();
+    }
+
+    /// Writes the bipolar profile `2·count − added` of every bit into
+    /// `out` (length `dim`).  The values are exact small integers, so they
+    /// equal, bit for bit, summing `±1.0` per added vector from `+0.0`
+    /// (ties are `+0.0`).
+    fn write_bipolar(&self, out: &mut [f32]) {
+        let planes = count_bits(self.added);
+        let added = self.added as i64;
+        for (w, values) in out.chunks_mut(WORD_BITS).enumerate() {
+            let mut counts = [0u32; WORD_BITS];
+            for (b, plane) in self.planes.chunks_exact(self.words).take(planes).enumerate() {
+                let word = plane[w];
+                for (j, count) in counts.iter_mut().enumerate() {
+                    *count |= (((word >> j) & 1) as u32) << b;
+                }
+            }
+            for (value, &count) in values.iter_mut().zip(&counts) {
+                *value = (2 * i64::from(count) - added) as f32;
+            }
+        }
+    }
+
+    /// Packs the profile signs (`2·count ≥ added`, ties positive) into
+    /// `words` by comparing the planes against `⌈added/2⌉` bit-sliced, and
+    /// returns whether every profile value is `0.0`: `added` is even and
+    /// every count is exactly `added/2`.  Bits beyond `dim` stay clear.
+    fn write_signs(&self, words: &mut [u64]) -> bool {
+        let threshold = self.added.div_ceil(2);
+        let planes = count_bits(self.added);
+        let mut all_ties = self.added.is_multiple_of(2);
+        for (w, out) in words.iter_mut().enumerate() {
+            // Most significant plane first: `above` marks counts already
+            // known to exceed the threshold, `equal` counts that match it
+            // on every plane seen so far.
+            let (mut above, mut equal) = (0u64, u64::MAX);
+            for b in (0..planes).rev() {
+                let plane = self.planes[b * self.words + w];
+                if (threshold >> b) & 1 == 1 {
+                    equal &= plane;
+                } else {
+                    above |= equal & plane;
+                    equal &= !plane;
+                }
+            }
+            let live = self.dim - w * WORD_BITS;
+            let mask = if live >= WORD_BITS { u64::MAX } else { (1u64 << live) - 1 };
+            *out = (above | equal) & mask;
+            all_ties &= equal & mask == mask;
+        }
+        all_ties
+    }
+}
+
+/// The row half of a symbolic encoder: validates one input row and adds
+/// the packed vectors it bundles into a [`BundleCounter`].  The encode
+/// entry points below run every symbolic encoding through it.
+trait Bundler: Encoder {
+    /// How many vectors one row bundles.
+    fn bundled_per_row(&self) -> usize;
+
+    /// Validates `row` and adds its bound vectors into `counter`.
+    fn bundle(&self, row: &[f32], counter: &mut BundleCounter) -> Result<()>;
+}
+
+/// [`Encoder::encode_into`] of a [`Bundler`]: the batch path at `n = 1`.
+fn encode_row<E: Bundler>(encoder: &E, features: &[f32], out: &mut [f32]) -> Result<()> {
+    let width = encoder.input_features();
+    if features.len() != width {
+        return Err(HdcError::FeatureMismatch { expected: width, actual: features.len() });
+    }
+    encode_rows(encoder, BatchView::new(features, width)?, out)
+}
+
+/// [`Encoder::encode_batch_into`] of a [`Bundler`], through one counter.
+fn encode_rows<E: Bundler>(encoder: &E, batch: BatchView<'_>, out: &mut [f32]) -> Result<()> {
+    let dim = encoder.output_dim();
+    check_batch_shape(encoder.input_features(), dim, batch, out)?;
+    let mut counter = BundleCounter::new(dim, encoder.bundled_per_row());
+    for (row, values) in batch.iter_rows().zip(out.chunks_exact_mut(dim)) {
+        counter.clear();
+        encoder.bundle(row, &mut counter)?;
+        counter.write_bipolar(values);
+    }
+    Ok(())
+}
+
+/// [`Encoder::encode_signs_into`] of a [`Bundler`], through one counter.
+fn encode_sign_rows<E: Bundler>(
+    encoder: &E,
+    batch: BatchView<'_>,
+    words: &mut [u64],
+    zero_rows: &mut [bool],
+) -> Result<()> {
+    let dim = encoder.output_dim();
+    check_sign_batch_shape(encoder.input_features(), dim, batch, words, zero_rows)?;
+    let mut counter = BundleCounter::new(dim, encoder.bundled_per_row());
+    let words_per_row = words_for_dim(dim);
+    for ((row, row_words), zero) in
+        batch.iter_rows().zip(words.chunks_exact_mut(words_per_row)).zip(zero_rows.iter_mut())
+    {
+        counter.clear();
+        encoder.bundle(row, &mut counter)?;
+        *zero = counter.write_signs(row_words);
+    }
+    Ok(())
 }
 
 /// A deterministic seeded symbol → hypervector table.
@@ -224,7 +392,10 @@ impl ItemMemory {
 /// is the classic majority-bundled binary profile.
 ///
 /// The permuted item vectors are precomputed per window position at
-/// construction — the hot encode loop is pure XOR over packed words.
+/// construction.  A window's bound vector is the XOR of its permuted item
+/// rows, and the windows are bundled by the bit-sliced counter of the
+/// module docs, so encoding stays in packed words; only the dense profile
+/// is expanded to `f32`, once per row.
 ///
 /// # Example
 ///
@@ -347,6 +518,35 @@ impl NGramEncoder {
     }
 }
 
+impl Bundler for NGramEncoder {
+    fn bundled_per_row(&self) -> usize {
+        self.sequence_len - self.order + 1
+    }
+
+    fn bundle(&self, sequence: &[f32], counter: &mut BundleCounter) -> Result<()> {
+        let alphabet = self.items.len();
+        for &v in sequence {
+            symbol_index(v, alphabet, "sequence")?;
+        }
+        let wpi = self.words_per_item;
+        let item_row = |p: usize, symbol: f32| {
+            let start = (p * alphabet + symbol as usize) * wpi;
+            &self.permuted[start..start + wpi]
+        };
+        for window in sequence.windows(self.order) {
+            let bound = &mut counter.pending;
+            bound.copy_from_slice(item_row(0, window[0]));
+            for (p, &symbol) in window.iter().enumerate().skip(1) {
+                for (word, &item) in bound.iter_mut().zip(item_row(p, symbol)) {
+                    *word ^= item;
+                }
+            }
+            counter.add_pending();
+        }
+        Ok(())
+    }
+}
+
 impl Encoder for NGramEncoder {
     fn input_features(&self) -> usize {
         self.sequence_len
@@ -357,37 +557,20 @@ impl Encoder for NGramEncoder {
     }
 
     fn encode_into(&self, features: &[f32], out: &mut [f32]) -> Result<()> {
-        if features.len() != self.sequence_len {
-            return Err(HdcError::FeatureMismatch {
-                expected: self.sequence_len,
-                actual: features.len(),
-            });
-        }
-        let dim = self.items.dim();
-        if out.len() != dim {
-            return Err(HdcError::DimensionMismatch { expected: dim, actual: out.len() });
-        }
-        let alphabet = self.items.len();
-        for &v in features {
-            symbol_index(v, alphabet, "sequence")?;
-        }
-        out.fill(0.0);
-        let wpi = self.words_per_item;
-        for window in 0..=(self.sequence_len - self.order) {
-            for w in 0..wpi {
-                let mut word = 0u64;
-                for p in 0..self.order {
-                    let s = features[window + p] as usize;
-                    word ^= self.permuted[(p * alphabet + s) * wpi + w];
-                }
-                let base = w * WORD_BITS;
-                let end = (base + WORD_BITS).min(dim);
-                for d in base..end {
-                    out[d] += ((word >> (d - base)) & 1) as f32 * 2.0 - 1.0;
-                }
-            }
-        }
-        Ok(())
+        encode_row(self, features, out)
+    }
+
+    fn encode_batch_into(&self, batch: BatchView<'_>, out: &mut [f32]) -> Result<()> {
+        encode_rows(self, batch, out)
+    }
+
+    fn encode_signs_into(
+        &self,
+        batch: BatchView<'_>,
+        words: &mut [u64],
+        zero_rows: &mut [bool],
+    ) -> Result<()> {
+        encode_sign_rows(self, batch, words, zero_rows)
     }
 }
 
@@ -566,6 +749,24 @@ impl SymbolRecordEncoder {
     }
 }
 
+impl Bundler for SymbolRecordEncoder {
+    fn bundled_per_row(&self) -> usize {
+        self.columns.len()
+    }
+
+    fn bundle(&self, row: &[f32], counter: &mut BundleCounter) -> Result<()> {
+        for (column, &value) in self.columns.iter().zip(row) {
+            let index = if column.alphabet > 0 {
+                symbol_index(value, column.alphabet, "categorical")?
+            } else {
+                self.level_of(value)
+            };
+            counter.add(column.bound[index].as_words());
+        }
+        Ok(())
+    }
+}
+
 impl Encoder for SymbolRecordEncoder {
     fn input_features(&self) -> usize {
         self.columns.len()
@@ -576,32 +777,26 @@ impl Encoder for SymbolRecordEncoder {
     }
 
     fn encode_into(&self, features: &[f32], out: &mut [f32]) -> Result<()> {
-        if features.len() != self.columns.len() {
-            return Err(HdcError::FeatureMismatch {
-                expected: self.columns.len(),
-                actual: features.len(),
-            });
-        }
-        if out.len() != self.dim {
-            return Err(HdcError::DimensionMismatch { expected: self.dim, actual: out.len() });
-        }
-        out.fill(0.0);
-        for (column, &value) in self.columns.iter().zip(features) {
-            let index = if column.alphabet > 0 {
-                symbol_index(value, column.alphabet, "categorical")?
-            } else {
-                self.level_of(value)
-            };
-            accumulate_bipolar(column.bound[index].as_words(), self.dim, out);
-        }
-        Ok(())
+        encode_row(self, features, out)
+    }
+
+    fn encode_batch_into(&self, batch: BatchView<'_>, out: &mut [f32]) -> Result<()> {
+        encode_rows(self, batch, out)
+    }
+
+    fn encode_signs_into(
+        &self,
+        batch: BatchView<'_>,
+        words: &mut [u64],
+        zero_rows: &mut [bool],
+    ) -> Result<()> {
+        encode_sign_rows(self, batch, words, zero_rows)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::BatchView;
 
     #[test]
     fn item_memory_is_deterministic_and_index_stable() {
@@ -679,6 +874,155 @@ mod tests {
             }
         }
         out
+    }
+
+    /// Encodes `rows` through the single-row, batched and sign entry points
+    /// and checks each against the `reference` profiles: dense values equal
+    /// bit for bit, sign words and zero flags equal to thresholding them.
+    fn assert_bundles_match(
+        e: &dyn Encoder,
+        rows: &[Vec<f32>],
+        reference: &[Vec<f32>],
+        what: &str,
+    ) {
+        let dim = e.output_dim();
+        let words_per_row = words_for_dim(dim);
+        let flat: Vec<f32> = rows.concat();
+        let batch = BatchView::new(&flat, e.input_features()).unwrap();
+        let mut matrix = vec![f32::NAN; rows.len() * dim];
+        e.encode_batch_into(batch, &mut matrix).unwrap();
+        let mut words = vec![u64::MAX; rows.len() * words_per_row];
+        let mut zero_rows = vec![false; rows.len()];
+        e.encode_signs_into(batch, &mut words, &mut zero_rows).unwrap();
+        let mut single = vec![f32::NAN; dim];
+        let mut expected_words = vec![0u64; words_per_row];
+        for (i, (row, want)) in rows.iter().zip(reference).enumerate() {
+            e.encode_into(row, &mut single).unwrap();
+            for (d, want) in want.iter().enumerate() {
+                assert_eq!(single[d].to_bits(), want.to_bits(), "{what} row {i} single dim {d}");
+                assert_eq!(matrix[i * dim + d].to_bits(), want.to_bits(), "{what} row {i} dim {d}");
+            }
+            let all_zero = crate::binary::pack_f32_signs_checked(want, &mut expected_words);
+            assert_eq!(
+                &words[i * words_per_row..(i + 1) * words_per_row],
+                expected_words.as_slice(),
+                "{what} row {i} signs"
+            );
+            assert_eq!(zero_rows[i], all_zero, "{what} row {i} zero flag");
+        }
+    }
+
+    #[test]
+    fn ngram_counter_matches_the_reference_across_plane_and_word_boundaries() {
+        // Window counts on both sides of every plane boundary the counter
+        // crosses, at dims with and without a ragged tail word.
+        for dim in [64, 100, 2048, 2100] {
+            for windows in [1, 2, 3, 4, 7, 8, 9, 63, 64, 65, 128] {
+                let (order, alphabet) = (3, 5);
+                let len = windows + order - 1;
+                let e = NGramEncoder::new(len, alphabet, order, dim, 43).unwrap();
+                let rows: Vec<Vec<f32>> = (0..2)
+                    .map(|r| (0..len).map(|i| ((i * (r + 2) + i / 3) % alphabet) as f32).collect())
+                    .collect();
+                let reference: Vec<Vec<f32>> =
+                    rows.iter().map(|row| naive_ngram(&e, row)).collect();
+                assert_bundles_match(
+                    &e,
+                    &rows,
+                    &reference,
+                    &format!("dim {dim} windows {windows}"),
+                );
+            }
+        }
+    }
+
+    /// Reference record encoding: the sum of the bound column vectors'
+    /// bipolar expansions.
+    fn naive_record(encoder: &SymbolRecordEncoder, row: &[f32]) -> Vec<f32> {
+        let mut out = vec![0.0f32; encoder.dim];
+        for (column, &value) in encoder.columns.iter().zip(row) {
+            let index = if column.alphabet > 0 { value as usize } else { encoder.level_of(value) };
+            for (d, v) in column.bound[index].to_dense().iter().enumerate() {
+                out[d] += v;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn record_counter_matches_the_reference_for_every_column_count() {
+        for dim in [100, 2048] {
+            for columns in [1, 2, 63, 64, 65] {
+                let alphabets: Vec<usize> = (0..columns).map(|j| [3, 0, 4][j % 3]).collect();
+                let e = SymbolRecordEncoder::new(&alphabets, dim, 8, 47).unwrap();
+                let rows: Vec<Vec<f32>> = (0..2)
+                    .map(|r| {
+                        alphabets
+                            .iter()
+                            .enumerate()
+                            .map(|(j, &a)| {
+                                if a > 0 {
+                                    ((j + r) % a) as f32
+                                } else {
+                                    ((j * 5 + r) % 11) as f32 / 10.0
+                                }
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let reference: Vec<Vec<f32>> =
+                    rows.iter().map(|row| naive_record(&e, row)).collect();
+                assert_bundles_match(
+                    &e,
+                    &rows,
+                    &reference,
+                    &format!("dim {dim} columns {columns}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn complementary_bundles_are_zero_rows() {
+        // Two complementary vectors tie on every bit: the dense profile is
+        // all `+0.0`, the zero-row flag is set and the signs are all plus
+        // (ties positive) with the tail word's spare bits clear.
+        let dim = 100;
+        let a = BinaryHypervector::random(dim, &mut HdcRng::seed_from(53));
+        let mut b = a.clone();
+        for d in 0..dim {
+            b.flip(d);
+        }
+        let mut w = Writer::new();
+        w.usize(1); // order
+        w.usize(2); // sequence length
+        w.usize(dim);
+        w.u64(53);
+        w.usize(2); // alphabet
+        w.u64_slice(a.as_words());
+        w.u64_slice(b.as_words());
+        let bytes = w.into_bytes();
+        let ngram = NGramEncoder::read_from(&mut Reader::new(&bytes)).unwrap();
+        let mut w = Writer::new();
+        w.usize(dim);
+        w.usize(2); // levels
+        w.usize(2); // columns
+        for v in [&a, &b] {
+            w.usize(1); // a one-symbol categorical column
+            w.u64_slice(v.as_words());
+        }
+        let bytes = w.into_bytes();
+        let record = SymbolRecordEncoder::read_from(&mut Reader::new(&bytes)).unwrap();
+        let zeros = vec![vec![0.0f32; dim]];
+        for (e, row) in [(&ngram as &dyn Encoder, [0.0f32, 1.0]), (&record, [0.0, 0.0])] {
+            assert_bundles_match(e, &[row.to_vec()], &zeros, "complementary pair");
+            let mut words = vec![0u64; 2];
+            let mut zero_rows = [false];
+            e.encode_signs_into(BatchView::new(&row, 2).unwrap(), &mut words, &mut zero_rows)
+                .unwrap();
+            assert!(zero_rows[0]);
+            assert_eq!(words, [u64::MAX, (1u64 << (dim - 64)) - 1]);
+        }
     }
 
     #[test]
