@@ -5,9 +5,9 @@
 //!
 //! 1. **XOR + popcount Hamming** over packed `u64` words (and its
 //!    `count_ones` sibling) — the 1-bit scoring path,
-//! 2. the **tiled dot-product** (`dot_accumulate`/`dot_reduce`/[`Kernels::dot`])
-//!    behind cosine scoring and the interleaved multi-class kernel of
-//!    [`crate::memory::AssociativeMemory`],
+//! 2. the **tiled dot-product** (`dot_accumulate` + [`DotBank::reduce`] +
+//!    [`Kernels::dot`]) behind cosine scoring and the interleaved
+//!    multi-class kernel of [`crate::memory::AssociativeMemory`],
 //! 3. the element-wise **axpy** (`out[i] += scale * x[i]`) at the heart of
 //!    the tiled RBF batch encode and bundling,
 //! 4. the fused **sign quadrant test** that packs RBF projections straight
@@ -16,32 +16,31 @@
 //! # Dispatch
 //!
 //! [`Kernels::active`] probes the CPU **once per process** (cached in a
-//! `OnceLock`): on x86_64 it prefers AVX-512 (F + BW) over AVX2 + FMA, on
+//! `OnceLock`): on x86_64 it prefers AVX-512 (F + BW) over AVX2, on
 //! aarch64 it uses NEON, and every other machine — or any process started
-//! with `CYBERHD_FORCE_SCALAR=1` — runs the portable scalar path, which is
-//! bit-for-bit the code the crate shipped before this module existed.
+//! with `CYBERHD_FORCE_SCALAR=1` — runs the portable scalar path.
 //! [`Kernels::scalar`] pins the fallback explicitly and
 //! [`Kernels::available`] enumerates every path the host can run, which is
 //! what the parity suite iterates over.
 //!
 //! # Determinism contract
 //!
-//! * **Integer kernels** ([`Kernels::hamming_distance`],
-//!   [`Kernels::count_ones`], [`Kernels::sign_pack_word`],
-//!   [`Kernels::sign_quadrant_word`]) are **bit-exact across every dispatch
-//!   path** — they compute exact integer/bit results.
-//! * **Element-wise f32 kernels** ([`Kernels::axpy`]) perform the same
-//!   multiply and add per element on every path (no FMA contraction), so
-//!   they are also bit-exact across paths.
-//! * **Reduction kernels** ([`Kernels::dot`] and the
-//!   `dot_accumulate`/`dot_reduce` pair) fix the accumulation order *per
-//!   path*: results are deterministic for a given path but may differ
-//!   between paths at float-rounding level, because wider lanes
-//!   reassociate the sum.  The scalar path keeps the crate's historical
-//!   four-accumulator order.
+//! Every kernel is **bit-exact on every dispatch path**, so a model trained,
+//! sealed, checkpointed or recovered on one host is the same bytes on any
+//! other:
 //!
-//! `tests/kernel_parity.rs` pins both halves of the contract on every path
-//! the host exposes.
+//! * the integer kernels ([`Kernels::hamming_distance`],
+//!   [`Kernels::count_ones`], [`Kernels::sign_pack_word`],
+//!   [`Kernels::sign_quadrant_word`]) compute exact integer/bit results;
+//! * [`Kernels::axpy`] performs one multiply and one add per element;
+//! * [`Kernels::dot`] sums in one order fixed here, not per path: element
+//!   `i` goes into lane `i mod DOT_BANK_LANES` of a [`DotBank`] by a multiply
+//!   then an add (never a fused multiply-add), [`DotBank::reduce`] collapses
+//!   the bank, and the ragged tail is added serially.  The SIMD paths only
+//!   decide how many lanes advance per instruction.
+//!
+//! `tests/kernel_parity.rs` pins the contract on every path the host
+//! exposes.
 
 use std::sync::OnceLock;
 
@@ -53,20 +52,18 @@ mod x86;
 #[allow(unsafe_code)]
 mod neon;
 
-/// Number of scalar `f32` lanes in a [`DotBank`].
-///
-/// Sized for the widest path (AVX-512 uses two 16-lane vector accumulators);
-/// narrower paths use a prefix of the bank and leave the rest at zero.
+/// Number of scalar `f32` lanes in a [`DotBank`]: element `i` of a dot
+/// product is accumulated into lane `i mod DOT_BANK_LANES` on every path.
 pub const DOT_BANK_LANES: usize = 32;
 
 /// Partial-sum bank for the tiled dot kernels.
 ///
-/// A bank carries the running vector accumulators of one dot product across
-/// tile boundaries: callers zero-initialize it (via [`DotBank::new`]), feed
+/// A bank carries the running lane sums of one dot product across tile
+/// boundaries: callers zero-initialize it (via [`DotBank::new`]), feed
 /// whole tiles through [`Kernels::dot_accumulate`] and collapse it with
-/// [`Kernels::dot_reduce`].  Accumulating a stream tile-by-tile is
-/// bit-identical to accumulating it in one call, because tile boundaries
-/// are required to be multiples of [`Kernels::dot_step`].
+/// [`DotBank::reduce`].  Tile lengths are multiples of [`DOT_BANK_LANES`],
+/// so accumulating a stream tile by tile is bit-identical to accumulating
+/// it in one call, on any path.
 #[derive(Clone, Copy, Debug)]
 pub struct DotBank {
     lanes: [f32; DOT_BANK_LANES],
@@ -76,6 +73,13 @@ impl DotBank {
     /// A zeroed bank, ready to accumulate.
     pub fn new() -> Self {
         Self { lanes: [0.0; DOT_BANK_LANES] }
+    }
+
+    /// Collapses the bank: `Σ_l (lanes[l] + lanes[16 + l])` for
+    /// `l = 0..16`, summed left to right.  The one reduce of every path.
+    pub fn reduce(&self) -> f32 {
+        let (low, high) = self.lanes.split_at(DOT_BANK_LANES / 2);
+        low.iter().zip(high).fold(0.0, |acc, (x, y)| acc + (x + y))
     }
 }
 
@@ -94,9 +98,7 @@ impl Default for DotBank {
 /// arbitrary slice lengths.
 pub struct Kernels {
     isa: &'static str,
-    dot_step: usize,
     dot_accumulate: fn(&mut [f32; DOT_BANK_LANES], &[f32], &[f32]),
-    dot_reduce: fn(&[f32; DOT_BANK_LANES]) -> f32,
     axpy: fn(&mut [f32], f32, &[f32]),
     hamming: fn(&[u64], &[u64]) -> usize,
     count_ones: fn(&[u64]) -> usize,
@@ -108,9 +110,7 @@ static ACTIVE: OnceLock<&'static Kernels> = OnceLock::new();
 
 static SCALAR: Kernels = Kernels {
     isa: "scalar",
-    dot_step: 4,
     dot_accumulate: dot_accumulate_scalar,
-    dot_reduce: dot_reduce_scalar,
     axpy: axpy_scalar,
     hamming: hamming_scalar,
     count_ones: count_ones_scalar,
@@ -136,7 +136,7 @@ impl Kernels {
         })
     }
 
-    /// The portable scalar table — the exact pre-SIMD code of this crate.
+    /// The portable scalar table.
     pub fn scalar() -> &'static Kernels {
         &SCALAR
     }
@@ -176,50 +176,35 @@ impl Kernels {
         self.isa
     }
 
-    /// Accumulation granularity of the dot kernels, in `f32` elements.
-    ///
-    /// [`Kernels::dot_accumulate`] only accepts slice lengths that are
-    /// multiples of this step; [`Kernels::dot`] handles ragged tails
-    /// itself.  Tiled callers must align tile boundaries to it so split
-    /// accumulation stays bit-identical to one pass.
-    pub fn dot_step(&self) -> usize {
-        self.dot_step
-    }
-
-    /// Accumulates `a[i] * b[i]` partial sums into `bank`.
+    /// Accumulates `a[i] * b[i]` into lane `i mod DOT_BANK_LANES` of `bank`.
     ///
     /// # Panics
     ///
     /// Panics if the slices differ in length or the length is not a
-    /// multiple of [`Kernels::dot_step`].
+    /// multiple of [`DOT_BANK_LANES`].
     pub fn dot_accumulate(&self, bank: &mut DotBank, a: &[f32], b: &[f32]) {
         assert_eq!(a.len(), b.len(), "dot_accumulate of slices of different length");
         assert_eq!(
-            a.len() % self.dot_step,
+            a.len() % DOT_BANK_LANES,
             0,
-            "dot_accumulate length must be a multiple of dot_step ({})",
-            self.dot_step
+            "dot_accumulate length must be a multiple of {DOT_BANK_LANES}"
         );
         (self.dot_accumulate)(&mut bank.lanes, a, b);
     }
 
-    /// Collapses a bank of partial sums in this path's fixed order.
-    pub fn dot_reduce(&self, bank: &DotBank) -> f32 {
-        (self.dot_reduce)(&bank.lanes)
-    }
-
-    /// Dot product of two equally sized slices: whole-`dot_step` prefix via
-    /// the vector accumulators, then a serial scalar tail.
+    /// Dot product of two equally sized slices: the whole-bank prefix via
+    /// [`Kernels::dot_accumulate`] and [`DotBank::reduce`], then a serial
+    /// tail.
     ///
     /// # Panics
     ///
     /// Panics if the slices differ in length.
     pub fn dot(&self, a: &[f32], b: &[f32]) -> f32 {
         assert_eq!(a.len(), b.len(), "dot product of slices of different length");
-        let main = (a.len() / self.dot_step) * self.dot_step;
+        let main = a.len() - a.len() % DOT_BANK_LANES;
         let mut bank = DotBank::new();
         (self.dot_accumulate)(&mut bank.lanes, &a[..main], &b[..main]);
-        let mut acc = (self.dot_reduce)(&bank.lanes);
+        let mut acc = bank.reduce();
         for i in main..a.len() {
             acc += a[i] * b[i];
         }
@@ -228,8 +213,8 @@ impl Kernels {
 
     /// Element-wise `out[i] += scale * x[i]`.
     ///
-    /// Every path performs exactly one multiply and one add per element (no
-    /// FMA contraction), so the result is bit-exact across paths.
+    /// Every path performs exactly one multiply and one add per element
+    /// (never fused), so the result is bit-exact across paths.
     ///
     /// # Panics
     ///
@@ -341,29 +326,16 @@ pub fn reduce_to_pi(x: f32) -> f32 {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar path: bit-for-bit the loops the crate shipped before this module.
+// Scalar path.
 // ---------------------------------------------------------------------------
 
 fn dot_accumulate_scalar(lanes: &mut [f32; DOT_BANK_LANES], a: &[f32], b: &[f32]) {
-    debug_assert_eq!(a.len() % 4, 0);
-    // Four-way unrolled accumulation: the historical `similarity::dot`
-    // shape — keeps dependent additions short and gives the
-    // auto-vectorizer an easy pattern.
-    let [mut a0, mut a1, mut a2, mut a3] = [lanes[0], lanes[1], lanes[2], lanes[3]];
-    for (q, c) in a.chunks_exact(4).zip(b.chunks_exact(4)) {
-        a0 += q[0] * c[0];
-        a1 += q[1] * c[1];
-        a2 += q[2] * c[2];
-        a3 += q[3] * c[3];
+    // Lane-wise and unfused, so LLVM vectorizes it without reassociating.
+    for (qa, qb) in a.chunks_exact(DOT_BANK_LANES).zip(b.chunks_exact(DOT_BANK_LANES)) {
+        for l in 0..DOT_BANK_LANES {
+            lanes[l] += qa[l] * qb[l];
+        }
     }
-    lanes[0] = a0;
-    lanes[1] = a1;
-    lanes[2] = a2;
-    lanes[3] = a3;
-}
-
-fn dot_reduce_scalar(lanes: &[f32; DOT_BANK_LANES]) -> f32 {
-    lanes[0] + lanes[1] + lanes[2] + lanes[3]
 }
 
 fn axpy_scalar(out: &mut [f32], scale: f32, x: &[f32]) {
@@ -426,41 +398,39 @@ mod tests {
 
     #[test]
     fn available_starts_with_scalar_and_steps_divide_evenly() {
-        let paths = Kernels::available();
-        assert!(std::ptr::eq(paths[0], Kernels::scalar()));
-        for k in paths {
-            // Tiled callers rely on their tile sizes (512 in memory.rs)
-            // being multiples of every path's step.
-            assert_eq!(512 % k.dot_step(), 0, "{} step {}", k.isa(), k.dot_step());
-        }
+        assert!(std::ptr::eq(Kernels::available()[0], Kernels::scalar()));
+        // Tiled callers rely on their tile sizes (512 in memory.rs) being
+        // multiples of the bank width.
+        assert_eq!(512 % DOT_BANK_LANES, 0);
     }
 
     #[test]
-    fn scalar_dot_keeps_the_historical_accumulation_order() {
-        // Reference: the pre-kernel `similarity::dot` loop, verbatim.
-        fn seed_dot(a: &[f32], b: &[f32]) -> f32 {
-            let (mut acc0, mut acc1, mut acc2, mut acc3) = (0.0f32, 0.0, 0.0, 0.0);
-            let chunks = a.len() / 4;
-            for i in 0..chunks {
-                let base = i * 4;
-                acc0 += a[base] * b[base];
-                acc1 += a[base + 1] * b[base + 1];
-                acc2 += a[base + 2] * b[base + 2];
-                acc3 += a[base + 3] * b[base + 3];
+    fn scalar_dot_follows_the_one_lane_order() {
+        // Reference written out: lane `i mod 32`, multiply then add, the
+        // reduce `Σ_l (lanes[l] + lanes[16 + l])` left to right, then the
+        // serial tail.
+        fn reference_dot(a: &[f32], b: &[f32]) -> f32 {
+            let main = a.len() / 32 * 32;
+            let mut lanes = [0.0f32; 32];
+            for i in 0..main {
+                let product = a[i] * b[i];
+                lanes[i % 32] += product;
             }
-            let mut acc = acc0 + acc1 + acc2 + acc3;
-            for i in chunks * 4..a.len() {
+            let mut acc = 0.0f32;
+            for l in 0..16 {
+                acc += lanes[l] + lanes[16 + l];
+            }
+            for i in main..a.len() {
                 acc += a[i] * b[i];
             }
             acc
         }
-        let a: Vec<f32> = (0..137).map(|i| ((i * 37) as f32 * 0.313).sin() * 3.0).collect();
-        let b: Vec<f32> = (0..137).map(|i| ((i * 61) as f32 * 0.173).cos() * 2.0).collect();
-        for len in [0usize, 1, 3, 4, 5, 47, 48, 64, 137] {
-            let k = Kernels::scalar();
+        let a: Vec<f32> = (0..1100).map(|i| ((i * 37) as f32 * 0.313).sin() * 3.0).collect();
+        let b: Vec<f32> = (0..1100).map(|i| ((i * 61) as f32 * 0.173).cos() * 2.0).collect();
+        for len in [0usize, 1, 3, 4, 5, 31, 32, 33, 47, 48, 64, 137, 512, 1024, 1100] {
             assert_eq!(
-                k.dot(&a[..len], &b[..len]).to_bits(),
-                seed_dot(&a[..len], &b[..len]).to_bits(),
+                Kernels::scalar().dot(&a[..len], &b[..len]).to_bits(),
+                reference_dot(&a[..len], &b[..len]).to_bits(),
                 "len {len}"
             );
         }
@@ -471,18 +441,17 @@ mod tests {
         let a: Vec<f32> = (0..1024).map(|i| ((i * 13) as f32 * 0.11).sin()).collect();
         let b: Vec<f32> = (0..1024).map(|i| ((i * 7) as f32 * 0.29).cos()).collect();
         for k in Kernels::available() {
-            let step = k.dot_step();
             let mut one = DotBank::new();
             k.dot_accumulate(&mut one, &a, &b);
             let mut split = DotBank::new();
-            // Tile at a few step-aligned boundaries.
-            let cuts = [0, 2 * step, 512, 512 + step, 1024];
+            // Tile at a few bank-aligned boundaries.
+            let cuts = [0, 2 * DOT_BANK_LANES, 512, 512 + DOT_BANK_LANES, 1024];
             for w in cuts.windows(2) {
                 k.dot_accumulate(&mut split, &a[w[0]..w[1]], &b[w[0]..w[1]]);
             }
             assert_eq!(
-                k.dot_reduce(&one).to_bits(),
-                k.dot_reduce(&split).to_bits(),
+                one.reduce().to_bits(),
+                split.reduce().to_bits(),
                 "{} split accumulation must match one pass",
                 k.isa()
             );
@@ -492,10 +461,7 @@ mod tests {
     #[test]
     fn dot_accumulate_rejects_ragged_lengths() {
         for k in Kernels::available() {
-            if k.dot_step() == 1 {
-                continue;
-            }
-            let a = vec![1.0f32; k.dot_step() + 1];
+            let a = vec![1.0f32; DOT_BANK_LANES + 1];
             let result = std::panic::catch_unwind(|| {
                 let mut bank = DotBank::new();
                 k.dot_accumulate(&mut bank, &a, &a);

@@ -19,9 +19,7 @@ pub(super) fn supported() -> bool {
 
 pub(super) static NEON: Kernels = Kernels {
     isa: "neon",
-    dot_step: 16,
     dot_accumulate: dot_accumulate_neon,
-    dot_reduce: dot_reduce_4x4,
     axpy: axpy_neon,
     hamming: hamming_neon,
     count_ones: count_ones_neon,
@@ -34,39 +32,29 @@ fn dot_accumulate_neon(lanes: &mut [f32; DOT_BANK_LANES], a: &[f32], b: &[f32]) 
     unsafe { dot_accumulate_neon_impl(lanes, a, b) }
 }
 
-/// Four 4-lane FMA accumulators, 16 elements per iteration.
+/// Eight 4-lane accumulators, 32 elements per iteration, `vmulq` then
+/// `vaddq` (never fused), so the lane sums equal the scalar path's.  The bank layout is
+/// `lanes[j*4 + l]` = vector accumulator `j`, lane `l`.
 #[target_feature(enable = "neon")]
 unsafe fn dot_accumulate_neon_impl(lanes: &mut [f32; DOT_BANK_LANES], a: &[f32], b: &[f32]) {
     debug_assert_eq!(a.len(), b.len());
-    debug_assert_eq!(a.len() % 16, 0);
-    let mut acc0 = vld1q_f32(lanes.as_ptr());
-    let mut acc1 = vld1q_f32(lanes.as_ptr().add(4));
-    let mut acc2 = vld1q_f32(lanes.as_ptr().add(8));
-    let mut acc3 = vld1q_f32(lanes.as_ptr().add(12));
+    debug_assert_eq!(a.len() % DOT_BANK_LANES, 0);
+    let mut acc = [vdupq_n_f32(0.0); DOT_BANK_LANES / 4];
+    for (j, v) in acc.iter_mut().enumerate() {
+        *v = vld1q_f32(lanes.as_ptr().add(j * 4));
+    }
     let pa = a.as_ptr();
     let pb = b.as_ptr();
-    for i in 0..a.len() / 16 {
-        let qa = pa.add(i * 16);
-        let qb = pb.add(i * 16);
-        acc0 = vfmaq_f32(acc0, vld1q_f32(qa), vld1q_f32(qb));
-        acc1 = vfmaq_f32(acc1, vld1q_f32(qa.add(4)), vld1q_f32(qb.add(4)));
-        acc2 = vfmaq_f32(acc2, vld1q_f32(qa.add(8)), vld1q_f32(qb.add(8)));
-        acc3 = vfmaq_f32(acc3, vld1q_f32(qa.add(12)), vld1q_f32(qb.add(12)));
+    for i in 0..a.len() / DOT_BANK_LANES {
+        let qa = pa.add(i * DOT_BANK_LANES);
+        let qb = pb.add(i * DOT_BANK_LANES);
+        for (j, v) in acc.iter_mut().enumerate() {
+            *v = vaddq_f32(*v, vmulq_f32(vld1q_f32(qa.add(j * 4)), vld1q_f32(qb.add(j * 4))));
+        }
     }
-    vst1q_f32(lanes.as_mut_ptr(), acc0);
-    vst1q_f32(lanes.as_mut_ptr().add(4), acc1);
-    vst1q_f32(lanes.as_mut_ptr().add(8), acc2);
-    vst1q_f32(lanes.as_mut_ptr().add(12), acc3);
-}
-
-/// Fixed reduction order for the NEON bank: lane-wise combine of the four
-/// vector accumulators, then a left-to-right sum of the 4 combined lanes.
-fn dot_reduce_4x4(lanes: &[f32; DOT_BANK_LANES]) -> f32 {
-    let mut acc = 0.0f32;
-    for l in 0..4 {
-        acc += (lanes[l] + lanes[4 + l]) + (lanes[8 + l] + lanes[12 + l]);
+    for (j, v) in acc.iter().enumerate() {
+        vst1q_f32(lanes.as_mut_ptr().add(j * 4), *v);
     }
-    acc
 }
 
 fn axpy_neon(out: &mut [f32], scale: f32, x: &[f32]) {
@@ -74,7 +62,7 @@ fn axpy_neon(out: &mut [f32], scale: f32, x: &[f32]) {
     unsafe { axpy_neon_impl(out, scale, x) }
 }
 
-/// Element-wise mul + add (deliberately not `vfmaq`, so the result is
+/// Element-wise mul + add (deliberately not fused, so the result is
 /// bit-exact against the scalar path).
 #[target_feature(enable = "neon")]
 unsafe fn axpy_neon_impl(out: &mut [f32], scale: f32, x: &[f32]) {

@@ -12,7 +12,7 @@ use super::{Kernels, DOT_BANK_LANES};
 use std::arch::x86_64::*;
 
 pub(super) fn avx2_supported() -> bool {
-    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+    std::arch::is_x86_feature_detected!("avx2")
 }
 
 pub(super) fn avx512_supported() -> bool {
@@ -26,9 +26,7 @@ pub(super) fn avx512_vpopcnt_supported() -> bool {
 
 pub(super) static AVX2: Kernels = Kernels {
     isa: "avx2",
-    dot_step: 32,
     dot_accumulate: dot_accumulate_avx2,
-    dot_reduce: dot_reduce_8x4,
     axpy: axpy_avx2,
     hamming: hamming_avx2,
     count_ones: count_ones_avx2,
@@ -38,9 +36,7 @@ pub(super) static AVX2: Kernels = Kernels {
 
 pub(super) static AVX512: Kernels = Kernels {
     isa: "avx512",
-    dot_step: 32,
     dot_accumulate: dot_accumulate_avx512,
-    dot_reduce: dot_reduce_16x2,
     axpy: axpy_avx512,
     hamming: hamming_avx512,
     count_ones: count_ones_avx512,
@@ -55,9 +51,7 @@ pub(super) static AVX512: Kernels = Kernels {
 /// contract.
 pub(super) static AVX512_VPOPCNT: Kernels = Kernels {
     isa: "avx512vpopcnt",
-    dot_step: 32,
     dot_accumulate: dot_accumulate_avx512,
-    dot_reduce: dot_reduce_16x2,
     axpy: axpy_avx512,
     hamming: hamming_avx512_vpopcnt,
     count_ones: count_ones_avx512_vpopcnt,
@@ -66,7 +60,8 @@ pub(super) static AVX512_VPOPCNT: Kernels = Kernels {
 };
 
 // ---------------------------------------------------------------------------
-// Dot accumulate/reduce
+// Dot accumulate (mul + add, never fused, so every path computes the lane
+// sums the scalar path does; the reduce is `DotBank::reduce`)
 // ---------------------------------------------------------------------------
 
 fn dot_accumulate_avx2(lanes: &mut [f32; DOT_BANK_LANES], a: &[f32], b: &[f32]) {
@@ -74,9 +69,9 @@ fn dot_accumulate_avx2(lanes: &mut [f32; DOT_BANK_LANES], a: &[f32], b: &[f32]) 
     unsafe { dot_accumulate_avx2_impl(lanes, a, b) }
 }
 
-/// Four 8-lane FMA accumulators, 32 elements per iteration.  The bank
-/// layout is `lanes[j*8 + l]` = vector accumulator `j`, lane `l`.
-#[target_feature(enable = "avx2,fma")]
+/// Four 8-lane accumulators, 32 elements per iteration.  The bank layout
+/// is `lanes[j*8 + l]` = vector accumulator `j`, lane `l`.
+#[target_feature(enable = "avx2")]
 unsafe fn dot_accumulate_avx2_impl(lanes: &mut [f32; DOT_BANK_LANES], a: &[f32], b: &[f32]) {
     debug_assert_eq!(a.len(), b.len());
     debug_assert_eq!(a.len() % 32, 0);
@@ -89,10 +84,19 @@ unsafe fn dot_accumulate_avx2_impl(lanes: &mut [f32; DOT_BANK_LANES], a: &[f32],
     for i in 0..a.len() / 32 {
         let qa = pa.add(i * 32);
         let qb = pb.add(i * 32);
-        acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(qa), _mm256_loadu_ps(qb), acc0);
-        acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(qa.add(8)), _mm256_loadu_ps(qb.add(8)), acc1);
-        acc2 = _mm256_fmadd_ps(_mm256_loadu_ps(qa.add(16)), _mm256_loadu_ps(qb.add(16)), acc2);
-        acc3 = _mm256_fmadd_ps(_mm256_loadu_ps(qa.add(24)), _mm256_loadu_ps(qb.add(24)), acc3);
+        acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(_mm256_loadu_ps(qa), _mm256_loadu_ps(qb)));
+        acc1 = _mm256_add_ps(
+            acc1,
+            _mm256_mul_ps(_mm256_loadu_ps(qa.add(8)), _mm256_loadu_ps(qb.add(8))),
+        );
+        acc2 = _mm256_add_ps(
+            acc2,
+            _mm256_mul_ps(_mm256_loadu_ps(qa.add(16)), _mm256_loadu_ps(qb.add(16))),
+        );
+        acc3 = _mm256_add_ps(
+            acc3,
+            _mm256_mul_ps(_mm256_loadu_ps(qa.add(24)), _mm256_loadu_ps(qb.add(24))),
+        );
     }
     _mm256_storeu_ps(lanes.as_mut_ptr(), acc0);
     _mm256_storeu_ps(lanes.as_mut_ptr().add(8), acc1);
@@ -100,23 +104,12 @@ unsafe fn dot_accumulate_avx2_impl(lanes: &mut [f32; DOT_BANK_LANES], a: &[f32],
     _mm256_storeu_ps(lanes.as_mut_ptr().add(24), acc3);
 }
 
-/// Fixed reduction order for the AVX2 bank: lane-wise combine of the four
-/// vector accumulators, then a left-to-right sum of the 8 combined lanes.
-/// Plain scalar arithmetic — deterministic by construction.
-fn dot_reduce_8x4(lanes: &[f32; DOT_BANK_LANES]) -> f32 {
-    let mut acc = 0.0f32;
-    for l in 0..8 {
-        acc += (lanes[l] + lanes[8 + l]) + (lanes[16 + l] + lanes[24 + l]);
-    }
-    acc
-}
-
 fn dot_accumulate_avx512(lanes: &mut [f32; DOT_BANK_LANES], a: &[f32], b: &[f32]) {
     // SAFETY: the AVX-512 table is only reachable after runtime detection.
     unsafe { dot_accumulate_avx512_impl(lanes, a, b) }
 }
 
-/// Two 16-lane FMA accumulators, 32 elements per iteration.
+/// Two 16-lane accumulators, 32 elements per iteration.
 #[target_feature(enable = "avx512f")]
 unsafe fn dot_accumulate_avx512_impl(lanes: &mut [f32; DOT_BANK_LANES], a: &[f32], b: &[f32]) {
     debug_assert_eq!(a.len(), b.len());
@@ -128,26 +121,19 @@ unsafe fn dot_accumulate_avx512_impl(lanes: &mut [f32; DOT_BANK_LANES], a: &[f32
     for i in 0..a.len() / 32 {
         let qa = pa.add(i * 32);
         let qb = pb.add(i * 32);
-        acc0 = _mm512_fmadd_ps(_mm512_loadu_ps(qa), _mm512_loadu_ps(qb), acc0);
-        acc1 = _mm512_fmadd_ps(_mm512_loadu_ps(qa.add(16)), _mm512_loadu_ps(qb.add(16)), acc1);
+        acc0 = _mm512_add_ps(acc0, _mm512_mul_ps(_mm512_loadu_ps(qa), _mm512_loadu_ps(qb)));
+        acc1 = _mm512_add_ps(
+            acc1,
+            _mm512_mul_ps(_mm512_loadu_ps(qa.add(16)), _mm512_loadu_ps(qb.add(16))),
+        );
     }
     _mm512_storeu_ps(lanes.as_mut_ptr(), acc0);
     _mm512_storeu_ps(lanes.as_mut_ptr().add(16), acc1);
 }
 
-/// Fixed reduction order for the AVX-512 bank: lane-wise combine of the two
-/// vector accumulators, then a left-to-right sum of the 16 combined lanes.
-fn dot_reduce_16x2(lanes: &[f32; DOT_BANK_LANES]) -> f32 {
-    let mut acc = 0.0f32;
-    for l in 0..16 {
-        acc += lanes[l] + lanes[16 + l];
-    }
-    acc
-}
-
 // ---------------------------------------------------------------------------
-// axpy (element-wise, mul + add — deliberately NOT contracted to FMA, so the
-// result is bit-exact against the scalar path)
+// axpy (element-wise, mul + add — deliberately never fused, so the result is
+// bit-exact against the scalar path)
 // ---------------------------------------------------------------------------
 
 fn axpy_avx2(out: &mut [f32], scale: f32, x: &[f32]) {

@@ -272,13 +272,12 @@ impl AssociativeMemory {
     /// instead of once per class.
     ///
     /// The query is walked in L1-resident tiles; per tile, every class
-    /// accumulates into its own [`crate::kernel::DotBank`] through the
-    /// active dispatch path's `dot_accumulate`, followed by the same
-    /// `dot_reduce` and serial tail that [`similarity::dot`] uses — so each
-    /// per-class dot is **bit-identical to `similarity::dot` on the same
-    /// dispatch path** (tile boundaries are multiples of the path's
-    /// `dot_step`, which makes split accumulation exact) and every
-    /// downstream bit-exactness contract holds.  The win is memory
+    /// accumulates into its own [`crate::kernel::DotBank`] through
+    /// `dot_accumulate`, followed by the same [`crate::kernel::DotBank::reduce`]
+    /// and serial tail that [`similarity::dot`] uses.  Tile boundaries are
+    /// multiples of [`crate::kernel::DOT_BANK_LANES`], so each per-class dot
+    /// is **bit-identical to `similarity::dot`** on every dispatch path and
+    /// every downstream bit-exactness contract holds.  The win is memory
     /// traffic: at `K` classes the old loop streamed `K` query passes plus
     /// `K` class passes per sample; this kernel streams one query pass
     /// plus the same `K` class passes.
@@ -289,20 +288,18 @@ impl AssociativeMemory {
     fn class_dots_interleaved(&self, query: &[f32], out: &mut [f32]) {
         debug_assert_eq!(query.len(), self.dim);
         debug_assert_eq!(out.len(), self.classes.len());
-        use crate::kernel::DotBank;
+        use crate::kernel::{DotBank, DOT_BANK_LANES};
         /// Query elements per tile (a 2 KiB slab): small enough to sit in
         /// L1 across all class passes, large enough to amortize the
-        /// per-tile class-loop overhead.  Must stay a multiple of every
-        /// dispatch path's `dot_step` so tile boundaries never split an
-        /// accumulation chunk (pinned by a kernel-module test).
+        /// per-tile class-loop overhead.  Must stay a multiple of
+        /// `DOT_BANK_LANES` so tile boundaries never split a bank row
+        /// (pinned by a kernel-module test).
         const TILE: usize = 512;
         /// Class banks kept on the stack; realistic NIDS label spaces are
         /// single digits, so the heap fallback is effectively dead code.
         const MAX_STACK_CLASSES: usize = 32;
 
         let kernels = crate::kernel::active();
-        let step = kernels.dot_step();
-        debug_assert_eq!(TILE % step, 0);
 
         let k = self.classes.len();
         let mut stack = [DotBank::new(); MAX_STACK_CLASSES];
@@ -314,7 +311,7 @@ impl AssociativeMemory {
             &mut heap
         };
 
-        let main = (query.len() / step) * step;
+        let main = query.len() - query.len() % DOT_BANK_LANES;
         let mut base = 0usize;
         while base < main {
             let end = (base + TILE).min(main);
@@ -325,7 +322,7 @@ impl AssociativeMemory {
             base = end;
         }
         for ((slot, class), bank) in out.iter_mut().zip(&self.classes).zip(banks.iter()) {
-            let mut dot = kernels.dot_reduce(bank);
+            let mut dot = bank.reduce();
             let tail = &class.as_slice()[main..];
             for (q, c) in query[main..].iter().zip(tail) {
                 dot += q * c;

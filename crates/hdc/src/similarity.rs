@@ -6,18 +6,16 @@
 //! is its exact counterpart for bipolar vectors.  These free functions are the
 //! hot kernels of the whole system and are deliberately written over plain
 //! slices so every representation (dense, quantized, batched matrix rows) can
-//! share them.  Since the SIMD layer landed they are thin fronts over
-//! [`crate::kernel::Kernels::active`]: the reduction order of [`dot`] is
-//! fixed *per dispatch path* (the scalar path keeps the historical four-way
-//! unrolled order bit-for-bit), and [`hamming_distance`] is bit-exact on
-//! every path.
+//! share them.  They are thin fronts over [`crate::kernel::Kernels::active`],
+//! and both [`dot`] and [`hamming_distance`] are bit-exact on every dispatch
+//! path, so a score does not depend on the host's instruction set.
 
 /// Dot product of two equally sized slices, via the active
 /// [`crate::kernel`] dispatch path.
 ///
-/// Deterministic per dispatch path: the accumulation order is fixed for a
-/// given path, and the scalar path (`CYBERHD_FORCE_SCALAR=1`) reproduces
-/// the crate's historical four-accumulator order bit-for-bit.
+/// Bit-exact on every dispatch path: the summation order is the one
+/// [`crate::kernel`] fixes (32 lanes, multiply then add, one reduce, a
+/// serial tail), whichever instruction set runs it.
 ///
 /// # Panics
 ///

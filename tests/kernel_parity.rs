@@ -2,14 +2,10 @@
 //!
 //! Every SIMD path the host can detect is compared against the
 //! always-available scalar table under the kernel layer's determinism
-//! contract:
-//!
-//! * **bit-exact on every path** — the integer kernels (`hamming_distance`,
-//!   `count_ones`, `sign_pack_word`, `sign_quadrant_word`) and `axpy`
-//!   (mul + add, never FMA-contracted);
-//! * **deterministic per path** — the dot family fixes its accumulation
-//!   order per dispatch path, so repeated calls on one path are
-//!   bit-identical while different paths may differ by float rounding.
+//! contract: every kernel is **bit-exact on every path** — the integer
+//! kernels (`hamming_distance`, `count_ones`, `sign_pack_word`,
+//! `sign_quadrant_word`), `axpy` (mul + add, never fused) and the dot
+//! family (32 lanes, mul then add, one reduce, a serial tail).
 //!
 //! Lengths deliberately include 0, 1, the 47/48 boundary the associative
 //! memory's tests probe, and non-multiples of every path's lane width so
@@ -23,8 +19,8 @@ use hdc::Kernels;
 const WORD_LENS: [usize; 12] = [0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 33];
 
 /// Float lengths covering empty, single, the 47/48 memory-test boundary
-/// and off-by-one shapes around every dot step (4, 16, 32) and the 8/16
-/// axpy lane widths.
+/// and off-by-one shapes around the 32-lane dot bank and the 4/8/16 axpy
+/// lane widths.
 const FLOAT_LENS: [usize; 14] = [0, 1, 3, 4, 5, 15, 16, 17, 31, 32, 33, 47, 48, 137];
 
 fn words(len: usize, rng: &mut HdcRng) -> Vec<u64> {
@@ -156,65 +152,76 @@ fn axpy_is_bit_exact_on_every_path() {
     }
 }
 
+/// Dot lengths: every length up to 1,100 plus the model widths the
+/// workloads use (2,048, 2,100) and long shapes around them.
+fn dot_lens() -> impl Iterator<Item = usize> {
+    (0..=1100).chain([2047, 2048, 2100, 4096, 10_000])
+}
+
+/// Magnitudes of the dot operands: unit-scale, encoded-hypervector scale and
+/// accumulated class-hypervector scale.
+const DOT_SCALES: [f32; 3] = [1e-3, 4.0, 1e3];
+
 #[test]
-fn dot_is_deterministic_per_path_and_consistent_across_paths() {
+fn dot_is_bit_exact_on_every_path() {
     let scalar = Kernels::scalar();
-    for (case, &len) in FLOAT_LENS.iter().enumerate() {
-        let mut rng = HdcRng::seed_from(0xD000 + case as u64);
-        let a = floats(len, &mut rng);
-        let b = floats(len, &mut rng);
-        let reference: f64 = a.iter().zip(&b).map(|(x, y)| f64::from(*x) * f64::from(*y)).sum();
-        let scalar_dot = scalar.dot(&a, &b);
-        for path in Kernels::available() {
-            let first = path.dot(&a, &b);
-            // Per-path determinism: repeated evaluation is bit-identical.
-            for _ in 0..3 {
+    let paths = Kernels::available();
+    let mut rng = HdcRng::seed_from(0xD000);
+    let a = floats(10_000, &mut rng);
+    let b = floats(10_000, &mut rng);
+    for scale in DOT_SCALES {
+        let a: Vec<f32> = a.iter().map(|v| v * scale).collect();
+        for len in dot_lens() {
+            let (a, b) = (&a[..len], &b[..len]);
+            let expect = scalar.dot(a, b).to_bits();
+            for path in &paths {
                 assert_eq!(
-                    path.dot(&a, &b).to_bits(),
-                    first.to_bits(),
-                    "dot non-deterministic on {} at len {len}",
+                    path.dot(a, b).to_bits(),
+                    expect,
+                    "dot diverged on {} at len {len} scale {scale}",
                     path.isa()
                 );
             }
-            // Cross-path consistency: every path is a correct dot product
-            // up to f32 reassociation error.
-            let tolerance = 1e-3 * (1.0 + reference.abs());
-            assert!(
-                (f64::from(first) - reference).abs() < tolerance,
-                "dot wrong on {} at len {len}: {first} vs {reference}",
-                path.isa()
-            );
-            assert!(
-                (f64::from(first) - f64::from(scalar_dot)).abs() < tolerance,
-                "dot far from scalar on {} at len {len}",
-                path.isa()
-            );
         }
     }
 }
 
 #[test]
 fn dot_bank_accumulation_agrees_with_plain_dot_on_every_path() {
-    // The associative memory's interleaved scorer tiles queries through
-    // `dot_accumulate`/`dot_reduce`; step-aligned split accumulation must
-    // reproduce the one-shot `dot` bit-for-bit on each path.
-    for path in Kernels::available() {
-        let step = path.dot_step();
-        let len = step * 6;
-        let mut rng = HdcRng::seed_from(0xE000 + step as u64);
-        let a = floats(len, &mut rng);
-        let b = floats(len, &mut rng);
-        let mut bank = hdc::kernel::DotBank::new();
-        for chunk in 0..3 {
-            let lo = chunk * step * 2;
-            let hi = lo + step * 2;
-            path.dot_accumulate(&mut bank, &a[lo..hi], &b[lo..hi]);
+    // The associative memory's interleaved scorer tiles queries 512
+    // elements at a time through `dot_accumulate`, then collapses the bank
+    // with `DotBank::reduce` and adds the serial tail.  That must reproduce
+    // the scalar one-shot `dot` bit for bit on each path.
+    const TILE: usize = 512;
+    let lanes = hdc::kernel::DOT_BANK_LANES;
+    let scalar = Kernels::scalar();
+    let paths = Kernels::available();
+    let mut rng = HdcRng::seed_from(0xE000);
+    let a = floats(10_000, &mut rng);
+    let b = floats(10_000, &mut rng);
+    for scale in DOT_SCALES {
+        let a: Vec<f32> = a.iter().map(|v| v * scale).collect();
+        for len in dot_lens() {
+            let (a, b) = (&a[..len], &b[..len]);
+            let expect = scalar.dot(a, b).to_bits();
+            let main = len - len % lanes;
+            for path in &paths {
+                let mut bank = hdc::kernel::DotBank::new();
+                for lo in (0..main).step_by(TILE) {
+                    let hi = (lo + TILE).min(main);
+                    path.dot_accumulate(&mut bank, &a[lo..hi], &b[lo..hi]);
+                }
+                let mut dot = bank.reduce();
+                for (x, y) in a[main..].iter().zip(&b[main..]) {
+                    dot += x * y;
+                }
+                assert_eq!(
+                    dot.to_bits(),
+                    expect,
+                    "tiled accumulation diverged on {} at len {len} scale {scale}",
+                    path.isa()
+                );
+            }
         }
-        assert_eq!(
-            path.dot_reduce(&bank).to_bits(),
-            path.dot(&a, &b).to_bits(),
-            "split accumulation diverged on {}",
-            path.isa()
-        );
     }
 }
